@@ -25,10 +25,11 @@ import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
+from .atomic import write_atomically
 from .errors import InputError, KoopmodelError, NumericalError
 
 _THREAD_VARS = (
@@ -99,10 +100,7 @@ class RunConfig:
     def _validate(self) -> None:
         for key in _TOLERANCE_KEYS + ("threshold",):
             if key in self.options:
-                value = self.options[key]
-                if not isinstance(value, (int, float)) or value <= 0:
-                    raise InputError(f"config option {key!r} must be a "
-                                     f"positive number, got {value!r}")
+                self.tolerance(key, None)
         for key in _INPUT_PATH_KEYS:
             value = self.options.get(key)
             if isinstance(value, str) and not Path(value).is_file():
@@ -120,8 +118,10 @@ class RunConfig:
 
     def tolerance(self, key: str, default: float) -> float:
         value = self.options.get(key, self.options.get("threshold", default))
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise InputError(f"{key} must be a positive number, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or value <= 0):
+            raise InputError(f"config option {key!r} must be a positive "
+                             f"number, got {value!r}")
         return float(value)
 
 
@@ -134,48 +134,45 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-class _OutputSet:
-    """Collects rendered outputs, then publishes them all atomically."""
+def _parse_column(rows, col, convert, dtype):
+    """``(array, None)`` of column ``col`` converted, or ``(None, i)`` where
+    row ``i`` holds the first cell that ``convert`` or ``dtype`` rejects."""
+    import numpy as np
 
-    def __init__(self):
-        self._pending: list[tuple[Path, bytes]] = []
-
-    def add_text(self, path, text: str) -> None:
-        self._pending.append((Path(path), text.encode()))
-
-    def add_bytes(self, path, payload: bytes) -> None:
-        self._pending.append((Path(path), payload))
-
-    def publish(self) -> None:
-        staged = []
-        try:
-            for path, payload in self._pending:
-                fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                                           prefix=path.name, suffix=".tmp")
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                staged.append((tmp, path))
-            while staged:
-                tmp, path = staged[0]
-                os.replace(tmp, path)
-                staged.pop(0)
-        finally:
-            for tmp, _ in staged:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
+    try:
+        return np.fromiter(map(convert, map(itemgetter(col), rows)), dtype,
+                           len(rows)), None
+    except (ValueError, OverflowError):
+        for i, row in enumerate(rows):
+            try:
+                np.array(convert(row[col]), dtype)
+            except (ValueError, OverflowError):
+                return None, i
+        raise
 
 
 def read_trajectories(path):
-    """Parse the trajectory CSV into a TrajectorySet plus feature names."""
-    from .trajectories import Snapshot, Trajectory, TrajectorySet
+    """Parse the trajectory CSV into a TrajectorySet plus feature names.
+
+    Cells are parsed column by column straight into per-trajectory arrays.
+    A malformed row is reported as ``file:line`` with its physical line
+    number; of several, the first in the file is reported.
+    """
+    import numpy as np
+
+    from .trajectories import Trajectory, TrajectorySet
 
     path = Path(path)
+    rows, lines = [], []
     try:
-        text = path.read_text()
-    except OSError as exc:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                if any(map(str.strip, row)):
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise InputError(f"data file {path} is empty")
     header = [cell.strip() for cell in rows[0]]
@@ -183,49 +180,57 @@ def read_trajectories(path):
         if required not in header:
             raise InputError(f"data file {path} lacks required column "
                              f"{required!r}")
-    id_col = header.index("trajectory_id")
-    t_col = header.index("t")
-    feature_names = [name for i, name in enumerate(header)
-                     if i not in (id_col, t_col)]
-    if not feature_names:
-        raise InputError(f"data file {path} has no feature columns")
+    id_col, t_col = header.index("trajectory_id"), header.index("t")
     feature_cols = [i for i in range(len(header)) if i not in (id_col, t_col)]
-    if len(rows) == 1:
+    if not feature_cols:
+        raise InputError(f"data file {path} has no feature columns")
+    body, lines = rows[1:], lines[1:]
+    if not body:
         raise InputError(f"data file {path} has a header but no data rows")
 
-    groups: dict[str, list] = {}
-    order: list[str] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputError(f"{path}:{line_no}: expected {len(header)} "
-                             f"columns, got {len(row)}")
-        traj_id = row[id_col].strip()
-        try:
-            t = int(row[t_col])
-        except ValueError as exc:
-            raise InputError(f"{path}:{line_no}: t must be an integer, "
-                             f"got {row[t_col]!r}") from exc
-        values = []
-        for col in feature_cols:
-            try:
-                values.append(float(row[col]))
-            except ValueError as exc:
-                raise InputError(
-                    f"{path}:{line_no}: column {header[col]!r} is not a "
-                    f"number: {row[col]!r}"
-                ) from exc
-        if traj_id not in groups:
-            groups[traj_id] = []
-            order.append(traj_id)
-        elif order[-1] != traj_id:
-            raise InputError(f"{path}:{line_no}: rows of trajectory "
-                             f"{traj_id!r} are not contiguous")
-        groups[traj_id].append(Snapshot(values=values, time_index=t))
+    # Each check sees only the rows before the earliest failure found so
+    # far, so the failure reported is the first in file order.
+    error = None
+    bad = next((i for i, row in enumerate(body) if len(row) != len(header)),
+               None)
+    if bad is not None:
+        body, error = body[:bad], (bad, f"expected {len(header)} columns, "
+                                        f"got {len(body[bad])}")
+    t, bad = _parse_column(body, t_col, int, np.int64)
+    if bad is not None:
+        body, error = body[:bad], (bad, f"t must be an integer, got "
+                                        f"{body[bad][t_col]!r}")
+    # Filled column by column: one data-sized array, not one per column
+    # plus a stacked copy.
+    values = np.empty((len(body), len(feature_cols)))
+    for j, col in enumerate(feature_cols):
+        column, bad = _parse_column(body, col, float, float)
+        if bad is None:
+            values[:len(column), j] = column
+        else:
+            body, error = body[:bad], (bad, f"column {header[col]!r} is not "
+                                            f"a number: {body[bad][col]!r}")
+    ids = [row[id_col].strip() for row in body]
+    starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
+    first: dict[str, int] = {}
+    repeated = [s for s in starts if first.setdefault(ids[s], s) != s]
+    if repeated:
+        error = (repeated[0], f"rows of trajectory {ids[repeated[0]]!r} are "
+                              f"not contiguous")
+    if error is not None:
+        raise InputError(f"{path}:{lines[error[0]]}: {error[1]}")
 
-    trajectories = [Trajectory(snapshots=tuple(groups[tid]), id=tid)
-                    for tid in order]
-    data = TrajectorySet(trajectories=tuple(trajectories),
-                         feature_names=tuple(feature_names))
+    gaps = np.setdiff1d(np.flatnonzero(np.diff(t) != 1) + 1, starts)
+    if gaps.size:
+        g = int(gaps[0])
+        raise InputError(f"{path}:{lines[g]}: trajectory {ids[g]!r}: time "
+                         f"indices must increase by 1 (got {t[g - 1]} -> "
+                         f"{t[g]})")
+    values.flags.writeable = False  # trajectories share it instead of copying
+    trajectories = tuple(Trajectory(values[a:b], ids[a], t0=t[a])
+                         for a, b in zip(starts, starts[1:] + [len(ids)]))
+    data = TrajectorySet(trajectories=trajectories,
+                         feature_names=tuple(header[c] for c in feature_cols))
     return data, data.feature_names
 
 
@@ -256,10 +261,6 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-def _complex_pairs(values):
-    return [[z.real, z.imag] for z in values]
-
-
 def _fit_pipeline(config: RunConfig):
     """Shared fit path: data -> dictionary -> lifted pair -> matrix."""
     from .dictionary import features_at_columns, lift_trajectories
@@ -282,7 +283,7 @@ def _fit_pipeline(config: RunConfig):
 
 def cmd_fit(config: RunConfig) -> int:
     from .edmd import condition_number
-    from .model_io import _encode, export_model_json
+    from .model_io import _encode, complex_pairs, model_json
     from .spectral import ModelMetadata, build_spectral_triple, eigendecompose
 
     (data, feature_names, dictionary, lifted, outputs, fitted,
@@ -318,21 +319,21 @@ def cmd_fit(config: RunConfig) -> int:
         "closed_rows": [oid for i, oid in enumerate(dictionary.ids)
                         if residuals[i] < closure_tol],
         "closure_tol": closure_tol,
-        "eigenvalues": _complex_pairs(triple.eigenvalues),
+        "eigenvalues": complex_pairs(triple.eigenvalues),
         "biorthogonality_error": system.biorthogonality_error,
     }
 
-    outputs_set = _OutputSet()
     model_path = config.require("out", "output path")
     with _stage("serializing model"):
-        outputs_set.add_bytes(model_path, _encode(triple))
+        pending = [(model_path, _encode(triple))]
+        if config.get("json_sidecar"):
+            pending.append((str(model_path) + ".json",
+                            model_json(triple).encode()))
     report_path = config.get("report")
     if report_path:
-        outputs_set.add_text(report_path,
-                             json.dumps(report, sort_keys=True, indent=2) + "\n")
-    outputs_set.publish()
-    if config.get("json_sidecar"):
-        export_model_json(triple, str(model_path) + ".json")
+        pending.append((report_path, (json.dumps(report, sort_keys=True,
+                                                 indent=2) + "\n").encode()))
+    write_atomically(pending)
 
     not_closed = [oid for oid in dictionary.ids
                   if oid not in report["closed_rows"]]
@@ -402,9 +403,7 @@ def cmd_predict(config: RunConfig) -> int:
 
     out = config.get("out")
     if out:
-        outputs_set = _OutputSet()
-        outputs_set.add_text(out, text)
-        outputs_set.publish()
+        write_atomically([(out, text.encode())])
         print(f"wrote {horizon + 1} prediction rows to {out}")
     else:
         sys.stdout.write(text)
@@ -446,9 +445,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     )
     out = config.get("out")
     if out:
-        outputs_set = _OutputSet()
-        outputs_set.add_text(out, text)
-        outputs_set.publish()
+        write_atomically([(out, text.encode())])
         print(f"wrote {len(peaks)} detected frequencies to {out}")
     else:
         sys.stdout.write(text)
@@ -498,15 +495,14 @@ def cmd_reduce(config: RunConfig) -> int:
                           for i, oid in enumerate(dictionary.ids)},
     })
     out = config.get("out")
-    if out or config.get("text_out"):
-        outputs_set = _OutputSet()
-        if out:
-            outputs_set.add_text(out, json.dumps(doc, sort_keys=True,
-                                                 indent=2) + "\n")
-        if config.get("text_out"):
-            outputs_set.add_text(config.get("text_out"),
-                                 report.narrative + "\n")
-        outputs_set.publish()
+    pending = []
+    if out:
+        pending.append((out, (json.dumps(doc, sort_keys=True,
+                                         indent=2) + "\n").encode()))
+    if config.get("text_out"):
+        pending.append((config.get("text_out"),
+                        (report.narrative + "\n").encode()))
+    write_atomically(pending)
     print(report.narrative)
     if out:
         print(f"report written to {out}")

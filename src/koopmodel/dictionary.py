@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -449,16 +450,13 @@ def lift_trajectories(dictionary: Dictionary,
     blocks_g, blocks_gp = [], []
     origin: list[tuple[str, int]] = []
     x0_columns: list[int] = []
-    offset = 0
     for traj in data.trajectories:
-        values = np.stack([s.values for s in traj.snapshots])
-        lifted = dictionary._evaluate_series(values)[:, lag:]
+        lifted = dictionary._evaluate_series(traj.values)[:, lag:]
         blocks_g.append(lifted[:, :-1])
         blocks_gp.append(lifted[:, 1:])
-        times = [s.time_index for s in traj.snapshots[lag:-1]]
-        origin.extend((traj.id, t) for t in times)
-        x0_columns.append(offset)
-        offset += len(times)
+        x0_columns.append(len(origin))
+        origin.extend(zip(repeat(traj.id),
+                          range(traj.t0 + lag, traj.t0 + len(traj) - 1)))
     return LiftedPair(
         current=np.concatenate(blocks_g, axis=1),
         shifted=np.concatenate(blocks_gp, axis=1),
@@ -481,11 +479,8 @@ def delay_embed(series: Trajectory, feature: int, depth: int) -> np.ndarray:
         raise ShapeMismatchError(
             f"depth {depth} exceeds series length {m}"
         )
-    cols = m - depth + 1
-    out = np.empty((depth, cols))
-    for row in range(depth):
-        out[row] = values[depth - 1 - row: depth - 1 - row + cols]
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(values, depth)
+    return windows[:, ::-1].T.copy()
 
 
 def dependence_closure(dictionary: Dictionary,
@@ -532,19 +527,20 @@ def generator_features(dictionary: Dictionary,
     return frozenset(feats)
 
 
-def features_at_columns(data: TrajectorySet, lifted: LiftedPair,
-                        features: list[int] | None = None) -> np.ndarray:
+def features_at_columns(data: TrajectorySet,
+                        lifted: LiftedPair) -> np.ndarray:
     """Raw feature readings aligned with the lifted pair's columns.
 
-    Returns an (h, K) matrix whose column k holds the selected features of
-    the snapshot lifted into ``current[:, k]``.
+    Returns an (n, K) matrix whose column k holds the snapshot lifted into
+    ``current[:, k]``. ``lifted`` comes from :func:`lift_trajectories` on
+    ``data``, so each trajectory's columns are consecutive in time.
     """
-    if features is None:
-        features = list(range(data.n_features))
     by_id = {t.id: t for t in data.trajectories}
-    out = np.empty((len(features), lifted.n_columns))
-    for k, (traj_id, t) in enumerate(lifted.column_origin):
-        traj = by_id[traj_id]
-        pos = t - traj.snapshots[0].time_index
-        out[:, k] = traj.snapshots[pos].values[features]
-    return out
+    stops = lifted.x0_columns[1:] + (lifted.n_columns,)
+    blocks = []
+    for start, stop in zip(lifted.x0_columns, stops):
+        traj_id, t = lifted.column_origin[start]
+        pos = t - by_id[traj_id].t0
+        blocks.append(by_id[traj_id].values[pos:pos + stop - start])
+    # C order, like the lifted matrices: the fits' rounding depends on it.
+    return np.concatenate(blocks).T.copy()

@@ -19,14 +19,13 @@ are atomic (temp file + rename) and loads are all-or-nothing.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomically
 from .errors import (
     ModelChecksumError,
     ModelFormatError,
@@ -85,18 +84,7 @@ def _encode(triple: SpectralTriple) -> bytes:
 
 def save_model(triple: SpectralTriple, path) -> None:
     """Serialize a spectral triple; the write is atomic."""
-    path = Path(path)
-    payload = _encode(triple)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."),
-                                    prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    write_atomically([(path, _encode(triple))])
 
 
 class _Reader:
@@ -171,14 +159,15 @@ def load_model(path) -> SpectralTriple:
     )
 
 
-def _complex_pairs(array: np.ndarray):
+def complex_pairs(array: np.ndarray):
+    """Nested ``[real, imag]`` lists of a 1-D or 2-D complex array."""
     if array.ndim == 1:
         return [[z.real, z.imag] for z in array]
     return [[[z.real, z.imag] for z in row] for row in array]
 
 
-def export_model_json(triple: SpectralTriple, path) -> None:
-    """Human-inspectable mirror of the binary model; not read back."""
+def model_json(triple: SpectralTriple) -> str:
+    """Human-inspectable JSON mirror of the binary model; not read back."""
     doc = {
         "format": "koopman-model",
         "version": FORMAT_VERSION,
@@ -187,23 +176,17 @@ def export_model_json(triple: SpectralTriple, path) -> None:
         "h": triple.n_outputs,
         "d": triple.lifted_dim,
         "dict_hash": triple.metadata.dict_hash.hex(),
-        "eigenvalues": _complex_pairs(triple.eigenvalues),
-        "eigenfunction_values": _complex_pairs(triple.eigenfunction_values),
-        "modes": _complex_pairs(triple.modes),
+        "eigenvalues": complex_pairs(triple.eigenvalues),
+        "eigenfunction_values": complex_pairs(triple.eigenfunction_values),
+        "modes": complex_pairs(triple.modes),
         "decode": [[float(x) for x in row] for row in triple.decode],
         "feature_names": list(triple.metadata.feature_names),
         "output_names": list(triple.metadata.output_names),
         "trajectory_ids": list(triple.metadata.trajectory_ids),
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."),
-                                    prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def export_model_json(triple: SpectralTriple, path) -> None:
+    """Write :func:`model_json` to ``path``; the write is atomic."""
+    write_atomically([(path, model_json(triple).encode())])

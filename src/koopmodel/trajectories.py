@@ -1,8 +1,9 @@
-"""Raw observed data: snapshots organized into regularly sampled trajectories."""
+"""Raw observed data: regularly sampled trajectories stored as arrays."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,55 +32,51 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An ordered run of snapshots sampled at consecutive time indices."""
+    """Snapshots at times ``t0, t0 + 1, ...``: one per row of ``values``, a
+    read-only (m, n) float array (a 1-D input is one feature). A writable
+    input is copied; a read-only one is shared."""
 
-    snapshots: tuple[Snapshot, ...]
+    values: np.ndarray
     id: str
+    t0: int = 0
 
     def __post_init__(self):
-        snaps = tuple(self.snapshots)
-        if len(snaps) < 2:
-            raise InputError(f"trajectory {self.id!r} needs at least 2 snapshots")
-        n = len(snaps[0].values)
-        for prev, cur in zip(snaps, snaps[1:]):
-            if cur.time_index != prev.time_index + 1:
-                raise InputError(
-                    f"trajectory {self.id!r}: time indices must increase by 1 "
-                    f"(got {prev.time_index} -> {cur.time_index})"
-                )
-            if len(cur.values) != n:
-                raise InputError(
-                    f"trajectory {self.id!r}: snapshot width changes from {n} "
-                    f"to {len(cur.values)}"
-                )
-        object.__setattr__(self, "snapshots", snaps)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.snapshots[0].values)
-
-    def feature_series(self, feature: int) -> np.ndarray:
-        """The scalar time series of one feature, ordered by time."""
-        return np.array([s.values[feature] for s in self.snapshots])
-
-    @classmethod
-    def from_array(cls, values, id: str, t0: int = 0) -> "Trajectory":
-        """Build a trajectory from an (m, n) array with one snapshot per row.
-
-        A 1-D input of length m is treated as m snapshots of a single feature.
-        """
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if values.flags.writeable:
+            values = values.copy()
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2:
             raise InputError("trajectory array must be 1-D or 2-D")
-        snaps = tuple(
-            Snapshot(values=row, time_index=t0 + k) for k, row in enumerate(values)
-        )
-        return cls(snapshots=snaps, id=id)
+        if len(values) < 2:
+            raise InputError(f"trajectory {self.id!r} needs at least 2 snapshots")
+        t0 = operator.index(self.t0)
+        if t0 < 0:
+            raise InputError(f"trajectory {self.id!r}: time_index must be "
+                             f"non-negative, got t0={t0}")
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            bad = t0 + int(np.argmin(finite))
+            raise InputError(f"snapshot at t={bad} contains NaN/Inf entries")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "t0", t0)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def n_features(self) -> int:
+        return self.values.shape[1]
+
+    def feature_series(self, feature: int) -> np.ndarray:
+        """The scalar time series of one feature, ordered by time."""
+        return self.values[:, feature]
+
+    @classmethod
+    def from_array(cls, values, id: str, t0: int = 0) -> "Trajectory":
+        """Build a trajectory from an (m, n) array with one snapshot per row."""
+        return cls(values, id, t0)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import pytest
 from koopmodel import (
     Dictionary,
     ModelMetadata,
-    Snapshot,
     SpectralTriple,
     Trajectory,
     TrajectorySet,
@@ -46,11 +45,11 @@ def simulate_worked_example(n_trajectories: int = 20, n_steps: int = 50,
     for i in range(n_trajectories):
         x = rng.uniform(-3.0, 3.0)
         y = rng.uniform(-1.0, 1.0)
-        snaps = []
-        for t in range(n_steps):
-            snaps.append(Snapshot(values=[x, y], time_index=t))
+        rows = []
+        for _ in range(n_steps):
+            rows.append([x, y])
             x, y = x + math.sin(x), y + x
-        trajectories.append(Trajectory(snapshots=tuple(snaps), id=f"traj{i:02d}"))
+        trajectories.append(Trajectory.from_array(rows, id=f"traj{i:02d}"))
     return TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=("x", "y"))
 
@@ -84,11 +83,11 @@ def simulate_linear(matrix: np.ndarray, initial_states: np.ndarray,
     trajectories = []
     for i, x0 in enumerate(np.atleast_2d(initial_states)):
         state = np.asarray(x0, dtype=float)
-        snaps = []
-        for t in range(n_steps):
-            snaps.append(Snapshot(values=state.copy(), time_index=t))
+        rows = []
+        for _ in range(n_steps):
+            rows.append(state)
             state = matrix @ state
-        trajectories.append(Trajectory(snapshots=tuple(snaps), id=f"lin{i}"))
+        trajectories.append(Trajectory.from_array(rows, id=f"lin{i}"))
     return TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=tuple(f"x{i}" for i in range(dim)))
 
@@ -147,9 +146,9 @@ def write_data_csv(path, data: TrajectorySet) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["trajectory_id", "t"] + list(data.feature_names))
     for trajectory in data.trajectories:
-        for snap in trajectory.snapshots:
-            writer.writerow([trajectory.id, snap.time_index]
-                            + [repr(float(v)) for v in snap.values])
+        for t, row in enumerate(trajectory.values, start=trajectory.t0):
+            writer.writerow([trajectory.id, t]
+                            + [repr(float(v)) for v in row])
     path.write_text(buffer.getvalue())
 
 

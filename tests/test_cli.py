@@ -13,6 +13,7 @@ import pytest
 
 import koopmodel
 from koopmodel import cli
+from koopmodel.model_io import model_json
 from conftest import (
     WORKED_DICT_ENTRIES,
     simulate_worked_example,
@@ -67,6 +68,17 @@ def test_fit_reruns_are_byte_identical(workspace):
     assert run(["fit", "--config", workspace / "fit.json"]) == 0
     assert (workspace / "model.bin").read_bytes() == model1
     assert (workspace / "fit_report.json").read_bytes() == report1
+
+
+def test_fit_json_sidecar_is_published_with_model(workspace):
+    write_json(workspace / "fit.json", {
+        "data": "data.csv", "dictionary": "dict.json", "out": "model.bin",
+        "json_sidecar": True,
+    })
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    triple = koopmodel.load_model(workspace / "model.bin")
+    sidecar = (workspace / "model.bin.json").read_text()
+    assert sidecar == model_json(triple)
 
 
 def test_fit_empty_csv_exits_2_without_outputs(workspace, capsys):
@@ -146,6 +158,75 @@ def test_malformed_config_json_exits_2(tmp_path):
     assert run(["fit", "--config", tmp_path / "cfg.json"]) == 2
 
 
+# -- malformed data ----------------------------------------------------------
+
+# Each case is one fault in an otherwise valid file, with the message the
+# reader gives for it; a ``{path}`` prefix means the message names the line.
+MALFORMED_CSV = {
+    "column_count": ("trajectory_id,t,x\na,0,1.0\na,1\na,2,3.0\n",
+                     "{path}:3: expected 3 columns, got 2"),
+    "t_not_integer": ("trajectory_id,t,x\na,0,1.0\na,1.5,2.0\na,2,3.0\n",
+                      "{path}:3: t must be an integer, got '1.5'"),
+    "cell_not_numeric": ("trajectory_id,t,x\na,0,1.0\na,1,oops\na,2,3.0\n",
+                         "{path}:3: column 'x' is not a number: 'oops'"),
+    "split_trajectory": ("trajectory_id,t,x\na,0,1.0\na,1,2.0\nb,0,5.0\n"
+                         "b,1,6.0\na,2,3.0\n",
+                         "{path}:6: rows of trajectory 'a' are not "
+                         "contiguous"),
+    "time_gap": ("trajectory_id,t,x\na,0,1.0\na,1,2.0\na,3,3.0\n",
+                 "trajectory 'a': time indices must increase by 1 "
+                 "(got 1 -> 3)"),
+    "nan_value": ("trajectory_id,t,x\na,0,1.0\na,1,nan\na,2,3.0\n",
+                  "snapshot at t=1 contains NaN/Inf entries"),
+    "inf_value": ("trajectory_id,t,x\na,4,1.0\na,5,2.0\na,6,-inf\n",
+                  "snapshot at t=6 contains NaN/Inf entries"),
+    "negative_t": ("trajectory_id,t,x\na,-1,1.0\na,0,2.0\na,1,3.0\n",
+                   "time_index must be non-negative"),
+    "one_row_trajectory": ("trajectory_id,t,x\na,0,1.0\na,1,2.0\nb,0,5.0\n",
+                           "trajectory 'b' needs at least 2 snapshots"),
+    "blank_lines": ("trajectory_id,t,x\n\na,0,1.0\na,1,2.0\n\na,2,oops\n",
+                    "{path}:6: column 'x' is not a number: 'oops'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+def test_malformed_csv_exits_2_with_message(tmp_path, capsys, case):
+    text, message = MALFORMED_CSV[case]
+    data_path = tmp_path / f"{case}.csv"
+    data_path.write_text(text)
+    write_json(tmp_path / "dict.json", [
+        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+    ])
+    write_json(tmp_path / "fit.json", {
+        "data": data_path.name, "dictionary": "dict.json",
+        "out": "model.bin", "report": "report.json",
+    })
+    assert run(["fit", "--config", tmp_path / "fit.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: reading data: ")
+    assert message.format(path=data_path) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [data_path.name, "dict.json", "fit.json"])
+
+
+@pytest.mark.parametrize("command,key", [
+    ("fit", "svd_tolerance"),
+    ("reduce", "svd_tolerance"),
+    ("reduce", "zero_threshold"),
+    ("reduce", "closure_tol"),
+    ("spectrum", "peak_threshold"),
+])
+def test_boolean_tolerance_exits_2(workspace, capsys, command, key):
+    write_json(workspace / "cfg.json", {
+        "data": "data.csv", "dictionary": "dict.json", "column": "x",
+        "trajectory": "traj00", "out": "out.bin", key: True,
+    })
+    assert run([command, "--config", workspace / "cfg.json"]) == 2
+    assert f"{key!r} must be a positive number, got True" in (
+        capsys.readouterr().err)
+    assert not (workspace / "out.bin").exists()
+
+
 def test_out_flag_overrides_config(workspace):
     assert run(["fit", "--config", workspace / "fit.json",
                 "--out", workspace / "other.bin"]) == 0
@@ -196,7 +277,7 @@ def test_predict_horizon_zero_is_reconstruction(workspace, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     data = simulate_worked_example()
-    x0 = data.trajectory("traj04").snapshots[0].values
+    x0 = data.trajectory("traj04").values[0]
     values = [float(v) for v in lines[1].split(",")[1:]]
     assert values == pytest.approx(list(x0), abs=1e-8)
 

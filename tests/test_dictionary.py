@@ -21,6 +21,7 @@ from koopmodel import (
     delay_embed,
     dependence_closure,
     evaluate_snapshot,
+    features_at_columns,
     generator_features,
     lift_trajectories,
 )
@@ -188,7 +189,8 @@ def test_worked_example_column_pairing(worked_data, worked_dict):
     lifted = lift_trajectories(worked_dict, worked_data)
     k = 17
     traj_id, t = lifted.column_origin[k]
-    state = worked_data.trajectory(traj_id).snapshots[t].values
+    traj = worked_data.trajectory(traj_id)
+    state = traj.values[t - traj.t0]
     x, y = state
     assert np.allclose(lifted.current[:, k], [x, math.sin(x), y])
     assert np.allclose(lifted.shifted[:, k],
@@ -291,3 +293,52 @@ def test_shift_consistency_single_trajectory(series):
     lifted = lift_trajectories(dic, single_feature_set(series))
     for k in range(lifted.n_columns - 1):
         assert np.array_equal(lifted.shifted[:, k], lifted.current[:, k + 1])
+
+
+# -- lifting identity --------------------------------------------------------
+
+@st.composite
+def lifting_cases(draw):
+    """Several trajectories with nonzero start times and a delay dictionary."""
+    n_features = draw(st.integers(1, 3))
+    entries = [{"id": f"c{i}", "kind": "coordinate", "params": {"index": i}}
+               for i in range(n_features)]
+    entries.append({"id": "s0", "kind": "sin", "params": {"of": "c0"}})
+    entries.append({"id": "m", "kind": "monomial",
+                    "params": {"exponents": [2] + [1] * (n_features - 1)}})
+    for j in range(draw(st.integers(1, 3))):
+        base = draw(st.sampled_from([e["id"] for e in entries]))
+        entries.append({"id": f"d{j}", "kind": "delay",
+                        "params": {"of": base, "lag": draw(st.integers(1, 2))}})
+    dictionary = Dictionary.from_spec(entries, n_features)
+    trajectories = []
+    for i in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(dictionary.max_lag + 2, dictionary.max_lag + 8))
+        rows = draw(st.lists(
+            st.lists(st.floats(-10, 10, allow_nan=False),
+                     min_size=n_features, max_size=n_features),
+            min_size=m, max_size=m))
+        trajectories.append(Trajectory.from_array(
+            rows, id=f"t{i}", t0=draw(st.integers(1, 50))))
+    data = TrajectorySet(trajectories=tuple(trajectories),
+                         feature_names=tuple(f"f{i}" for i in range(n_features)))
+    return dictionary, data
+
+
+@settings(max_examples=100, deadline=None)
+@given(lifting_cases())
+def test_lifted_columns_match_window_evaluation(case):
+    dictionary, data = case
+    lifted = lift_trajectories(dictionary, data)
+    outputs = features_at_columns(data, lifted)
+    # The fits' rounding depends on memory order, so keep the lifted order.
+    assert outputs.flags.c_contiguous
+    lag = dictionary.max_lag
+    for k, (traj_id, t) in enumerate(lifted.column_origin):
+        traj = data.trajectory(traj_id)
+        pos = t - traj.t0
+        window = [Snapshot(row, time) for time, row in
+                  enumerate(traj.values[pos - lag:pos + 1], start=t - lag)]
+        assert np.array_equal(lifted.current[:, k],
+                              evaluate_snapshot(dictionary, window))
+        assert np.array_equal(outputs[:, k], traj.values[pos])

@@ -16,7 +16,8 @@ from koopmodel import (
     load_model,
     save_model,
 )
-from koopmodel.model_io import FORMAT_VERSION, MAGIC, file_layout
+from koopmodel.atomic import write_atomically
+from koopmodel.model_io import FORMAT_VERSION, MAGIC, file_layout, model_json
 from conftest import random_triple
 
 
@@ -156,6 +157,19 @@ def test_save_into_missing_directory_leaves_nothing(tmp_path, triple):
     with pytest.raises(OSError):
         save_model(triple, target)
     assert not target.exists()
+
+
+def test_failed_output_leaves_no_file_of_the_set(tmp_path):
+    first = tmp_path / "first.bin"
+    second = tmp_path / "nowhere" / "second.json"
+    with pytest.raises(OSError):
+        write_atomically([(first, b"model"), (second, b"sidecar")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_export_writes_rendered_text(tmp_path, triple):
+    export_model_json(triple, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_text() == model_json(triple)
 
 
 def test_json_export_is_deterministic_and_faithful(tmp_path, triple):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from koopmodel import InputError, Snapshot, Trajectory, TrajectorySet
+from koopmodel.cli import read_trajectories
 
 
 def make_trajectory(values, id="t0", t0=0):
@@ -28,23 +29,50 @@ def test_snapshot_rejects_nan_and_matrix_and_negative_time():
         Snapshot(values=[1.0], time_index=-1)
 
 
-def test_trajectory_requires_consecutive_times():
-    good = Trajectory(
-        snapshots=(Snapshot([0.0], 3), Snapshot([1.0], 4), Snapshot([2.0], 5)),
-        id="run",
-    )
-    assert len(good) == 3
+def read_csv_text(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return read_trajectories(path)
+
+
+def test_trajectory_requires_consecutive_times(tmp_path):
+    # Times are t0, t0 + 1, ... by construction; the CSV reader is where
+    # non-consecutive times can still appear, and it rejects them.
+    good = make_trajectory([0.0, 1.0, 2.0], id="run", t0=3)
+    assert len(good) == 3 and good.t0 == 3
     with pytest.raises(InputError, match="increase by 1"):
-        Trajectory(snapshots=(Snapshot([0.0], 0), Snapshot([1.0], 2)), id="bad")
+        read_csv_text(tmp_path, "trajectory_id,t,x\nbad,0,0.0\nbad,2,1.0\n")
 
 
-def test_trajectory_requires_two_snapshots_and_constant_width():
+def test_trajectory_requires_two_snapshots_and_constant_width(tmp_path):
     with pytest.raises(InputError, match="at least 2"):
-        Trajectory(snapshots=(Snapshot([0.0], 0),), id="short")
-    with pytest.raises(InputError, match="width"):
-        Trajectory(
-            snapshots=(Snapshot([0.0], 0), Snapshot([1.0, 2.0], 1)), id="ragged"
-        )
+        make_trajectory([[0.0]], id="short")
+    with pytest.raises(ValueError):
+        Trajectory.from_array([[0.0], [1.0, 2.0]], id="ragged")
+    with pytest.raises(InputError, match="expected 3 columns"):
+        read_csv_text(tmp_path, "trajectory_id,t,x\nr,0,0.0\nr,1,1.0,2.0\n")
+
+
+def test_trajectory_rejects_nan_and_negative_t0():
+    with pytest.raises(InputError, match="snapshot at t=6 contains NaN/Inf"):
+        make_trajectory([[1.0, 2.0], [3.0, 4.0], [np.inf, 0.0]], t0=4)
+    with pytest.raises(InputError, match="snapshot at t=0 contains NaN/Inf"):
+        make_trajectory([np.nan, 1.0])
+    with pytest.raises(InputError, match="time_index must be non-negative"):
+        make_trajectory([1.0, 2.0], t0=-1)
+    with pytest.raises(TypeError):
+        make_trajectory([1.0, 2.0], t0=1.5)
+
+
+def test_trajectory_values_are_a_read_only_copy():
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    traj = make_trajectory(source)
+    source[0, 0] = 99.0
+    assert traj.values[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        traj.values[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        traj.feature_series(1)[0] = 5.0
 
 
 def test_from_array_promotes_1d_to_single_feature():
@@ -55,7 +83,8 @@ def test_from_array_promotes_1d_to_single_feature():
 
 def test_from_array_rows_are_snapshots():
     traj = make_trajectory([[1.0, 10.0], [2.0, 20.0]], t0=7)
-    assert [s.time_index for s in traj.snapshots] == [7, 8]
+    assert traj.t0 == 7 and len(traj) == 2
+    assert np.array_equal(traj.values[1], [2.0, 20.0])
     assert np.array_equal(traj.feature_series(1), [10.0, 20.0])
 
 
@@ -97,7 +126,7 @@ def test_set_requires_unique_ids_and_resolves_lookups():
 )
 def test_from_array_round_trips_values(values, t0):
     traj = Trajectory.from_array(values, id="rt", t0=t0)
-    stacked = np.stack([s.values for s in traj.snapshots])
-    assert np.array_equal(stacked, values)
+    assert traj.t0 == t0
+    assert np.array_equal(traj.values, values)
     for j in range(values.shape[1]):
         assert np.array_equal(traj.feature_series(j), values[:, j])
