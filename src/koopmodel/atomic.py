@@ -2,14 +2,16 @@
 
 import contextlib
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
 
 def write_atomically(outputs) -> None:
     """Write ``(path, bytes)`` pairs by temp file + rename. Every payload is
-    staged before the first rename, so a failed write touches no target."""
-    staged = []
+    staged before the first rename, and a failed rename undoes the ones
+    before it, so a failed write leaves every target as it was."""
+    staged, renamed = [], 0
     try:
         for path, payload in outputs:
             fd, tmp = tempfile.mkstemp(dir=Path(path).parent,
@@ -17,10 +19,26 @@ def write_atomically(outputs) -> None:
             staged.append((tmp, path))
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
-        while staged:
-            os.replace(*staged[0])
-            staged.pop(0)
+        for tmp, path in staged:
+            if os.path.isfile(path):  # kept as ``tmp.old`` until all renamed
+                try:
+                    os.link(path, tmp + ".old")
+                except OSError:
+                    shutil.copy2(path, tmp + ".old")
+            os.replace(tmp, path)
+            renamed += 1
+    except BaseException:
+        for tmp, path in reversed(staged[:renamed]):
+            with contextlib.suppress(OSError):
+                if os.path.exists(tmp + ".old"):
+                    os.replace(tmp + ".old", path)
+                else:
+                    os.unlink(path)
+        raise
     finally:
-        for tmp, _ in staged:
+        for tmp, _ in staged[renamed:]:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp + ".old")

@@ -227,9 +227,15 @@ def read_trajectories(path):
                          f"indices must increase by 1 (got {t[g - 1]} -> "
                          f"{t[g]})")
     values.flags.writeable = False  # trajectories share it instead of copying
-    trajectories = tuple(Trajectory(values[a:b], ids[a], t0=t[a])
-                         for a, b in zip(starts, starts[1:] + [len(ids)]))
-    data = TrajectorySet(trajectories=trajectories,
+    trajectories = []
+    for a, b in zip(starts, starts[1:] + [len(ids)]):
+        try:
+            trajectories.append(Trajectory(values[a:b], ids[a], t0=t[a]))
+        except InputError as exc:  # too short or t0 < 0: the first row
+            bad = int(np.isfinite(values[a:b]).all(axis=1).argmin())
+            row = a if b - a < 2 or t[a] < 0 else a + bad
+            raise InputError(f"{path}:{lines[row]}: {exc}") from exc
+    data = TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=tuple(header[c] for c in feature_cols))
     return data, data.feature_names
 
@@ -253,6 +259,14 @@ def read_dictionary(path, n_features: int):
     return Dictionary.from_spec(entries, n_features)
 
 
+def _publish(outputs) -> None:
+    """Write all outputs or none; an OS failure exits 2."""
+    try:
+        write_atomically(outputs)
+    except OSError as exc:
+        raise InputError(f"writing outputs: {exc}") from exc
+
+
 def _csv_text(header, rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -261,8 +275,9 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-def _fit_pipeline(config: RunConfig):
-    """Shared fit path: data -> dictionary -> lifted pair -> matrix."""
+def _fit_pipeline(config: RunConfig, decode: bool):
+    """Shared fit path: data -> dictionary -> lifted pair -> matrix (with
+    the decode map to the features if ``decode``)."""
     from .dictionary import features_at_columns, lift_trajectories
     from .edmd import (DEFAULT_SVD_TOL, fit_koopman_matrix, residual_report)
 
@@ -273,21 +288,20 @@ def _fit_pipeline(config: RunConfig):
                                      data.n_features)
     with _stage("lifting"):
         lifted = lift_trajectories(dictionary, data)
-        outputs = features_at_columns(data, lifted)
+        outputs = features_at_columns(data, lifted) if decode else None
     with _stage("fitting"):
         tol = config.tolerance("svd_tolerance", DEFAULT_SVD_TOL)
-        fitted = fit_koopman_matrix(lifted, tol)
+        fitted = fit_koopman_matrix(lifted, tol, outputs)
         residuals = residual_report(lifted, fitted)
-    return data, feature_names, dictionary, lifted, outputs, fitted, residuals
+    return data, feature_names, dictionary, lifted, fitted, residuals
 
 
 def cmd_fit(config: RunConfig) -> int:
-    from .edmd import condition_number
     from .model_io import _encode, complex_pairs, model_json
     from .spectral import ModelMetadata, build_spectral_triple, eigendecompose
 
-    (data, feature_names, dictionary, lifted, outputs, fitted,
-     residuals) = _fit_pipeline(config)
+    (data, feature_names, dictionary, lifted, fitted,
+     residuals) = _fit_pipeline(config, decode=True)
     with _stage("eigendecomposition"):
         system = eigendecompose(fitted)
     metadata = ModelMetadata(
@@ -297,8 +311,7 @@ def cmd_fit(config: RunConfig) -> int:
         trajectory_ids=data.trajectory_ids,
     )
     with _stage("building spectral triple"):
-        triple = build_spectral_triple(system, lifted, outputs, metadata,
-                                       fitted.svd_tolerance)
+        triple = build_spectral_triple(system, lifted, fitted, metadata)
 
     from .representation import DEFAULT_CLOSURE_TOL
 
@@ -312,7 +325,7 @@ def cmd_fit(config: RunConfig) -> int:
         "svd_tolerance": fitted.svd_tolerance,
         "rank_used": fitted.rank_used,
         "fit_residual": fitted.fit_residual,
-        "condition_number": condition_number(lifted, fitted.svd_tolerance),
+        "condition_number": fitted.condition_number,
         "matrix": [[float(x) for x in row] for row in fitted.matrix],
         "row_residuals": {oid: float(residuals[i])
                           for i, oid in enumerate(dictionary.ids)},
@@ -333,7 +346,7 @@ def cmd_fit(config: RunConfig) -> int:
     if report_path:
         pending.append((report_path, (json.dumps(report, sort_keys=True,
                                                  indent=2) + "\n").encode()))
-    write_atomically(pending)
+    _publish(pending)
 
     not_closed = [oid for oid in dictionary.ids
                   if oid not in report["closed_rows"]]
@@ -403,7 +416,7 @@ def cmd_predict(config: RunConfig) -> int:
 
     out = config.get("out")
     if out:
-        write_atomically([(out, text.encode())])
+        _publish([(out, text.encode())])
         print(f"wrote {horizon + 1} prediction rows to {out}")
     else:
         sys.stdout.write(text)
@@ -445,7 +458,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     )
     out = config.get("out")
     if out:
-        write_atomically([(out, text.encode())])
+        _publish([(out, text.encode())])
         print(f"wrote {len(peaks)} detected frequencies to {out}")
     else:
         sys.stdout.write(text)
@@ -457,8 +470,8 @@ def cmd_reduce(config: RunConfig) -> int:
     from .representation import (DEFAULT_CLOSURE_TOL, DEFAULT_ZERO_THRESHOLD,
                                  analyze_representation)
 
-    (data, feature_names, dictionary, lifted, outputs, fitted,
-     residuals) = _fit_pipeline(config)
+    (data, feature_names, dictionary, lifted, fitted,
+     residuals) = _fit_pipeline(config, decode=False)
     model_path = config.get("model")
     if model_path:
         with _stage("loading model"):
@@ -502,7 +515,7 @@ def cmd_reduce(config: RunConfig) -> int:
     if config.get("text_out"):
         pending.append((config.get("text_out"),
                         (report.narrative + "\n").encode()))
-    write_atomically(pending)
+    _publish(pending)
     print(report.narrative)
     if out:
         print(f"report written to {out}")

@@ -287,19 +287,6 @@ class Dictionary:
     def max_lag(self) -> int:
         return max(o.lag for o in self.observables)
 
-    @property
-    def dependence_graph(self) -> dict[str, frozenset[str]]:
-        """Observable-to-observable edges; acyclic by construction."""
-        return {o.id: o.depends_on for o in self.observables}
-
-    def coordinate_map(self) -> dict[int, str]:
-        """Feature index -> id of a coordinate observable reading it."""
-        mapping: dict[int, str] = {}
-        for obs in self.observables:
-            if obs.kind == "coordinate":
-                mapping.setdefault(obs.params["index"], obs.id)
-        return mapping
-
     # -- hashing ----------------------------------------------------------
 
     def canonical_json(self) -> str:

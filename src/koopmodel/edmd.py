@@ -19,12 +19,15 @@ DEFAULT_SVD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KoopmanMatrix:
-    """Fitted operator matrix with fit diagnostics."""
+    """Fitted operator matrix with fit diagnostics; ``decode`` maps lifted
+    vectors to outputs when the fit was given them."""
 
     matrix: np.ndarray
     fit_residual: float
     rank_used: int
     svd_tolerance: float
+    condition_number: float = float("nan")
+    decode: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -61,10 +64,19 @@ def pseudoinverse(matrix: np.ndarray, tol: float = DEFAULT_SVD_TOL) -> np.ndarra
     return pinv
 
 
-def fit_koopman_matrix(lifted: LiftedPair,
-                       tol: float = DEFAULT_SVD_TOL) -> KoopmanMatrix:
-    """Fit ``matrix = shifted @ pinv(current)`` and report the residual."""
-    pinv, rank, _ = _svd_pseudoinverse(lifted.current, tol)
+def fit_koopman_matrix(lifted: LiftedPair, tol: float = DEFAULT_SVD_TOL,
+                       outputs: np.ndarray | None = None) -> KoopmanMatrix:
+    """Fit ``matrix = shifted @ pinv(current)`` and report the residual;
+    given (h, K) ``outputs``, the same pseudoinverse gives the decode map
+    ``outputs @ pinv(current)``."""
+    if outputs is not None:
+        outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
+        if outputs.shape[1] != lifted.n_columns:
+            raise ShapeMismatchError(
+                f"outputs have {outputs.shape[1]} columns, lifted data has "
+                f"{lifted.n_columns}"
+            )
+    pinv, rank, cond = _svd_pseudoinverse(lifted.current, tol)
     matrix = lifted.shifted @ pinv
     residual = float(np.linalg.norm(lifted.shifted - matrix @ lifted.current))
     return KoopmanMatrix(
@@ -72,6 +84,8 @@ def fit_koopman_matrix(lifted: LiftedPair,
         fit_residual=residual,
         rank_used=rank,
         svd_tolerance=float(tol),
+        condition_number=cond,
+        decode=None if outputs is None else outputs @ pinv,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dictionary import LiftedPair
-from .edmd import DEFAULT_SVD_TOL, KoopmanMatrix, _svd_pseudoinverse
+from .edmd import DEFAULT_SVD_TOL, KoopmanMatrix, fit_koopman_matrix
 from .errors import (
     DefectiveMatrixError,
     EigenfunctionRankError,
@@ -187,58 +187,53 @@ def eigenfunction_values(es: EigenSystem, lifted: LiftedPair):
     return at_x0, full
 
 
+def _modes(es: EigenSystem, fitted: KoopmanMatrix) -> np.ndarray:
+    """``decode @ V``: the projection of the outputs onto the eigenfunction
+    series ``W* current``, whose rank is that of ``current`` (W is
+    invertible), so the projection is unique only at full rank."""
+    if fitted.decode is None:
+        raise ShapeMismatchError("the fit has no decode map; pass the "
+                                 "outputs to fit_koopman_matrix")
+    if fitted.rank_used < es.n_eigenvalues:
+        raise EigenfunctionRankError(
+            f"eigenfunction time series has rank {fitted.rank_used} < "
+            f"{es.n_eigenvalues}; reduce clustered eigenvalues before "
+            f"projecting modes"
+        )
+    return fitted.decode @ es.right_vectors
+
+
 def koopman_modes(es: EigenSystem, outputs: np.ndarray, lifted: LiftedPair,
                   tol: float = DEFAULT_SVD_TOL) -> np.ndarray:
     """Mode vectors from least-squares projection of outputs onto the
-    eigenfunction time series.
+    eigenfunction time series, ``fit_decode(outputs, lifted) @ V``.
 
     ``outputs`` is (h, K), aligned column-for-column with the lifted pair.
     Returns the (h, N) complex mode matrix.
     """
-    outputs = np.atleast_2d(np.asarray(outputs))
-    if outputs.shape[1] != lifted.n_columns:
-        raise ShapeMismatchError(
-            f"outputs have {outputs.shape[1]} columns, lifted data has "
-            f"{lifted.n_columns}"
-        )
-    _, full = eigenfunction_values(es, lifted)
-    phi_series = full.T  # (N, K)
-    pinv, rank, _ = _svd_pseudoinverse(phi_series, tol)
-    if rank < es.n_eigenvalues:
-        raise EigenfunctionRankError(
-            f"eigenfunction time series has rank {rank} < "
-            f"{es.n_eigenvalues}; reduce clustered eigenvalues before "
-            f"projecting modes"
-        )
-    return outputs @ pinv
+    return _modes(es, fit_koopman_matrix(lifted, tol, outputs))
 
 
 def fit_decode(outputs: np.ndarray, lifted: LiftedPair,
                tol: float = DEFAULT_SVD_TOL) -> np.ndarray:
     """Least-squares linear decode map from lifted space to outputs."""
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-    if outputs.shape[1] != lifted.n_columns:
-        raise ShapeMismatchError(
-            f"outputs have {outputs.shape[1]} columns, lifted data has "
-            f"{lifted.n_columns}"
-        )
-    pinv, _, _ = _svd_pseudoinverse(lifted.current, tol)
-    return outputs @ pinv
+    return fit_koopman_matrix(lifted, tol, outputs).decode
 
 
 def build_spectral_triple(es: EigenSystem, lifted: LiftedPair,
-                          outputs: np.ndarray,
-                          metadata: ModelMetadata | None = None,
-                          tol: float = DEFAULT_SVD_TOL) -> SpectralTriple:
-    """Assemble the serializable model from an eigensystem and data."""
-    at_x0, _ = eigenfunction_values(es, lifted)
-    modes = koopman_modes(es, outputs, lifted, tol)
-    decode = fit_decode(outputs, lifted, tol)
+                          fitted: KoopmanMatrix,
+                          metadata: ModelMetadata | None = None
+                          ) -> SpectralTriple:
+    """Assemble the serializable model from an eigensystem and the fit,
+    with its decode map, that it came from. Runs no factorization."""
+    modes = _modes(es, fitted)
+    at_x0 = (es.left_vectors.conj().T
+             @ lifted.current[:, list(lifted.x0_columns)]).T
     return SpectralTriple(
         eigenvalues=es.eigenvalues,
         eigenfunction_values=at_x0,
         modes=modes,
-        decode=decode,
+        decode=fitted.decode,
         metadata=metadata if metadata is not None else ModelMetadata(),
     )
 

@@ -93,17 +93,18 @@ def simulate_linear(matrix: np.ndarray, initial_states: np.ndarray,
 
 
 def fit_pipeline(data: TrajectorySet, dictionary: Dictionary):
-    """data -> (lifted, outputs, fitted, residuals) with default tolerances."""
+    """data -> (lifted, outputs, fitted, residuals) with default tolerances;
+    the fit carries the decode map to the features."""
     lifted = lift_trajectories(dictionary, data)
     outputs = features_at_columns(data, lifted)
-    fitted = fit_koopman_matrix(lifted)
+    fitted = fit_koopman_matrix(lifted, outputs=outputs)
     residuals = residual_report(lifted, fitted)
     return lifted, outputs, fitted, residuals
 
 
 def triple_pipeline(data: TrajectorySet, dictionary: Dictionary):
     """Full model build; returns (lifted, fitted, residuals, triple)."""
-    lifted, outputs, fitted, residuals = fit_pipeline(data, dictionary)
+    lifted, _, fitted, residuals = fit_pipeline(data, dictionary)
     system = eigendecompose(fitted)
     metadata = ModelMetadata(
         dict_hash=dictionary.spec_hash(),
@@ -111,8 +112,7 @@ def triple_pipeline(data: TrajectorySet, dictionary: Dictionary):
         output_names=data.feature_names,
         trajectory_ids=data.trajectory_ids,
     )
-    triple = build_spectral_triple(system, lifted, outputs, metadata,
-                                   fitted.svd_tolerance)
+    triple = build_spectral_triple(system, lifted, fitted, metadata)
     return lifted, fitted, residuals, triple
 
 

@@ -81,6 +81,42 @@ def test_fit_json_sidecar_is_published_with_model(workspace):
     assert sidecar == model_json(triple)
 
 
+@pytest.mark.parametrize("blocked", ["sidecar_is_directory",
+                                     "out_directory_missing"])
+def test_fit_publishing_error_exits_2_and_changes_no_output(workspace, capsys,
+                                                            blocked):
+    out = "model.bin" if blocked == "sidecar_is_directory" else "gone/m.bin"
+    write_json(workspace / "fit.json", {
+        "data": "data.csv", "dictionary": "dict.json", "out": out,
+        "report": "fit_report.json", "json_sidecar": True,
+    })
+    (workspace / "model.bin").write_bytes(b"old model")
+    (workspace / "model.bin.json").mkdir()
+    before = sorted(p.name for p in workspace.iterdir())
+    assert run(["fit", "--config", workspace / "fit.json"]) == 2
+    assert "error: writing outputs: " in capsys.readouterr().err
+    assert sorted(p.name for p in workspace.iterdir()) == before
+    assert (workspace / "model.bin").read_bytes() == b"old model"
+    assert not any((workspace / "model.bin.json").iterdir())
+
+
+def test_fit_factorizes_the_lifted_data_once(workspace, monkeypatch):
+    # The matrix, condition number, decode map and modes all come from one
+    # SVD of ``current``; the eigendecomposition of the d x d matrix is not
+    # a factorization of the data.
+    sides = []
+    svd = np.linalg.svd
+
+    def counting_svd(matrix, *args, **kwargs):
+        sides.append(max(np.shape(matrix)))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    report = json.loads((workspace / "fit_report.json").read_text())
+    assert sum(side >= report["n_snapshot_pairs"] for side in sides) == 1
+
+
 def test_fit_empty_csv_exits_2_without_outputs(workspace, capsys):
     (workspace / "data.csv").write_text("")
     assert run(["fit", "--config", workspace / "fit.json"]) == 2
@@ -115,6 +151,31 @@ def test_fit_underdetermined_eigenfunctions_exit_3(tmp_path, capsys):
     assert run(["fit", "--config", tmp_path / "cfg.json"]) == 3
     assert "numerical error:" in capsys.readouterr().err
     assert not (tmp_path / "model.bin").exists()
+
+
+def test_fit_rank_deficient_current_exits_3_without_outputs(tmp_path,
+                                                            capsys):
+    # x+ = 0.5x, y+ = 0.5y from (1, 1) keeps x == y, so with the dictionary
+    # {x, y} the lifted data has rank 1 < 2 and no spectral model exists.
+    rows = [["trajectory_id", "t", "x", "y"]]
+    x = 1.0
+    for t in range(12):
+        rows.append(["only", t, repr(x), repr(x)])
+        x *= 0.5
+    with open(tmp_path / "data.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    write_json(tmp_path / "dict.json", [
+        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+        {"id": "y", "kind": "coordinate", "params": {"index": 1}},
+    ])
+    write_json(tmp_path / "cfg.json", {
+        "data": "data.csv", "dictionary": "dict.json", "out": "model.bin",
+        "report": "report.json", "json_sidecar": True,
+    })
+    assert run(["fit", "--config", tmp_path / "cfg.json"]) == 3
+    assert "numerical error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "data.csv", "dict.json"]
 
 
 def test_predict_overflow_exits_3(tmp_path, capsys):
@@ -174,16 +235,18 @@ MALFORMED_CSV = {
                          "{path}:6: rows of trajectory 'a' are not "
                          "contiguous"),
     "time_gap": ("trajectory_id,t,x\na,0,1.0\na,1,2.0\na,3,3.0\n",
-                 "trajectory 'a': time indices must increase by 1 "
+                 "{path}:4: trajectory 'a': time indices must increase by 1 "
                  "(got 1 -> 3)"),
     "nan_value": ("trajectory_id,t,x\na,0,1.0\na,1,nan\na,2,3.0\n",
-                  "snapshot at t=1 contains NaN/Inf entries"),
+                  "{path}:3: snapshot at t=1 contains NaN/Inf entries"),
     "inf_value": ("trajectory_id,t,x\na,4,1.0\na,5,2.0\na,6,-inf\n",
-                  "snapshot at t=6 contains NaN/Inf entries"),
+                  "{path}:4: snapshot at t=6 contains NaN/Inf entries"),
     "negative_t": ("trajectory_id,t,x\na,-1,1.0\na,0,2.0\na,1,3.0\n",
-                   "time_index must be non-negative"),
+                   "{path}:2: trajectory 'a': time_index must be "
+                   "non-negative, got t0=-1"),
     "one_row_trajectory": ("trajectory_id,t,x\na,0,1.0\na,1,2.0\nb,0,5.0\n",
-                           "trajectory 'b' needs at least 2 snapshots"),
+                           "{path}:4: trajectory 'b' needs at least 2 "
+                           "snapshots"),
     "blank_lines": ("trajectory_id,t,x\n\na,0,1.0\na,1,2.0\n\na,2,oops\n",
                     "{path}:6: column 'x' is not a number: 'oops'"),
 }

@@ -2,19 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmodel import (
     DefectiveMatrixError,
+    Dictionary,
     EigenfunctionRankError,
     InputError,
     ModelMetadata,
     ShapeMismatchError,
     SpectralOverflowError,
     SpectralTriple,
+    Trajectory,
+    TrajectorySet,
     build_spectral_triple,
     eigendecompose,
     eigenfunction_values,
     features_at_columns,
+    fit_decode,
     fit_koopman_matrix,
     koopman_modes,
     lift_trajectories,
@@ -187,6 +193,67 @@ def test_mode_projection_needs_full_rank():
     system = eigendecompose(0.5 * np.eye(2))
     with pytest.raises(EigenfunctionRankError):
         koopman_modes(system, outputs, lifted)
+
+
+@st.composite
+def full_rank_fits(draw):
+    """Noisy trajectories of a random linear contraction of n <= 3 features,
+    lifted by the coordinates plus distinct sin/cos observables (d <= 8)
+    through at least d + 1 columns per trajectory: ``current`` has full row
+    rank and the fitted matrix distinct eigenvalues."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    extra = draw(st.lists(st.tuples(st.sampled_from(["sin", "cos"]),
+                                    st.integers(0, n - 1)),
+                          unique=True, max_size=min(2 * n, 8 - n)))
+    entries = [{"id": f"c{i}", "kind": "coordinate", "params": {"index": i}}
+               for i in range(n)]
+    entries += [{"id": f"e{j}", "kind": kind, "params": {"of": f"c{i}"}}
+                for j, (kind, i) in enumerate(extra)]
+    steps = len(entries) + draw(st.integers(1, 5))
+    matrix = random_contraction(rng, dim=n)
+    trajectories = []
+    for t in range(draw(st.integers(2, 4))):
+        rows = [rng.uniform(-2.0, 2.0, size=n)]
+        for _ in range(steps):
+            rows.append(matrix @ rows[-1] + 0.1 * rng.normal(size=n))
+        trajectories.append(Trajectory.from_array(rows, id=f"r{t}"))
+    data = TrajectorySet(tuple(trajectories),
+                         tuple(f"x{i}" for i in range(n)))
+    return data, Dictionary.from_spec(entries, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_rank_fits())
+def test_modes_are_decode_times_right_vectors(case):
+    # Identity 1: with ``current`` of full row rank, projecting the outputs
+    # onto the eigenfunction series W* current gives decode @ V, and the
+    # spectral expansion reproduces the rollout decode @ A^k @ g(x0).
+    data, dictionary = case
+    lifted, fitted, _, triple = triple_pipeline(data, dictionary)
+    outputs = features_at_columns(data, lifted)
+    system = eigendecompose(fitted)
+    assert fitted.rank_used == lifted.n_observables
+    # Rounding of either side grows with the conditioning of both factors.
+    error_scale = (100 * np.finfo(float).eps * np.linalg.cond(lifted.current)
+                   * np.linalg.cond(system.right_vectors))
+
+    identity = fit_decode(outputs, lifted) @ system.right_vectors
+    modes = koopman_modes(system, outputs, lifted)
+    assert np.max(np.abs(modes - identity)) <= error_scale * max(
+        1.0, float(np.max(np.abs(identity))))
+
+    decode_norm = np.linalg.norm(triple.decode, 2)
+    for i, column in enumerate(lifted.x0_columns):
+        g0 = lifted.current[:, column]
+        power = np.eye(fitted.dim)
+        for k in range(12):
+            rollout = triple.decode @ power @ g0
+            scale = max(1.0, decode_norm * np.linalg.norm(power, 2)
+                        * np.linalg.norm(g0))
+            assert np.max(np.abs(predict(triple, i, k) - rollout)) <= (
+                error_scale * scale)
+            power = fitted.matrix @ power
 
 
 def test_triple_payload_size(worked_triple):
