@@ -34,8 +34,6 @@ _EXPORTS = {
     "KoopmanMatrix": ".edmd",
     "fit_koopman_matrix": ".edmd",
     "pseudoinverse": ".edmd",
-    "residual_report": ".edmd",
-    "condition_number": ".edmd",
     "DEFAULT_SVD_TOL": ".edmd",
     # spectral
     "EigenSystem": ".spectral",
@@ -43,8 +41,6 @@ _EXPORTS = {
     "SpectralTriple": ".spectral",
     "eigendecompose": ".spectral",
     "eigenfunction_values": ".spectral",
-    "koopman_modes": ".spectral",
-    "fit_decode": ".spectral",
     "build_spectral_triple": ".spectral",
     "predict": ".spectral",
     "truncate_spectrum": ".spectral",

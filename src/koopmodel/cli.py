@@ -42,6 +42,10 @@ _THREAD_VARS = (
 
 _TOLERANCE_KEYS = ("svd_tolerance", "zero_threshold", "closure_tol",
                    "peak_threshold")
+_FLAG_KEYS = ("refine", "json_sidecar", "full_enumeration")
+# ``--threshold`` sets the zero threshold of reduce or the peak threshold of
+# spectrum; the other commands have no threshold.
+_THRESHOLD_KEYS = {"reduce": "zero_threshold", "spectrum": "peak_threshold"}
 _INPUT_PATH_KEYS = ("data", "dictionary", "model")
 
 
@@ -89,8 +93,9 @@ class RunConfig:
                     options[key] = str((base / options[key]))
         if args.tol is not None:
             options["svd_tolerance"] = args.tol
-        if args.threshold is not None:
-            options["threshold"] = args.threshold
+        for key in _THRESHOLD_KEYS.values():
+            if getattr(args, key, None) is not None:
+                options[key] = getattr(args, key)
         if args.out is not None:
             options["out"] = args.out
         config = cls(options)
@@ -98,9 +103,12 @@ class RunConfig:
         return config
 
     def _validate(self) -> None:
-        for key in _TOLERANCE_KEYS + ("threshold",):
+        for key in _TOLERANCE_KEYS:
             if key in self.options:
                 self.tolerance(key, None)
+        for key in _FLAG_KEYS:
+            if key in self.options:
+                self.flag(key, None)
         for key in _INPUT_PATH_KEYS:
             value = self.options.get(key)
             if isinstance(value, str) and not Path(value).is_file():
@@ -117,12 +125,19 @@ class RunConfig:
         return self.options.get(key, default)
 
     def tolerance(self, key: str, default: float) -> float:
-        value = self.options.get(key, self.options.get("threshold", default))
+        value = self.options.get(key, default)
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or value <= 0):
             raise InputError(f"config option {key!r} must be a positive "
                              f"number, got {value!r}")
         return float(value)
+
+    def flag(self, key: str, default: bool) -> bool:
+        value = self.options.get(key, default)
+        if not isinstance(value, bool):
+            raise InputError(f"config option {key!r} must be true or false, "
+                             f"got {value!r}")
+        return value
 
 
 @contextlib.contextmanager
@@ -279,7 +294,7 @@ def _fit_pipeline(config: RunConfig, decode: bool):
     """Shared fit path: data -> dictionary -> lifted pair -> matrix (with
     the decode map to the features if ``decode``)."""
     from .dictionary import features_at_columns, lift_trajectories
-    from .edmd import (DEFAULT_SVD_TOL, fit_koopman_matrix, residual_report)
+    from .edmd import DEFAULT_SVD_TOL, fit_koopman_matrix
 
     with _stage("reading data"):
         data, feature_names = read_trajectories(config.require("data", "input"))
@@ -292,16 +307,15 @@ def _fit_pipeline(config: RunConfig, decode: bool):
     with _stage("fitting"):
         tol = config.tolerance("svd_tolerance", DEFAULT_SVD_TOL)
         fitted = fit_koopman_matrix(lifted, tol, outputs)
-        residuals = residual_report(lifted, fitted)
-    return data, feature_names, dictionary, lifted, fitted, residuals
+    return data, feature_names, dictionary, lifted, fitted
 
 
 def cmd_fit(config: RunConfig) -> int:
     from .model_io import _encode, complex_pairs, model_json
     from .spectral import ModelMetadata, build_spectral_triple, eigendecompose
 
-    (data, feature_names, dictionary, lifted, fitted,
-     residuals) = _fit_pipeline(config, decode=True)
+    data, feature_names, dictionary, lifted, fitted = _fit_pipeline(
+        config, decode=True)
     with _stage("eigendecomposition"):
         system = eigendecompose(fitted)
     metadata = ModelMetadata(
@@ -327,10 +341,10 @@ def cmd_fit(config: RunConfig) -> int:
         "fit_residual": fitted.fit_residual,
         "condition_number": fitted.condition_number,
         "matrix": [[float(x) for x in row] for row in fitted.matrix],
-        "row_residuals": {oid: float(residuals[i])
+        "row_residuals": {oid: float(fitted.row_residuals[i])
                           for i, oid in enumerate(dictionary.ids)},
         "closed_rows": [oid for i, oid in enumerate(dictionary.ids)
-                        if residuals[i] < closure_tol],
+                        if fitted.row_residuals[i] < closure_tol],
         "closure_tol": closure_tol,
         "eigenvalues": complex_pairs(triple.eigenvalues),
         "biorthogonality_error": system.biorthogonality_error,
@@ -339,7 +353,7 @@ def cmd_fit(config: RunConfig) -> int:
     model_path = config.require("out", "output path")
     with _stage("serializing model"):
         pending = [(model_path, _encode(triple))]
-        if config.get("json_sidecar"):
+        if config.flag("json_sidecar", False):
             pending.append((str(model_path) + ".json",
                             model_json(triple).encode()))
     report_path = config.get("report")
@@ -443,7 +457,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         series = trajectory.feature_series(data.feature_index(column))
 
     threshold = config.tolerance("peak_threshold", 0.1)
-    refine = bool(config.get("refine", True))
+    refine = config.flag("refine", True)
     with _stage("analyzing spectrum"):
         peaks = find_eigenfrequencies(series, peak_threshold=threshold,
                                       refine=refine)
@@ -470,8 +484,8 @@ def cmd_reduce(config: RunConfig) -> int:
     from .representation import (DEFAULT_CLOSURE_TOL, DEFAULT_ZERO_THRESHOLD,
                                  analyze_representation)
 
-    (data, feature_names, dictionary, lifted, fitted,
-     residuals) = _fit_pipeline(config, decode=False)
+    data, feature_names, dictionary, lifted, fitted = _fit_pipeline(
+        config, decode=False)
     model_path = config.get("model")
     if model_path:
         with _stage("loading model"):
@@ -490,12 +504,12 @@ def cmd_reduce(config: RunConfig) -> int:
                          f"got {max_seed!r}")
     with _stage("analyzing representation"):
         report = analyze_representation(
-            fitted, residuals, dictionary,
+            fitted, dictionary,
             zero_threshold=threshold,
             closure_tol=closure_tol,
             lifted=lifted,
             max_seed_size=max_seed,
-            full_enumeration=bool(config.get("full_enumeration", False)),
+            full_enumeration=config.flag("full_enumeration", False),
         )
 
     doc = report.as_dict()
@@ -504,7 +518,7 @@ def cmd_reduce(config: RunConfig) -> int:
         "zero_threshold": threshold,
         "closure_tol": closure_tol,
         "matrix": [[float(x) for x in row] for row in fitted.matrix],
-        "row_residuals": {oid: float(residuals[i])
+        "row_residuals": {oid: float(fitted.row_residuals[i])
                           for i, oid in enumerate(dictionary.ids)},
     })
     out = config.get("out")
@@ -548,9 +562,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file with inputs and options")
         p.add_argument("--tol", type=float, metavar="X",
                        help="singular-value cutoff for pseudoinverses")
-        p.add_argument("--threshold", type=float, metavar="X",
-                       help="zero threshold (reduce) or peak threshold "
-                            "(spectrum)")
+        if name in _THRESHOLD_KEYS:
+            p.add_argument("--threshold", type=float, metavar="X",
+                           dest=_THRESHOLD_KEYS[name],
+                           help=f"sets {_THRESHOLD_KEYS[name]}")
         p.add_argument("--out", metavar="PATH",
                        help="primary output path")
     return parser

@@ -71,11 +71,19 @@ def _normalize_entry(entry: dict, index: int) -> dict:
         raise ConfigError(
             f"observable {entry.get('id')!r}: kind must be one of {KINDS}"
         )
+    params = entry.get("params", {})
+    depends_on = entry.get("depends_on", [])
+    if not isinstance(params, dict):
+        raise ConfigError(f"observable {entry['id']!r}: params must be an "
+                          f"object, got {params!r}")
+    if not isinstance(depends_on, list):
+        raise ConfigError(f"observable {entry['id']!r}: depends_on must be "
+                          f"a list, got {depends_on!r}")
     return {
         "id": entry["id"],
         "kind": entry["kind"],
-        "params": dict(entry.get("params", {})),
-        "depends_on": list(entry.get("depends_on", [])),
+        "params": dict(params),
+        "depends_on": list(depends_on),
     }
 
 

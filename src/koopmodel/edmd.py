@@ -20,13 +20,20 @@ DEFAULT_SVD_TOL = 1e-10
 @dataclass(frozen=True)
 class KoopmanMatrix:
     """Fitted operator matrix with fit diagnostics; ``decode`` maps lifted
-    vectors to outputs when the fit was given them."""
+    vectors to outputs when the fit was given them.
+
+    ``row_residuals`` holds the per-row relative misfit
+    ``||misfit_row|| / max(1, ||shifted_row||)``: rows with an exact linear
+    closure report ~0, rows whose one-step evolution leaves the
+    dictionary's linear span report strictly positive values.
+    """
 
     matrix: np.ndarray
     fit_residual: float
     rank_used: int
     svd_tolerance: float
-    condition_number: float = float("nan")
+    condition_number: float
+    row_residuals: np.ndarray
     decode: np.ndarray | None = None
 
     @property
@@ -64,6 +71,12 @@ def pseudoinverse(matrix: np.ndarray, tol: float = DEFAULT_SVD_TOL) -> np.ndarra
     return pinv
 
 
+def _row_residuals(misfit: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """Per-row ``||misfit_row|| / max(1, ||shifted_row||)``."""
+    return (np.linalg.norm(misfit, axis=1)
+            / np.maximum(1.0, np.linalg.norm(shifted, axis=1)))
+
+
 def fit_koopman_matrix(lifted: LiftedPair, tol: float = DEFAULT_SVD_TOL,
                        outputs: np.ndarray | None = None) -> KoopmanMatrix:
     """Fit ``matrix = shifted @ pinv(current)`` and report the residual;
@@ -78,37 +91,14 @@ def fit_koopman_matrix(lifted: LiftedPair, tol: float = DEFAULT_SVD_TOL,
             )
     pinv, rank, cond = _svd_pseudoinverse(lifted.current, tol)
     matrix = lifted.shifted @ pinv
-    residual = float(np.linalg.norm(lifted.shifted - matrix @ lifted.current))
+    misfit = lifted.shifted - matrix @ lifted.current
     return KoopmanMatrix(
         matrix=matrix,
-        fit_residual=residual,
+        fit_residual=float(np.linalg.norm(misfit)),
         rank_used=rank,
         svd_tolerance=float(tol),
         condition_number=cond,
+        row_residuals=_row_residuals(misfit, lifted.shifted),
         decode=None if outputs is None else outputs @ pinv,
     )
 
-
-def condition_number(lifted: LiftedPair, tol: float = DEFAULT_SVD_TOL) -> float:
-    """Ratio of largest to smallest retained singular value of ``current``."""
-    _, _, cond = _svd_pseudoinverse(lifted.current, tol)
-    return cond
-
-
-def residual_report(lifted: LiftedPair, fitted: KoopmanMatrix) -> np.ndarray:
-    """Per-row relative misfit ``||shifted_row - (A @ current)_row|| /
-    max(1, ||shifted_row||)``.
-
-    Rows with an exact linear closure report ~0; rows whose one-step
-    evolution leaves the dictionary's linear span report strictly positive
-    values.
-    """
-    if fitted.matrix.shape != (lifted.n_observables, lifted.n_observables):
-        raise ShapeMismatchError(
-            f"matrix shape {fitted.matrix.shape} does not match "
-            f"{lifted.n_observables} observables"
-        )
-    misfit = lifted.shifted - fitted.matrix @ lifted.current
-    row_norms = np.linalg.norm(misfit, axis=1)
-    scale = np.maximum(1.0, np.linalg.norm(lifted.shifted, axis=1))
-    return row_norms / scale

@@ -23,7 +23,7 @@ from .dictionary import (
     dependence_closure,
     generator_features,
 )
-from .edmd import KoopmanMatrix
+from .edmd import KoopmanMatrix, _row_residuals
 from .errors import InputError, ShapeMismatchError
 
 DEFAULT_ZERO_THRESHOLD = 0.05
@@ -70,13 +70,14 @@ class ZeroPattern:
         return frozenset(int(j) for j in np.flatnonzero(self.mask[row]))
 
 
-def zero_pattern(fitted: KoopmanMatrix, residuals,
+def zero_pattern(fitted: KoopmanMatrix,
                  threshold: float = DEFAULT_ZERO_THRESHOLD,
                  closure_tol: float = DEFAULT_CLOSURE_TOL) -> ZeroPattern:
-    """Threshold a fitted matrix into a boolean mask plus closed rows."""
+    """Threshold a fitted matrix into a boolean mask plus the rows whose
+    fit residual is below ``closure_tol``."""
     if threshold <= 0:
         raise InputError(f"threshold must be > 0, got {threshold}")
-    residuals = np.asarray(residuals, dtype=float)
+    residuals = np.asarray(fitted.row_residuals, dtype=float)
     if residuals.shape != (fitted.dim,):
         raise ShapeMismatchError(
             f"expected {fitted.dim} per-row residuals, got shape "
@@ -246,14 +247,9 @@ def _subset_is_linear(fitted: KoopmanMatrix, pattern: ZeroPattern,
         members = set(indices)
         return all(pattern.support(i) <= members for i in indices)
     sub = fitted.matrix[np.ix_(indices, indices)]
-    current = lifted.current[indices, :]
     shifted = lifted.shifted[indices, :]
-    misfit = shifted - sub @ current
-    for k in range(len(indices)):
-        scale = max(1.0, float(np.linalg.norm(shifted[k])))
-        if float(np.linalg.norm(misfit[k])) / scale >= closure_tol:
-            return False
-    return True
+    misfit = shifted - sub @ lifted.current[indices, :]
+    return bool(np.all(_row_residuals(misfit, shifted) < closure_tol))
 
 
 def _narrate(subsets, truncated: bool, n_features: int) -> str:
@@ -275,8 +271,7 @@ def _narrate(subsets, truncated: bool, n_features: int) -> str:
     return "\n".join(lines)
 
 
-def analyze_representation(fitted: KoopmanMatrix, residuals,
-                           dictionary: Dictionary,
+def analyze_representation(fitted: KoopmanMatrix, dictionary: Dictionary,
                            zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
                            closure_tol: float = DEFAULT_CLOSURE_TOL,
                            lifted: LiftedPair | None = None,
@@ -291,7 +286,7 @@ def analyze_representation(fitted: KoopmanMatrix, residuals,
     leans on declared functional dependence are nonlinear.  Faithful means
     the generators involve every raw feature.
     """
-    pattern = zero_pattern(fitted, residuals, zero_threshold, closure_tol)
+    pattern = zero_pattern(fitted, zero_threshold, closure_tol)
     enumeration = closed_subsets(pattern, dictionary, max_seed_size,
                                  full_enumeration)
     all_features = frozenset(range(dictionary.n_features))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dictionary import LiftedPair
-from .edmd import DEFAULT_SVD_TOL, KoopmanMatrix, fit_koopman_matrix
+from .edmd import KoopmanMatrix
 from .errors import (
     DefectiveMatrixError,
     EigenfunctionRankError,
@@ -169,28 +169,29 @@ def eigendecompose(fitted: KoopmanMatrix | np.ndarray) -> EigenSystem:
     )
 
 
-def eigenfunction_values(es: EigenSystem, lifted: LiftedPair):
-    """Eigenfunction values ``phi_j(x) = w_j* g(x)`` at the data columns.
-
-    Returns ``(at_x0, full)``: an (M, N) table at the initial conditions
-    and the full (K, N) table over every lifted column.
-    """
+def eigenfunction_values(es: EigenSystem, lifted: LiftedPair) -> np.ndarray:
+    """Eigenfunction values ``phi_j(x) = w_j* g(x)`` at the initial
+    conditions: an (M, N) table, one row per trajectory."""
     if es.left_vectors.shape[0] != lifted.n_observables:
         raise ShapeMismatchError(
             f"eigensystem dimension {es.left_vectors.shape[0]} does not "
             f"match {lifted.n_observables} observables"
         )
-    full = (es.left_vectors.conj().T @ lifted.current).T
-    if not lifted.x0_columns:
-        raise InputError("lifted pair has no initial-condition columns")
-    at_x0 = full[list(lifted.x0_columns), :]
-    return at_x0, full
+    return (es.left_vectors.conj().T
+            @ lifted.current[:, list(lifted.x0_columns)]).T
 
 
-def _modes(es: EigenSystem, fitted: KoopmanMatrix) -> np.ndarray:
-    """``decode @ V``: the projection of the outputs onto the eigenfunction
-    series ``W* current``, whose rank is that of ``current`` (W is
-    invertible), so the projection is unique only at full rank."""
+def build_spectral_triple(es: EigenSystem, lifted: LiftedPair,
+                          fitted: KoopmanMatrix,
+                          metadata: ModelMetadata | None = None
+                          ) -> SpectralTriple:
+    """Assemble the serializable model from an eigensystem and the fit,
+    with its decode map, that it came from. Runs no factorization.
+
+    The modes are ``decode @ V``: the projection of the outputs onto the
+    eigenfunction series ``W* current``, whose rank is that of ``current``
+    (W is invertible), so the projection is unique only at full rank.
+    """
     if fitted.decode is None:
         raise ShapeMismatchError("the fit has no decode map; pass the "
                                  "outputs to fit_koopman_matrix")
@@ -200,39 +201,10 @@ def _modes(es: EigenSystem, fitted: KoopmanMatrix) -> np.ndarray:
             f"{es.n_eigenvalues}; reduce clustered eigenvalues before "
             f"projecting modes"
         )
-    return fitted.decode @ es.right_vectors
-
-
-def koopman_modes(es: EigenSystem, outputs: np.ndarray, lifted: LiftedPair,
-                  tol: float = DEFAULT_SVD_TOL) -> np.ndarray:
-    """Mode vectors from least-squares projection of outputs onto the
-    eigenfunction time series, ``fit_decode(outputs, lifted) @ V``.
-
-    ``outputs`` is (h, K), aligned column-for-column with the lifted pair.
-    Returns the (h, N) complex mode matrix.
-    """
-    return _modes(es, fit_koopman_matrix(lifted, tol, outputs))
-
-
-def fit_decode(outputs: np.ndarray, lifted: LiftedPair,
-               tol: float = DEFAULT_SVD_TOL) -> np.ndarray:
-    """Least-squares linear decode map from lifted space to outputs."""
-    return fit_koopman_matrix(lifted, tol, outputs).decode
-
-
-def build_spectral_triple(es: EigenSystem, lifted: LiftedPair,
-                          fitted: KoopmanMatrix,
-                          metadata: ModelMetadata | None = None
-                          ) -> SpectralTriple:
-    """Assemble the serializable model from an eigensystem and the fit,
-    with its decode map, that it came from. Runs no factorization."""
-    modes = _modes(es, fitted)
-    at_x0 = (es.left_vectors.conj().T
-             @ lifted.current[:, list(lifted.x0_columns)]).T
     return SpectralTriple(
         eigenvalues=es.eigenvalues,
-        eigenfunction_values=at_x0,
-        modes=modes,
+        eigenfunction_values=eigenfunction_values(es, lifted),
+        modes=fitted.decode @ es.right_vectors,
         decode=fitted.decode,
         metadata=metadata if metadata is not None else ModelMetadata(),
     )

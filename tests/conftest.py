@@ -25,7 +25,6 @@ from koopmodel import (
     features_at_columns,
     fit_koopman_matrix,
     lift_trajectories,
-    residual_report,
 )
 
 WORKED_SEED = 20240817
@@ -98,8 +97,7 @@ def fit_pipeline(data: TrajectorySet, dictionary: Dictionary):
     lifted = lift_trajectories(dictionary, data)
     outputs = features_at_columns(data, lifted)
     fitted = fit_koopman_matrix(lifted, outputs=outputs)
-    residuals = residual_report(lifted, fitted)
-    return lifted, outputs, fitted, residuals
+    return lifted, outputs, fitted, fitted.row_residuals
 
 
 def triple_pipeline(data: TrajectorySet, dictionary: Dictionary):

@@ -322,10 +322,10 @@ def test_criterion_7_report_determinism(seed, threshold):
     matrix = random_contraction(rng, dim=dim, max_radius=0.9)
     data = simulate_linear(matrix, rng.uniform(-1.0, 1.0, (2, dim)), 10)
     dictionary = identity_dictionary(dim)
-    lifted, _, fitted, residuals = fit_pipeline(data, dictionary)
-    first = analyze_representation(fitted, residuals, dictionary,
+    lifted, _, fitted, _ = fit_pipeline(data, dictionary)
+    first = analyze_representation(fitted, dictionary,
                                    zero_threshold=threshold, lifted=lifted)
-    second = analyze_representation(fitted, residuals, dictionary,
+    second = analyze_representation(fitted, dictionary,
                                     zero_threshold=threshold, lifted=lifted)
     assert first.as_dict() == second.as_dict()
     assert first.narrative == second.narrative

@@ -290,6 +290,60 @@ def test_boolean_tolerance_exits_2(workspace, capsys, command, key):
     assert not (workspace / "out.bin").exists()
 
 
+@pytest.mark.parametrize("command,key", [
+    ("spectrum", "refine"),
+    ("fit", "json_sidecar"),
+    ("reduce", "full_enumeration"),
+])
+@pytest.mark.parametrize("value", ["false", 1, None])
+def test_non_boolean_flag_exits_2(workspace, capsys, command, key, value):
+    write_json(workspace / "cfg.json", {
+        "data": "data.csv", "dictionary": "dict.json", "column": "x",
+        "trajectory": "traj00", "out": "out.bin", key: value,
+    })
+    assert run([command, "--config", workspace / "cfg.json"]) == 2
+    assert f"{key!r} must be true or false, got {value!r}" in (
+        capsys.readouterr().err)
+    assert not (workspace / "out.bin").exists()
+
+
+def test_threshold_flag_sets_only_the_zero_threshold(workspace):
+    write_json(workspace / "reduce.json", {
+        "data": "data.csv", "dictionary": "dict.json",
+        "out": "reduce_report.json",
+    })
+    assert run(["reduce", "--config", workspace / "reduce.json"]) == 0
+    default = json.loads((workspace / "reduce_report.json").read_text())
+    assert run(["reduce", "--config", workspace / "reduce.json",
+                "--threshold", "0.2"]) == 0
+    doc = json.loads((workspace / "reduce_report.json").read_text())
+    assert doc["zero_threshold"] == 0.2
+    # The closure tolerance and the fit's singular-value cutoff keep their
+    # defaults, so the fitted matrix and residuals do not move.
+    assert doc["closure_tol"] == default["closure_tol"] == 1e-6
+    assert doc["matrix"] == default["matrix"]
+    assert doc["row_residuals"] == default["row_residuals"]
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_threshold_flag_is_rejected_where_it_has_no_meaning(workspace,
+                                                            command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", workspace / "fit.json",
+             "--threshold", "0.5"])
+    assert exc.value.code == 2
+    assert not (workspace / "model.bin").exists()
+
+
+def test_malformed_dictionary_entry_exits_2(workspace, capsys):
+    write_json(workspace / "dict.json", [
+        {"id": "x", "kind": "coordinate", "params": "abc"},
+    ])
+    assert run(["fit", "--config", workspace / "fit.json"]) == 2
+    assert "params must be an object" in capsys.readouterr().err
+    assert not (workspace / "model.bin").exists()
+
+
 def test_out_flag_overrides_config(workspace):
     assert run(["fit", "--config", workspace / "fit.json",
                 "--out", workspace / "other.bin"]) == 0
@@ -546,6 +600,11 @@ def test_console_script_runs(workspace):
     )
     assert result.returncode == 0, result.stderr
     assert (workspace / "model.bin").exists()
+
+
+def test_every_exported_name_resolves():
+    for name in koopmodel.__all__:
+        assert getattr(koopmodel, name) is not None, name
 
 
 def test_importing_cli_does_not_load_numpy():

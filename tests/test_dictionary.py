@@ -66,6 +66,12 @@ def test_kind_grammar_round_trip():
     ({"id": "a", "kind": "delay", "params": {"of": "a", "lag": 1}}, "a"),
     ({"id": "a", "kind": "composition", "params": {"fn": "foo", "of": 0}},
      "foo"),
+    ({"id": "a", "kind": "coordinate", "params": "abc"},
+     "params must be an object"),
+    ({"id": "a", "kind": "coordinate", "params": {"index": 0},
+      "depends_on": 5}, "depends_on must be a list"),
+    ({"id": "a", "kind": "coordinate", "params": {"index": 0},
+      "depends_on": "x"}, "depends_on must be a list"),
 ])
 def test_bad_entries_rejected(entry, message):
     with pytest.raises(ConfigError, match=message):

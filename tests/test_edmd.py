@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from koopmodel import (
     Dictionary,
     InputError,
-    ShapeMismatchError,
     Trajectory,
     TrajectorySet,
-    condition_number,
     fit_koopman_matrix,
     lift_trajectories,
     pseudoinverse,
-    residual_report,
 )
 from conftest import identity_dictionary, simulate_linear
 
@@ -112,6 +109,29 @@ def test_worked_example_rows(worked_fit):
     assert residuals[1] > 1e-3
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_row_residuals_are_the_relative_row_misfit(seed):
+    # Oracle: ||misfit_row|| / max(1, ||shifted_row||) in plain numpy, on
+    # rows scaled so that both branches of the max occur.
+    from koopmodel import LiftedPair
+
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(1, 6)), int(rng.integers(2, 30))
+    scales = 10.0 ** rng.uniform(-3, 3, size=(d, 1))
+    current = scales * rng.normal(size=(d, k))
+    shifted = scales * rng.normal(size=(d, k))
+    lifted = LiftedPair(current=current, shifted=shifted,
+                        column_origin=tuple(("r", i) for i in range(k)),
+                        x0_columns=(0,))
+    fitted = fit_koopman_matrix(lifted)
+    misfit = shifted - fitted.matrix @ current
+    expected = (np.sqrt((misfit * misfit).sum(axis=1))
+                / np.maximum(1.0, np.sqrt((shifted * shifted).sum(axis=1))))
+    assert fitted.row_residuals.shape == (d,)
+    assert np.array_equal(fitted.row_residuals, expected)
+
+
 def test_zero_targets_give_zero_matrix():
     from koopmodel import LiftedPair
 
@@ -123,7 +143,7 @@ def test_zero_targets_give_zero_matrix():
     )
     fitted = fit_koopman_matrix(lifted)
     assert np.array_equal(fitted.matrix, [[0.0]])
-    assert np.allclose(residual_report(lifted, fitted), [0.0])
+    assert np.allclose(fitted.row_residuals, [0.0])
 
 
 def test_rank_deficient_fit_is_minimal_norm():
@@ -184,16 +204,9 @@ def test_scale_equivariance_of_fit(seed, scale):
     )
 
 
-def test_residual_report_shape_mismatch(worked_fit):
-    lifted, _, fitted, _ = worked_fit
-    truncated = lift_series([1.0, 0.9, 0.81])
-    with pytest.raises(ShapeMismatchError):
-        residual_report(truncated, fitted)
-
-
 def test_condition_number_tracks_singular_values():
     lifted = lift_series([1.0, 0.9, 0.81])
-    assert condition_number(lifted) == pytest.approx(1.0)
+    assert fit_koopman_matrix(lifted).condition_number == pytest.approx(1.0)
     rng = np.random.default_rng(3)
     from koopmodel import LiftedPair
 
@@ -201,4 +214,4 @@ def test_condition_number_tracks_singular_values():
     pair = LiftedPair(current=current, shifted=np.zeros_like(current),
                       column_origin=tuple(("c", i) for i in range(40)),
                       x0_columns=(0,))
-    assert condition_number(pair) > 10.0
+    assert fit_koopman_matrix(pair).condition_number > 10.0

@@ -29,10 +29,12 @@ DENSE_CONTRACTION = np.array([
 ])
 
 
-def as_koopman(matrix):
+def as_koopman(matrix, residuals):
     matrix = np.asarray(matrix, dtype=float)
     return KoopmanMatrix(matrix=matrix, fit_residual=0.0,
-                         rank_used=matrix.shape[0], svd_tolerance=1e-10)
+                         rank_used=matrix.shape[0], svd_tolerance=1e-10,
+                         condition_number=1.0,
+                         row_residuals=np.asarray(residuals, dtype=float))
 
 
 def subsets_by_ids(report):
@@ -42,30 +44,30 @@ def subsets_by_ids(report):
 # -- zero pattern ------------------------------------------------------------
 
 def test_worked_example_pattern(worked_fit):
-    _, _, fitted, residuals = worked_fit
-    pattern = zero_pattern(fitted, residuals, threshold=0.05)
+    _, _, fitted, _ = worked_fit
+    pattern = zero_pattern(fitted, threshold=0.05)
     assert np.array_equal(pattern.mask[0], [True, True, False])
     assert np.array_equal(pattern.mask[2], [True, False, True])
     assert pattern.closed_rows == {0, 2}
 
 
 def test_identity_matrix_pattern_is_diagonal():
-    pattern = zero_pattern(as_koopman(np.eye(4)), np.zeros(4), threshold=0.5)
+    pattern = zero_pattern(as_koopman(np.eye(4), np.zeros(4)), threshold=0.5)
     assert np.array_equal(pattern.mask, np.eye(4, dtype=bool))
     assert pattern.closed_rows == {0, 1, 2, 3}
 
 
 def test_small_entries_yield_empty_mask():
-    pattern = zero_pattern(as_koopman(np.full((3, 3), 0.01)), np.zeros(3),
+    pattern = zero_pattern(as_koopman(np.full((3, 3), 0.01), np.zeros(3)),
                            threshold=0.05)
     assert not pattern.mask.any()
 
 
 def test_pattern_validation():
     with pytest.raises(InputError):
-        zero_pattern(as_koopman(np.eye(2)), np.zeros(2), threshold=0.0)
+        zero_pattern(as_koopman(np.eye(2), np.zeros(2)), threshold=0.0)
     with pytest.raises(ShapeMismatchError):
-        zero_pattern(as_koopman(np.eye(2)), np.zeros(3))
+        zero_pattern(as_koopman(np.eye(2), np.zeros(3)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -73,17 +75,17 @@ def test_pattern_validation():
 def test_mask_monotone_in_threshold(seed, t_low, t_high):
     rng = np.random.default_rng(seed)
     t_low, t_high = sorted([t_low, t_high])
-    fitted = as_koopman(rng.normal(size=(3, 3)))
-    low = zero_pattern(fitted, np.zeros(3), threshold=t_low)
-    high = zero_pattern(fitted, np.zeros(3), threshold=t_high)
+    fitted = as_koopman(rng.normal(size=(3, 3)), np.zeros(3))
+    low = zero_pattern(fitted, threshold=t_low)
+    high = zero_pattern(fitted, threshold=t_high)
     assert not np.any(high.mask & ~low.mask)
 
 
 # -- closed subsets ----------------------------------------------------------
 
 def test_worked_example_closed_subsets(worked_fit, worked_dict):
-    _, _, fitted, residuals = worked_fit
-    pattern = zero_pattern(fitted, residuals)
+    _, _, fitted, _ = worked_fit
+    pattern = zero_pattern(fitted)
     assert is_closed_subset(pattern, worked_dict, {"x"})
     assert is_closed_subset(pattern, worked_dict, {"x", "y"})
     assert not is_closed_subset(pattern, worked_dict, {"y"})
@@ -95,7 +97,7 @@ def test_worked_example_closed_subsets(worked_fit, worked_dict):
 
 def test_diagonal_pattern_every_singleton_closed():
     dic = identity_dictionary(3)
-    pattern = zero_pattern(as_koopman(np.diag([0.9, 0.5, 0.3])), np.zeros(3))
+    pattern = zero_pattern(as_koopman(np.diag([0.9, 0.5, 0.3]), np.zeros(3)))
     found = closed_subsets(pattern, dic)
     singletons = [s for s in found.subsets if len(s) == 1]
     assert singletons == [("x0",), ("x1",), ("x2",)]
@@ -105,14 +107,14 @@ def test_diagonal_pattern_every_singleton_closed():
 
 def test_dense_pattern_only_full_set_closed():
     dic = identity_dictionary(3)
-    pattern = zero_pattern(as_koopman(DENSE_CONTRACTION), np.zeros(3))
+    pattern = zero_pattern(as_koopman(DENSE_CONTRACTION, np.zeros(3)))
     found = closed_subsets(pattern, dic)
     assert found.subsets == (("x0", "x1", "x2"),)
 
 
 def test_union_of_reported_subsets_is_closed(worked_fit, worked_dict):
-    _, _, fitted, residuals = worked_fit
-    pattern = zero_pattern(fitted, residuals)
+    _, _, fitted, _ = worked_fit
+    pattern = zero_pattern(fitted)
     found = closed_subsets(pattern, worked_dict)
     for a in found.subsets:
         for b in found.subsets:
@@ -121,7 +123,7 @@ def test_union_of_reported_subsets_is_closed(worked_fit, worked_dict):
 
 def test_seed_cap_sets_truncation_flag():
     dic = identity_dictionary(5)
-    pattern = zero_pattern(as_koopman(np.diag([0.9] * 5)), np.zeros(5))
+    pattern = zero_pattern(as_koopman(np.diag([0.9] * 5), np.zeros(5)))
     capped = closed_subsets(pattern, dic, max_seed_size=2)
     assert capped.truncated
     full = closed_subsets(pattern, dic, full_enumeration=True)
@@ -130,13 +132,13 @@ def test_seed_cap_sets_truncation_flag():
 
 
 def test_empty_subset_is_not_closed(worked_fit, worked_dict):
-    _, _, fitted, residuals = worked_fit
-    pattern = zero_pattern(fitted, residuals)
+    _, _, fitted, _ = worked_fit
+    pattern = zero_pattern(fitted)
     assert not is_closed_subset(pattern, worked_dict, set())
 
 
 def test_dimension_mismatch_rejected(worked_dict):
-    pattern = zero_pattern(as_koopman(np.eye(2)), np.zeros(2))
+    pattern = zero_pattern(as_koopman(np.eye(2), np.zeros(2)))
     with pytest.raises(ShapeMismatchError):
         closed_subsets(pattern, worked_dict)
 
@@ -144,8 +146,8 @@ def test_dimension_mismatch_rejected(worked_dict):
 # -- full analysis -----------------------------------------------------------
 
 def test_worked_example_report(worked_fit, worked_dict):
-    lifted, _, fitted, residuals = worked_fit
-    report = analyze_representation(fitted, residuals, worked_dict,
+    lifted, _, fitted, _ = worked_fit
+    report = analyze_representation(fitted, worked_dict,
                                     lifted=lifted)
     by_ids = subsets_by_ids(report)
     reduced = by_ids[("x",)]
@@ -163,8 +165,8 @@ def test_worked_example_report(worked_fit, worked_dict):
 
 
 def test_worked_example_report_without_lifted_data(worked_fit, worked_dict):
-    _, _, fitted, residuals = worked_fit
-    report = analyze_representation(fitted, residuals, worked_dict)
+    _, _, fitted, _ = worked_fit
+    report = analyze_representation(fitted, worked_dict)
     kinds = {s.observable_ids: s.kind for s in report.subsets}
     assert kinds == {("x",): "nonlinear", ("x", "y"): "nonlinear"}
 
@@ -173,8 +175,8 @@ def test_exactly_linear_system_is_one_faithful_linear_block():
     data = simulate_linear(DENSE_CONTRACTION,
                            np.random.default_rng(8).normal(size=(3, 3)), 20)
     dic = identity_dictionary(3)
-    lifted, _, fitted, residuals = fit_pipeline(data, dic)
-    report = analyze_representation(fitted, residuals, dic, lifted=lifted)
+    lifted, _, fitted, _ = fit_pipeline(data, dic)
+    report = analyze_representation(fitted, dic, lifted=lifted)
     assert len(report.subsets) == 1
     block = report.subsets[0]
     assert block.observable_ids == ("x0", "x1", "x2")
@@ -190,10 +192,10 @@ def test_constant_observable_yields_linear_singleton():
         {"id": "x", "kind": "coordinate", "params": {"index": 0}},
         {"id": "one", "kind": "monomial", "params": {"exponents": [0]}},
     ], 1)
-    lifted, _, fitted, residuals = fit_pipeline(data, dic)
+    lifted, _, fitted, _ = fit_pipeline(data, dic)
     # The fitted row of a constant observable is the unit row, eigenvalue 1.
     assert np.max(np.abs(fitted.matrix[1] - [0.0, 1.0])) < 1e-6
-    report = analyze_representation(fitted, residuals, dic, lifted=lifted)
+    report = analyze_representation(fitted, dic, lifted=lifted)
     by_ids = subsets_by_ids(report)
     const = by_ids[("one",)]
     assert const.kind == "linear"
@@ -204,18 +206,18 @@ def test_constant_observable_yields_linear_singleton():
 
 
 def test_report_is_deterministic(worked_fit, worked_dict):
-    lifted, _, fitted, residuals = worked_fit
-    first = analyze_representation(fitted, residuals, worked_dict,
+    lifted, _, fitted, _ = worked_fit
+    first = analyze_representation(fitted, worked_dict,
                                    lifted=lifted)
-    second = analyze_representation(fitted, residuals, worked_dict,
+    second = analyze_representation(fitted, worked_dict,
                                     lifted=lifted)
     assert first.as_dict() == second.as_dict()
     assert first.narrative == second.narrative
 
 
 def test_report_as_dict_shape(worked_fit, worked_dict):
-    lifted, _, fitted, residuals = worked_fit
-    report = analyze_representation(fitted, residuals, worked_dict,
+    lifted, _, fitted, _ = worked_fit
+    report = analyze_representation(fitted, worked_dict,
                                     lifted=lifted)
     doc = report.as_dict()
     assert set(doc) == {"subsets", "narrative", "truncated"}

@@ -20,9 +20,7 @@ from koopmodel import (
     eigendecompose,
     eigenfunction_values,
     features_at_columns,
-    fit_decode,
     fit_koopman_matrix,
-    koopman_modes,
     lift_trajectories,
     predict,
     truncate_spectrum,
@@ -114,9 +112,10 @@ def test_eigenfunction_dynamics_along_trajectories():
     data = simulate_linear(matrix, rng.normal(size=(2, 3)), 12)
     lifted = lift_trajectories(identity_dictionary(3), data)
     system = eigendecompose(fit_koopman_matrix(lifted))
-    at_x0, full = eigenfunction_values(system, lifted)
+    full = (system.left_vectors.conj().T @ lifted.current).T
+    at_x0 = eigenfunction_values(system, lifted)
     assert at_x0.shape == (2, 3)
-    assert full.shape == (lifted.n_columns, 3)
+    assert np.array_equal(at_x0, full[list(lifted.x0_columns)])
     for k in range(lifted.n_columns - 1):
         here, there = lifted.column_origin[k], lifted.column_origin[k + 1]
         if here[0] != there[0]:
@@ -189,10 +188,11 @@ def test_mode_projection_needs_full_rank():
     # eigenfunction series: the projection must refuse, not alias.
     data = simulate_linear(0.5 * np.eye(2), np.array([[1.0, 1.0]]), 10)
     lifted = lift_trajectories(identity_dictionary(2), data)
-    outputs = features_at_columns(data, lifted)
+    fitted = fit_koopman_matrix(lifted,
+                                outputs=features_at_columns(data, lifted))
     system = eigendecompose(0.5 * np.eye(2))
     with pytest.raises(EigenfunctionRankError):
-        koopman_modes(system, outputs, lifted)
+        build_spectral_triple(system, lifted, fitted)
 
 
 @st.composite
@@ -226,9 +226,10 @@ def full_rank_fits(draw):
 @settings(max_examples=100, deadline=None)
 @given(full_rank_fits())
 def test_modes_are_decode_times_right_vectors(case):
-    # Identity 1: with ``current`` of full row rank, projecting the outputs
-    # onto the eigenfunction series W* current gives decode @ V, and the
-    # spectral expansion reproduces the rollout decode @ A^k @ g(x0).
+    # Identity 1: with ``current`` of full row rank, the modes decode @ V
+    # are the least-squares projection of the outputs onto the
+    # eigenfunction series W* current, and the spectral expansion
+    # reproduces the rollout decode @ A^k @ g(x0).
     data, dictionary = case
     lifted, fitted, _, triple = triple_pipeline(data, dictionary)
     outputs = features_at_columns(data, lifted)
@@ -238,10 +239,11 @@ def test_modes_are_decode_times_right_vectors(case):
     error_scale = (100 * np.finfo(float).eps * np.linalg.cond(lifted.current)
                    * np.linalg.cond(system.right_vectors))
 
-    identity = fit_decode(outputs, lifted) @ system.right_vectors
-    modes = koopman_modes(system, outputs, lifted)
-    assert np.max(np.abs(modes - identity)) <= error_scale * max(
-        1.0, float(np.max(np.abs(identity))))
+    series = system.left_vectors.conj().T @ lifted.current
+    projection = np.linalg.lstsq(series.T, outputs.T.astype(complex),
+                                 rcond=None)[0].T
+    assert np.max(np.abs(triple.modes - projection)) <= error_scale * max(
+        1.0, float(np.max(np.abs(projection))))
 
     decode_norm = np.linalg.norm(triple.decode, 2)
     for i, column in enumerate(lifted.x0_columns):
