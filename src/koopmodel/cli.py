@@ -43,9 +43,12 @@ _THREAD_VARS = (
 _TOLERANCE_KEYS = ("svd_tolerance", "zero_threshold", "closure_tol",
                    "peak_threshold")
 _FLAG_KEYS = ("refine", "json_sidecar", "full_enumeration")
-# ``--threshold`` sets the zero threshold of reduce or the peak threshold of
-# spectrum; the other commands have no threshold.
-_THRESHOLD_KEYS = {"reduce": "zero_threshold", "spectrum": "peak_threshold"}
+# Each override flag sets one option per command it means something for;
+# the other commands reject it.
+_SCOPED_FLAGS = {
+    "--tol": {"fit": "svd_tolerance", "reduce": "svd_tolerance"},
+    "--threshold": {"reduce": "zero_threshold", "spectrum": "peak_threshold"},
+}
 _INPUT_PATH_KEYS = ("data", "dictionary", "model")
 
 
@@ -91,9 +94,7 @@ class RunConfig:
             for key in _INPUT_PATH_KEYS + ("out", "report", "text_out"):
                 if isinstance(options.get(key), str):
                     options[key] = str((base / options[key]))
-        if args.tol is not None:
-            options["svd_tolerance"] = args.tol
-        for key in _THRESHOLD_KEYS.values():
+        for key in _TOLERANCE_KEYS:
             if getattr(args, key, None) is not None:
                 options[key] = getattr(args, key)
         if args.out is not None:
@@ -560,12 +561,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text[name])
         p.add_argument("--config", metavar="PATH",
                        help="JSON file with inputs and options")
-        p.add_argument("--tol", type=float, metavar="X",
-                       help="singular-value cutoff for pseudoinverses")
-        if name in _THRESHOLD_KEYS:
-            p.add_argument("--threshold", type=float, metavar="X",
-                           dest=_THRESHOLD_KEYS[name],
-                           help=f"sets {_THRESHOLD_KEYS[name]}")
+        for flag, keys in _SCOPED_FLAGS.items():
+            if name in keys:
+                p.add_argument(flag, type=float, metavar="X", dest=keys[name],
+                               help=f"sets {keys[name]}")
         p.add_argument("--out", metavar="PATH",
                        help="primary output path")
     return parser

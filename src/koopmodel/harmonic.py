@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InputError
 
@@ -73,9 +72,14 @@ def _as_series(series) -> np.ndarray:
     if values.ndim != 1:
         raise InputError(f"expected a 1-D series, got shape {values.shape}")
     values = values.astype(complex)
-    if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
+    if not np.isfinite(values).all():
         raise InputError("series contains NaN or infinite entries")
     return values
+
+
+def _average(values: np.ndarray, omega: float) -> complex:
+    k = np.arange(values.size)
+    return complex(np.mean(np.exp(-2j * np.pi * omega * k) * values))
 
 
 def harmonic_average(series, omega: float) -> complex:
@@ -88,8 +92,7 @@ def harmonic_average(series, omega: float) -> complex:
     values = _as_series(series)
     if values.size < 1:
         raise InputError("harmonic average needs at least one sample")
-    k = np.arange(values.size)
-    return complex(np.mean(np.exp(-2j * np.pi * omega * k) * values))
+    return _average(values, omega)
 
 
 def fft_amplitude_spectrum(series) -> FrequencySpectrum:
@@ -113,50 +116,48 @@ def fft_amplitude_spectrum(series) -> FrequencySpectrum:
     )
 
 
-def _peak_bins(amplitudes: np.ndarray, threshold: float) -> list:
+def _peak_bins(amplitudes: np.ndarray, threshold: float) -> np.ndarray:
     floor = threshold * np.max(amplitudes)
-    peaks = []
-    last = amplitudes.size - 1
-    for b, amp in enumerate(amplitudes):
-        if amp < floor or amp == 0.0:
-            continue
-        left_ok = b == 0 or amp > amplitudes[b - 1]
-        right_ok = b == last or amp > amplitudes[b + 1]
-        if left_ok and right_ok:
-            peaks.append(b)
-    return peaks
+    padded = np.concatenate(([-np.inf], amplitudes, [-np.inf]))
+    return np.flatnonzero((amplitudes > padded[:-2])
+                          & (amplitudes > padded[2:])
+                          & (amplitudes >= floor) & (amplitudes != 0.0))
 
 
-def _refine_omega(values: np.ndarray, omega: float, bin_width: float) -> float:
-    """Maximize |harmonic_average| within one bin of a detected peak."""
-    lo = max(0.0, omega - bin_width)
-    hi = min(0.5, omega + bin_width)
-    k = np.arange(values.size)
-
-    def neg_magnitude(w):
-        return -abs(np.mean(np.exp(-2j * np.pi * w * k) * values))
-
-    # Coarse scan first: the averaged magnitude has sidelobes within +-1
-    # bin, so a blind line search could settle on the wrong lobe.
-    grid = np.linspace(lo, hi, 33)
-    best = grid[int(np.argmin([neg_magnitude(w) for w in grid]))]
-    step = (hi - lo) / 32
-    result = minimize_scalar(
-        neg_magnitude,
-        bounds=(max(lo, best - step), min(hi, best + step)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
+def _refine_omega(values: np.ndarray, fine: np.ndarray, b: int) -> float:
+    """Maximize |harmonic average| within one bin of peak bin ``b``, given
+    the magnitudes ``fine`` of the 16-times zero-padded transform."""
+    n = values.size
+    omega = b / n
+    lo, hi = max(0.0, omega - 1.0 / n), min(0.5, omega + 1.0 / n)
+    # Coarse scan of the 1/16-bin grid (index 8n is frequency 0.5) first:
+    # sidelobes within +-1 bin could pull a local search onto the wrong lobe.
+    first, last = max(0, 16 * (b - 1)), min(16 * (b + 1), 8 * n)
+    step = 1.0 / (16 * n)
+    w = (first + int(np.argmax(fine[first:last + 1]))) * step
+    left, right = max(lo, w - step), min(hi, w + step)
+    # Newton steps on f = |H|^2, H(w) = mean(exp(-2*pi*i*w*k) * x_k).  With
+    # S_j = sum(k^j exp(-2*pi*i*w*k) x_k), f' = 4*pi Im(conj(S0) S1) / n^2
+    # and f'' = 8*pi^2 (|S1|^2 - Re(conj(S0) S2)) / n^2.
+    k = np.arange(n, dtype=float)
+    for _ in range(8):
+        terms = np.exp(-2j * np.pi * w * k) * values
+        s0, s1, s2 = terms.sum(), k @ terms, (k * k) @ terms
+        curve = abs(s1) ** 2 - (s0.conjugate() * s2).real
+        if curve >= 0:
+            break
+        shift = (s0.conjugate() * s1).imag / (2 * np.pi * curve)
+        w, previous = min(right, max(left, w - shift)), w
+        if abs(w - previous) < 1e-13:
+            break
     # A boundary or exact-bin maximum beats the interior polish.  Ties
     # within rounding noise resolve toward the bin center, so exactly
     # resonant frequencies are reported exactly.
-    candidates = [omega, float(result.x), lo, hi]
-    values = [neg_magnitude(w) for w in candidates]
-    best = min(values)
-    for w, v in zip(candidates, values):
-        if v <= best + 1e-12 * (1.0 + abs(best)):
-            return w
-    return float(result.x)
+    candidates = [omega, w, lo, hi]
+    magnitudes = [abs(_average(values, c)) for c in candidates]
+    top = max(magnitudes)
+    return next(c for c, m in zip(candidates, magnitudes)
+                if m >= top - 1e-12 * (1.0 + top))
 
 
 def find_eigenfrequencies(series, peak_threshold: float = 0.1,
@@ -166,9 +167,11 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     Peaks are strict local maxima of the amplitude spectrum (boundary bins
     compare against their single neighbor) that reach ``peak_threshold``
     times the maximum amplitude.  With ``refine`` the frequency of each
-    peak is polished by golden-section search of the harmonic-average
-    magnitude within one bin.  Returns `EigenFrequency` records ordered by
-    increasing frequency; no peaks above threshold yields an empty list.
+    peak is polished within one bin: the maximum of the harmonic-average
+    magnitude on a 1/16-bin grid, read from one zero-padded FFT, seeds
+    Newton steps on the squared magnitude.  Returns `EigenFrequency`
+    records ordered by increasing frequency; no peaks above threshold
+    yields an empty list.
     """
     if not 0 < peak_threshold <= 1:
         raise InputError(
@@ -176,23 +179,21 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
         )
     values = _as_series(series)
     spectrum = fft_amplitude_spectrum(values)
-    bin_width = 1.0 / spectrum.series_length
-    found = []
-    for b in _peak_bins(spectrum.amplitudes, peak_threshold):
-        omega = spectrum.frequencies[b]
-        if refine:
-            omega = _refine_omega(values, omega, bin_width)
-        found.append(omega)
+    n = spectrum.series_length
+    bins = _peak_bins(spectrum.amplitudes, peak_threshold)
+    found = [float(spectrum.frequencies[b]) for b in bins]
+    if refine and bins.size:
+        fine = np.abs(np.fft.fft(values, 16 * n))
+        found = [_refine_omega(values, fine, int(b)) for b in bins]
 
     merged = []
     for omega in sorted(found):
-        average = harmonic_average(values, omega)
         candidate = EigenFrequency(
             omega=omega,
-            average=average,
+            average=_average(values, omega),
             eigenvalue=complex(np.exp(2j * np.pi * omega)),
         )
-        if merged and abs(merged[-1].omega - omega) < _MERGE_FRACTION * bin_width:
+        if merged and abs(merged[-1].omega - omega) < _MERGE_FRACTION / n:
             if candidate.amplitude > merged[-1].amplitude:
                 merged[-1] = candidate
             continue

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -325,12 +326,16 @@ def test_threshold_flag_sets_only_the_zero_threshold(workspace):
     assert doc["row_residuals"] == default["row_residuals"]
 
 
-@pytest.mark.parametrize("command", ["fit", "predict"])
-def test_threshold_flag_is_rejected_where_it_has_no_meaning(workspace,
+@pytest.mark.parametrize("flag, command", [
+    pytest.param("--threshold", "fit", id="fit"),
+    pytest.param("--threshold", "predict", id="predict"),
+    pytest.param("--tol", "predict", id="tol-predict"),
+    pytest.param("--tol", "spectrum", id="tol-spectrum"),
+])
+def test_threshold_flag_is_rejected_where_it_has_no_meaning(workspace, flag,
                                                             command):
     with pytest.raises(SystemExit) as exc:
-        run([command, "--config", workspace / "fit.json",
-             "--threshold", "0.5"])
+        run([command, "--config", workspace / "fit.json", flag, "0.5"])
     assert exc.value.code == 2
     assert not (workspace / "model.bin").exists()
 
@@ -342,6 +347,13 @@ def test_malformed_dictionary_entry_exits_2(workspace, capsys):
     assert run(["fit", "--config", workspace / "fit.json"]) == 2
     assert "params must be an object" in capsys.readouterr().err
     assert not (workspace / "model.bin").exists()
+
+
+def test_tol_flag_sets_the_svd_cutoff(workspace):
+    assert run(["fit", "--config", workspace / "fit.json",
+                "--tol", "1e-9"]) == 0
+    report = json.loads((workspace / "fit_report.json").read_text())
+    assert report["svd_tolerance"] == 1e-9
 
 
 def test_out_flag_overrides_config(workspace):
@@ -610,6 +622,30 @@ def test_every_exported_name_resolves():
 def test_importing_cli_does_not_load_numpy():
     code = ("import sys; import koopmodel.cli; "
             "sys.exit(1 if 'numpy' in sys.modules else 0)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_package_runs_on_numpy_alone():
+    # Every import outside the standard library, numpy and the package
+    # raises, as it would where nothing else is installed.
+    code = textwrap.dedent("""
+        import sys
+        allowed = set(sys.stdlib_module_names) | {"numpy", "koopmodel"}
+        class Block:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] not in allowed:
+                    raise ImportError(f"blocked import of {name}")
+        sys.meta_path.insert(0, Block())
+        import numpy as np
+        import koopmodel
+        for name in koopmodel.__all__:
+            getattr(koopmodel, name)
+        k = np.arange(512)
+        series = np.cos(0.6 * k) + 0.5 * np.cos(2.1 * k)
+        sys.exit(0 if len(koopmodel.find_eigenfrequencies(series)) == 2 else 1)
+    """)
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stdout + result.stderr

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopmodel import (
@@ -11,6 +11,7 @@ from koopmodel import (
     find_eigenfrequencies,
     harmonic_average,
 )
+from koopmodel.harmonic import _peak_bins
 
 
 def rotation_series(omega, n, phase=0.0):
@@ -134,6 +135,56 @@ def test_parseval_normalization(seed):
 
 
 # -- eigenfrequency detection ------------------------------------------------
+
+def loop_peak_bins(amplitudes, threshold):
+    """Bins that reach the floor, are nonzero and beat each neighbor."""
+    floor = threshold * max(amplitudes)
+    peaks = []
+    for b, amp in enumerate(amplitudes):
+        left_ok = b == 0 or amp > amplitudes[b - 1]
+        right_ok = b == len(amplitudes) - 1 or amp > amplitudes[b + 1]
+        if amp >= floor and amp != 0.0 and left_ok and right_ok:
+            peaks.append(b)
+    return peaks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]), min_size=3,
+                max_size=40),
+       st.floats(0.01, 1.0))
+@example([0.0, 0.0, 0.0], 0.5)
+@example([1.0, 1.0, 1.0], 0.5)
+@example([0.0, 2.0, 0.0], 1.0)
+@example([2.0, 0.0, 2.0], 1.0)
+@example([0.0, 2.0, 2.0, 0.0], 0.1)
+@example([1.0, 0.25, 1.0, 1.0, 0.0, 0.25], 0.25)
+def test_peak_bins_match_loop_reference(amplitudes, threshold):
+    got = _peak_bins(np.array(amplitudes), threshold)
+    assert got.tolist() == loop_peak_bins(amplitudes, threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 20000), st.floats(0, 1), st.floats(0.01, 0.49),
+       st.booleans(), st.floats(0, 1))
+def test_refinement_recovers_off_bin_rotation(n, where, offset, mirror,
+                                               phase):
+    # Offsets of a half bin are avoided: two equal top bins make no strict
+    # peak.
+    b = min(int(where * (n // 2)), n // 2 - 1)
+    omega = (b + (1 - offset if mirror else offset)) / n
+    found = find_eigenfrequencies(rotation_series(omega, n, phase))
+    assert len(found) == 1
+    assert abs(found[0].omega - omega) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 20000), st.floats(0, 1), st.floats(0, 1))
+def test_refinement_keeps_on_bin_rotation_exact(n, where, phase):
+    b = int(where * (n // 2))
+    found = find_eigenfrequencies(rotation_series(b / n, n, phase))
+    assert len(found) == 1
+    assert found[0].omega == b / n
+
 
 def test_exact_bin_rotation_detected():
     series = rotation_series(32 / 256, 256)
