@@ -42,7 +42,7 @@ _THREAD_VARS = (
 
 _TOLERANCE_KEYS = ("svd_tolerance", "zero_threshold", "closure_tol",
                    "peak_threshold")
-_FLAG_KEYS = ("refine", "json_sidecar", "full_enumeration")
+_FLAG_KEYS = ("refine", "json_sidecar")
 # Each override flag sets one option per command it means something for;
 # the other commands reject it.
 _SCOPED_FLAGS = {
@@ -56,7 +56,7 @@ def _apply_thread_cap() -> None:
     cap = os.environ.get("KOOP_THREADS")
     if not cap:
         return
-    if not cap.isdigit() or int(cap) < 1:
+    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         raise InputError(f"KOOP_THREADS must be a positive integer, "
                          f"got {cap!r}")
     for var in _THREAD_VARS:
@@ -485,6 +485,10 @@ def cmd_reduce(config: RunConfig) -> int:
     from .representation import (DEFAULT_CLOSURE_TOL, DEFAULT_ZERO_THRESHOLD,
                                  analyze_representation)
 
+    for key in ("max_seed_size", "full_enumeration"):
+        if key in config.options:
+            raise InputError(f"config option {key!r} was removed: the "
+                             f"closed-subset search is now exact")
     data, feature_names, dictionary, lifted, fitted = _fit_pipeline(
         config, decode=False)
     model_path = config.get("model")
@@ -499,19 +503,9 @@ def cmd_reduce(config: RunConfig) -> int:
 
     threshold = config.tolerance("zero_threshold", DEFAULT_ZERO_THRESHOLD)
     closure_tol = config.tolerance("closure_tol", DEFAULT_CLOSURE_TOL)
-    max_seed = config.get("max_seed_size", 3)
-    if not isinstance(max_seed, int) or isinstance(max_seed, bool) or max_seed < 1:
-        raise InputError(f"max_seed_size must be a positive integer, "
-                         f"got {max_seed!r}")
     with _stage("analyzing representation"):
-        report = analyze_representation(
-            fitted, dictionary,
-            zero_threshold=threshold,
-            closure_tol=closure_tol,
-            lifted=lifted,
-            max_seed_size=max_seed,
-            full_enumeration=config.flag("full_enumeration", False),
-        )
+        report = analyze_representation(fitted, dictionary, threshold,
+                                        closure_tol, lifted)
 
     doc = report.as_dict()
     doc.update({

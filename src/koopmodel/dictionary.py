@@ -105,6 +105,13 @@ class Dictionary:
         self.n_features = n_features
         self._canonical_entries = canonical_entries
         self._index = {o.id: i for i, o in enumerate(self.observables)}
+        # Dependence graph as bitmasks: the observables and features each
+        # observable needs, and the feature each coordinate reads.
+        self.needs = tuple((self.mask_of(o.depends_on),
+                            sum(1 << f for f in o.feature_depends))
+                           for o in self.observables)
+        self.reads = tuple(1 << o.params["index"] if o.kind == "coordinate"
+                           else 0 for o in self.observables)
 
     # -- construction -----------------------------------------------------
 
@@ -290,6 +297,26 @@ class Dictionary:
             return self._index[oid]
         except KeyError:
             raise UnknownObservableError(f"unknown observable {oid!r}") from None
+
+    def mask_of(self, ids) -> int:
+        return sum(1 << i for i in {self.index_of(oid) for oid in ids})
+
+    def ids_of(self, mask: int) -> tuple[str, ...]:
+        return tuple(o.id for i, o in enumerate(self.observables)
+                     if mask >> i & 1)
+
+    def closure_mask(self, mask: int) -> int:
+        """:func:`dependence_closure` of a bitmask.  Dependencies come
+        earlier and a coordinate joins only once its own feature is read,
+        so one pass in order reaches the fixpoint."""
+        feats = 0
+        for i, reads in enumerate(self.reads):
+            if mask >> i & 1:
+                feats |= reads
+        for i, (obs, feat) in enumerate(self.needs):
+            if not obs & ~mask and not feat & ~feats:
+                mask |= 1 << i
+        return mask
 
     @property
     def max_lag(self) -> int:
@@ -487,39 +514,19 @@ def dependence_closure(dictionary: Dictionary,
     feature dependency counts as generated when the closure contains a
     coordinate observable reading that feature. Monotone and idempotent.
     """
-    seed = set(seed)
-    for oid in seed:
-        dictionary.index_of(oid)
-    closed = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        feats = {o.params["index"] for o in dictionary.observables
-                 if o.id in closed and o.kind == "coordinate"}
-        for obs in dictionary.observables:
-            if obs.id in closed:
-                continue
-            if obs.depends_on <= closed and obs.feature_depends <= feats:
-                closed.add(obs.id)
-                changed = True
-    return frozenset(closed)
+    mask = dictionary.closure_mask(dictionary.mask_of(seed))
+    return frozenset(dictionary.ids_of(mask))
 
 
 def generator_features(dictionary: Dictionary,
                        ids: set[str]) -> frozenset[int]:
     """Raw features a set of observables transitively depends on."""
-    pending = list(ids)
-    seen_obs: set[str] = set()
-    feats: set[int] = set()
-    while pending:
-        oid = pending.pop()
-        if oid in seen_obs:
-            continue
-        seen_obs.add(oid)
-        obs = dictionary.observables[dictionary.index_of(oid)]
-        feats.update(obs.feature_depends)
-        pending.extend(obs.depends_on)
-    return frozenset(feats)
+    mask, feats = dictionary.mask_of(ids), 0
+    for i in reversed(range(len(dictionary))):  # dependencies come earlier
+        if mask >> i & 1:
+            mask |= dictionary.needs[i][0]
+            feats |= dictionary.needs[i][1]
+    return frozenset(f for f in range(dictionary.n_features) if feats >> f & 1)
 
 
 def features_at_columns(data: TrajectorySet,

@@ -17,20 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import (
-    Dictionary,
-    LiftedPair,
-    dependence_closure,
-    generator_features,
-)
+from .dictionary import Dictionary, LiftedPair, generator_features
 from .edmd import KoopmanMatrix, _row_residuals
 from .errors import InputError, ShapeMismatchError
 
 DEFAULT_ZERO_THRESHOLD = 0.05
 DEFAULT_CLOSURE_TOL = 1e-6
 
-#: Hard cap on tracked subsets while closing the reported list under union.
-_UNION_CAP = 512
+#: Most classes of closed subsets a search reports.
+_CLASS_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,6 @@ class ZeroPattern:
     def dim(self) -> int:
         return self.mask.shape[0]
 
-    def support(self, row: int) -> frozenset:
-        return frozenset(int(j) for j in np.flatnonzero(self.mask[row]))
-
 
 def zero_pattern(fitted: KoopmanMatrix,
                  threshold: float = DEFAULT_ZERO_THRESHOLD,
@@ -88,113 +80,122 @@ def zero_pattern(fitted: KoopmanMatrix,
     return ZeroPattern(mask=mask, threshold=threshold, closed_rows=closed)
 
 
+def _closed_row_supports(pattern: ZeroPattern,
+                         dictionary: Dictionary) -> list:
+    """Bitmask of each closed row's support; None for the other rows."""
+    if pattern.dim != len(dictionary):
+        raise ShapeMismatchError(f"pattern is {pattern.dim}-dimensional but "
+                                 f"the dictionary has {len(dictionary)} "
+                                 f"observables")
+    return [sum(1 << int(j) for j in np.flatnonzero(pattern.mask[i]))
+            if i in pattern.closed_rows else None
+            for i in range(pattern.dim)]
+
+
+def _bits(mask: int) -> list:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _first_break(dictionary: Dictionary, rows: list, members: int):
+    """The first member with neither a closed row supported inside the
+    members' closure nor a place in the closure of the other members."""
+    closure = dictionary.closure_mask(members)
+    for i in _bits(members):
+        if (rows[i] is None or rows[i] & ~closure) and not (
+                dictionary.closure_mask(members & ~(1 << i)) >> i & 1):
+            return i
+    return None
+
+
 def is_closed_subset(pattern: ZeroPattern, dictionary: Dictionary,
                      subset) -> bool:
     """Whether a set of observable ids is closed under the dynamics.
 
     Each member must either (a) have a numerically closed row whose mask
-    support lies inside the dependence closure of the subset, or (b) be
-    functionally generated by the *other* members — requiring the rest of
+    support lies inside the dependence closure of the subset, or (b) lie in
+    the dependence closure of the *other* members — requiring the rest of
     the subset to generate it keeps the dependence non-circular.
     """
-    ids = set(subset)
-    if not ids:
-        return False
-    for oid in ids:
-        dictionary.index_of(oid)
-    if pattern.dim != len(dictionary.ids):
-        raise ShapeMismatchError(
-            f"pattern is {pattern.dim}-dimensional but the dictionary has "
-            f"{len(dictionary.ids)} observables"
-        )
-    closure = dependence_closure(dictionary, ids)
-    closure_indices = {dictionary.index_of(oid) for oid in closure}
-    for oid in ids:
-        i = dictionary.index_of(oid)
-        if i in pattern.closed_rows and pattern.support(i) <= closure_indices:
-            continue
-        obs = dictionary.observables[i]
-        rest = dependence_closure(dictionary, ids - {oid})
-        rest_feats = {dictionary.observables[dictionary.index_of(r)]
-                      .params["index"]
-                      for r in rest
-                      if dictionary.observables[dictionary.index_of(r)].kind
-                      == "coordinate"}
-        if obs.depends_on <= rest and obs.feature_depends <= rest_feats:
-            continue
-        return False
-    return True
+    members = dictionary.mask_of(subset)
+    rows = _closed_row_supports(pattern, dictionary)
+    return bool(members) and _first_break(dictionary, rows, members) is None
+
+
+def _repairs(dictionary: Dictionary, rows: list, state: int) -> list:
+    """Closures of ``state`` plus what fixes its first failing member i:
+    the support of i's closed row, or i's observable dependencies and a
+    coordinate reading each feature i needs (i itself adds nothing).
+    Empty if ``state`` is closed."""
+    i = _first_break(dictionary, rows, state)
+    if i is None:
+        return []
+    options = [rows[i]] if rows[i] is not None else []
+    obs, feats = dictionary.needs[i]
+    readers = [[1 << c for c, r in enumerate(dictionary.reads) if r == 1 << f]
+               for f in _bits(feats)]
+    options += [obs | sum(pick) for pick in itertools.product(*readers)]
+    return [dictionary.closure_mask(state | g) for g in options]
+
+
+def _smallest_generators(dictionary: Dictionary, rows: list, cls: int):
+    """Minimal-cardinality closed sets with closure ``cls`` (the last try,
+    ``cls`` itself, is one); each holds what the others cannot regenerate."""
+    members = _bits(cls)
+    needed = sum(1 << i for i in members
+                 if not dictionary.closure_mask(cls & ~(1 << i)) >> i & 1)
+    optional = [i for i in members if not needed >> i & 1]
+    for size in range(len(optional) + 1):
+        found = [s for extra in itertools.combinations(optional, size)
+                 if (s := needed | sum(1 << i for i in extra))
+                 and dictionary.closure_mask(s) == cls
+                 and _first_break(dictionary, rows, s) is None]
+        if found:
+            return found
 
 
 @dataclass(frozen=True)
 class SubsetEnumeration:
-    """Closed subsets found by bounded search, as sorted id tuples."""
+    """Closed subsets found by the search, as sorted id tuples."""
 
     subsets: tuple
     truncated: bool
 
 
-def closed_subsets(pattern: ZeroPattern, dictionary: Dictionary,
-                   max_seed_size: int = 3,
-                   full_enumeration: bool = False) -> SubsetEnumeration:
-    """Enumerate closed observable subsets.
+def closed_subsets(pattern: ZeroPattern,
+                   dictionary: Dictionary) -> SubsetEnumeration:
+    """Every class of closed subsets, by its smallest closed generators.
 
-    Searches every seed combination up to ``max_seed_size`` observables
-    (or all sizes with ``full_enumeration``), always including the full
-    dictionary, then keeps one minimal-cardinality generator set per
-    distinct dependence closure and closes the result under union.  The
-    ``truncated`` flag records when the seed search was capped.
+    A class is a closed set equal to its own dependence closure.  Repairing
+    sets from each single observable (:func:`_repairs`) reaches a closed
+    set inside each class that holds it, so every class is the closure of
+    a union of the closed sets reached; those are joined in one at a time.
+    ``truncated`` means more than ``_CLASS_CAP`` classes exist.
     """
-    ids = dictionary.ids
-    d = len(ids)
-    if pattern.dim != d:
-        raise ShapeMismatchError(
-            f"pattern is {pattern.dim}-dimensional but the dictionary has "
-            f"{d} observables"
-        )
-    limit = d if full_enumeration else min(max_seed_size, d)
-    found = set()
-    for size in range(1, limit + 1):
-        for combo in itertools.combinations(ids, size):
-            candidate = frozenset(combo)
-            if is_closed_subset(pattern, dictionary, candidate):
-                found.add(candidate)
-    full = frozenset(ids)
-    if is_closed_subset(pattern, dictionary, full):
-        found.add(full)
-    truncated = limit < d and not full_enumeration
-
-    # One closure class may have several generator sets; keep the smallest.
-    classes: dict = {}
-    for subset in sorted(found, key=lambda s: sorted(s)):
-        classes.setdefault(dependence_closure(dictionary, subset),
-                           set()).add(subset)
-    for key, group in classes.items():
-        smallest = min(len(s) for s in group)
-        classes[key] = {s for s in group if len(s) == smallest}
-
-    # Unions of closed subsets are closed; surface the combined classes
-    # too.  The class count only grows, so this terminates.
-    grew = True
-    while grew and len(classes) < _UNION_CAP:
-        grew = False
-        for k1, k2 in itertools.combinations(list(classes), 2):
-            candidate = (min(classes[k1], key=sorted)
-                         | min(classes[k2], key=sorted))
-            key = dependence_closure(dictionary, candidate)
-            if key in classes:
-                continue
-            if is_closed_subset(pattern, dictionary, candidate):
-                classes[key] = {candidate}
-                grew = True
-    if len(classes) >= _UNION_CAP:
-        truncated = True
-
-    generators = [s for group in classes.values() for s in group]
-    ordered = sorted((tuple(sorted(s, key=dictionary.index_of))
-                      for s in generators),
-                     key=lambda s: (len(s), [dictionary.index_of(i) for i in s]))
-    return SubsetEnumeration(subsets=tuple(ordered), truncated=truncated)
+    rows = _closed_row_supports(pattern, dictionary)
+    seen, pending = set(), [dictionary.closure_mask(1 << i)
+                            for i in range(len(rows))]
+    while pending:
+        state = pending.pop()
+        if state not in seen:
+            seen.add(state)
+            pending += _repairs(dictionary, rows, state)
+    classes = sorted(s for s in seen
+                     if _first_break(dictionary, rows, s) is None)
+    atoms, known = tuple(classes), set(classes)
+    for cls in classes:  # grows while it is walked
+        if len(classes) > _CLASS_CAP:
+            break
+        for atom in atoms:
+            union = dictionary.closure_mask(cls | atom)
+            if union not in known:
+                known.add(union)
+                classes.append(union)
+    generators = sorted((s for cls in classes[:_CLASS_CAP]
+                         for s in _smallest_generators(dictionary, rows, cls)),
+                        key=lambda s: (s.bit_count(), _bits(s)))
+    return SubsetEnumeration(
+        subsets=tuple(dictionary.ids_of(s) for s in generators),
+        truncated=len(classes) > _CLASS_CAP)
 
 
 @dataclass(frozen=True)
@@ -244,8 +245,7 @@ def _subset_is_linear(fitted: KoopmanMatrix, pattern: ZeroPattern,
         # Without the lifted data we cannot test the restricted update
         # numerically; require every row's support to stay inside the
         # subset itself so the restriction is the full row.
-        members = set(indices)
-        return all(pattern.support(i) <= members for i in indices)
+        return not np.delete(pattern.mask[indices], indices, axis=1).any()
     sub = fitted.matrix[np.ix_(indices, indices)]
     shifted = lifted.shifted[indices, :]
     misfit = shifted - sub @ lifted.current[indices, :]
@@ -267,28 +267,27 @@ def _narrate(subsets, truncated: bool, n_features: int) -> str:
                 f"generated by {', '.join(s.observable_ids)} ({scope})"
             )
     if truncated:
-        lines.append("Subset search was capped; more closed sets may exist.")
+        lines.append(f"More than {_CLASS_CAP} classes of closed subsets "
+                     f"exist; only {_CLASS_CAP} are reported.")
     return "\n".join(lines)
 
 
 def analyze_representation(fitted: KoopmanMatrix, dictionary: Dictionary,
                            zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
                            closure_tol: float = DEFAULT_CLOSURE_TOL,
-                           lifted: LiftedPair | None = None,
-                           max_seed_size: int = 3,
-                           full_enumeration: bool = False) -> RepresentationReport:
-    """Classify every discovered closed subset as linear or nonlinear.
-
-    A subset is linear when all member rows are numerically closed *and*
-    the sub-matrix restricted to the subset reproduces the members'
-    one-step-ahead data within the closure tolerance (checked against
-    ``lifted`` when given, structurally otherwise).  Subsets whose closure
-    leans on declared functional dependence are nonlinear.  Faithful means
-    the generators involve every raw feature.
+                           lifted: LiftedPair | None = None
+                           ) -> RepresentationReport:
+    """Classify the smallest generators of every class of closed subsets
+    (:func:`closed_subsets`, exact up to its class cap) as linear or
+    nonlinear.  A subset is linear when all member rows are numerically
+    closed *and* the sub-matrix restricted to the subset reproduces the
+    members' one-step-ahead data within the closure tolerance (checked
+    against ``lifted`` when given, structurally otherwise).  Subsets whose
+    closure leans on declared functional dependence are nonlinear.
+    Faithful means the generators involve every raw feature.
     """
     pattern = zero_pattern(fitted, zero_threshold, closure_tol)
-    enumeration = closed_subsets(pattern, dictionary, max_seed_size,
-                                 full_enumeration)
+    enumeration = closed_subsets(pattern, dictionary)
     all_features = frozenset(range(dictionary.n_features))
     entries = []
     for subset in enumeration.subsets:

@@ -303,9 +303,24 @@ def test_non_boolean_flag_exits_2(workspace, capsys, command, key, value):
         "trajectory": "traj00", "out": "out.bin", key: value,
     })
     assert run([command, "--config", workspace / "cfg.json"]) == 2
-    assert f"{key!r} must be true or false, got {value!r}" in (
-        capsys.readouterr().err)
+    # full_enumeration is gone: any value is rejected as a removed option.
+    expected = (f"{key!r} was removed" if key == "full_enumeration"
+                else f"{key!r} must be true or false, got {value!r}")
+    assert expected in capsys.readouterr().err
     assert not (workspace / "out.bin").exists()
+
+
+@pytest.mark.parametrize("key,value", [("max_seed_size", 3),
+                                       ("full_enumeration", True)])
+def test_removed_search_option_exits_2(workspace, capsys, key, value):
+    write_json(workspace / "cfg.json", {
+        "data": "data.csv", "dictionary": "dict.json",
+        "out": "reduce_report.json", key: value,
+    })
+    assert run(["reduce", "--config", workspace / "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key!r} was removed" in err and "search is now exact" in err
+    assert not (workspace / "reduce_report.json").exists()
 
 
 def test_threshold_flag_sets_only_the_zero_threshold(workspace):
@@ -577,8 +592,13 @@ def test_thread_cap_respects_explicit_settings(monkeypatch):
 
 
 def test_invalid_thread_cap_exits_2(monkeypatch, workspace):
-    monkeypatch.setenv("KOOP_THREADS", "-3")
-    assert run(["fit", "--config", workspace / "fit.json"]) == 2
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    # Superscript two and Arabic-Indic three pass str.isdigit.
+    for cap in ("-3", "\u00b2", "\u0663"):
+        monkeypatch.setenv("KOOP_THREADS", cap)
+        assert run(["fit", "--config", workspace / "fit.json"]) == 2
+        assert "OMP_NUM_THREADS" not in os.environ
 
 
 def _child_env():

@@ -1,5 +1,7 @@
 """Zero patterns, closed subsets, and representation classification."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from koopmodel import (
     InputError,
     KoopmanMatrix,
     ShapeMismatchError,
+    ZeroPattern,
     analyze_representation,
     closed_subsets,
+    dependence_closure,
     is_closed_subset,
     zero_pattern,
 )
@@ -121,14 +125,162 @@ def test_union_of_reported_subsets_is_closed(worked_fit, worked_dict):
             assert is_closed_subset(pattern, worked_dict, set(a) | set(b))
 
 
-def test_seed_cap_sets_truncation_flag():
-    dic = identity_dictionary(5)
-    pattern = zero_pattern(as_koopman(np.diag([0.9] * 5), np.zeros(5)))
-    capped = closed_subsets(pattern, dic, max_seed_size=2)
-    assert capped.truncated
-    full = closed_subsets(pattern, dic, full_enumeration=True)
-    assert not full.truncated
-    assert set(capped.subsets) <= set(full.subsets)
+def test_nine_independent_coordinates_are_reported_in_full():
+    dic = identity_dictionary(9)
+    pattern = zero_pattern(as_koopman(np.diag([0.9] * 9), np.zeros(9)))
+    found = closed_subsets(pattern, dic)
+    assert not found.truncated
+    assert len(found.subsets) == 2**9 - 1
+    assert len(set(found.subsets)) == len(found.subsets)
+
+
+def test_more_classes_than_the_cap_sets_truncation_flag():
+    dic = identity_dictionary(10)
+    fitted = as_koopman(np.diag([0.9] * 10), np.zeros(10))
+    found = closed_subsets(zero_pattern(fitted), dic)
+    assert found.truncated
+    assert 0 < len(found.subsets) <= 512
+    report = analyze_representation(fitted, dic)
+    assert report.truncated
+    assert "More than 512 classes" in report.narrative
+
+
+def chain(n_blocks):
+    """Blocks (x_k, y_k, sin x_k) where x_k is driven by sin x_{k-1}: the
+    dictionary and the pattern of its fit, where only the sine rows are
+    not closed."""
+    entries = []
+    for k in range(n_blocks):
+        entries += [
+            {"id": f"x{k}", "kind": "coordinate", "params": {"index": 2 * k}},
+            {"id": f"y{k}", "kind": "coordinate",
+             "params": {"index": 2 * k + 1}},
+            {"id": f"s{k}", "kind": "sin", "params": {"of": f"x{k}"}},
+        ]
+    d = 3 * n_blocks
+    matrix, residuals = np.zeros((d, d)), np.zeros(d)
+    for k in range(n_blocks):
+        x, y, s = 3 * k, 3 * k + 1, 3 * k + 2
+        matrix[x, [x, y]] = [0.8, -0.5]
+        matrix[y, [x, y]] = [0.5, 0.8]
+        if k:
+            matrix[x, s - 3] = 0.3
+        matrix[s, [x, y, s]] = [0.2, 0.2, 0.6]
+        residuals[s] = 0.1
+    return (Dictionary.from_spec(entries, 2 * n_blocks),
+            zero_pattern(as_koopman(matrix, residuals)))
+
+
+def test_chain_reports_exactly_its_prefixes():
+    dic, pattern = chain(4)
+    found = closed_subsets(pattern, dic)
+    assert not found.truncated
+    assert found.subsets == tuple(
+        tuple(f"{v}{k}" for k in range(top) for v in "xy")
+        for top in range(1, 5))
+    # The whole dictionary is generated by its 8 coordinates.
+    assert dependence_closure(dic, set(found.subsets[-1])) == set(dic.ids)
+
+
+DRAWN_KINDS = ("coordinate", "constant", "monomial", "sin", "cos", "delay",
+         "function", "weights")
+
+
+@st.composite
+def dictionaries_and_patterns(draw):
+    """Dictionaries of up to 8 observables over up to 3 features, with a
+    random mask and random closed rows.  Coordinates may share a feature,
+    and every kind may declare extra dependencies."""
+    n_features = draw(st.integers(1, 3))
+    feature = st.integers(0, n_features - 1)
+    entries = []
+    for j in range(draw(st.integers(1, 8))):
+        ids = [e["id"] for e in entries]
+        kind = draw(st.sampled_from(DRAWN_KINDS if ids else DRAWN_KINDS[:3]))
+        ref = st.sampled_from(ids) if ids else None
+        if kind == "coordinate":
+            params = {"index": draw(feature)}
+        elif kind == "constant":
+            kind, params = "monomial", {"exponents": [0] * n_features}
+        elif kind == "monomial":
+            params = {"exponents": draw(st.lists(st.integers(0, 2),
+                                                 min_size=n_features,
+                                                 max_size=n_features))}
+        elif kind in ("sin", "cos"):
+            params = {"of": draw(ref | feature)}
+        elif kind == "delay":
+            params = {"of": draw(ref), "lag": 1}
+        elif kind == "function":
+            kind, params = "composition", {"fn": "tanh", "of": draw(ref)}
+        else:
+            keys = draw(st.sets(ref, min_size=1, max_size=3))
+            kind, params = "composition", {"weights": dict.fromkeys(keys, 1.0)}
+        extra = draw(st.lists(ref | feature if ids else feature, max_size=1))
+        entries.append({"id": f"o{j}", "kind": kind, "params": params,
+                        "depends_on": extra})
+    dic = Dictionary.from_spec(entries, n_features)
+    d = len(entries)
+    mask = draw(st.lists(st.lists(st.booleans(), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    closed = draw(st.sets(st.integers(0, d - 1)))
+    return dic, ZeroPattern(mask=np.array(mask), threshold=0.05,
+                            closed_rows=closed)
+
+
+def fixpoint_closure(dic, seed):
+    """The dependence closure by its definition: add every observable whose
+    observable dependencies are in and whose features a member coordinate
+    reads, until nothing changes."""
+    closed = set(seed)
+    while True:
+        feats = {o.params["index"] for o in dic.observables
+                 if o.id in closed and o.kind == "coordinate"}
+        new = {o.id for o in dic.observables
+               if o.depends_on <= closed and o.feature_depends <= feats}
+        if new <= closed:
+            return frozenset(closed)
+        closed |= new
+
+
+def brute_force_closed_subsets(pattern, dic):
+    """Every non-empty closed subset, grouped by dependence closure, keeping
+    the minimal-cardinality generator sets of each group."""
+    classes = {}
+    for size in range(1, len(dic.ids) + 1):
+        for subset in itertools.combinations(dic.ids, size):
+            closure = dependence_closure(dic, set(subset))
+            closed = all(
+                (dic.index_of(i) in pattern.closed_rows
+                 and {dic.ids[j] for j in np.flatnonzero(
+                     pattern.mask[dic.index_of(i)])} <= closure)
+                or i in dependence_closure(dic, set(subset) - {i})
+                for i in subset)
+            assert is_closed_subset(pattern, dic, set(subset)) == closed
+            if closed:
+                classes.setdefault(closure, []).append(subset)
+    kept = [s for group in classes.values() for s in group
+            if len(s) == min(map(len, group))]
+    return tuple(sorted(kept, key=lambda s: (len(s), list(map(dic.index_of,
+                                                                s)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionaries_and_patterns())
+def test_dependence_closure_is_the_fixpoint(case):
+    dic, _ = case
+    for size in range(len(dic.ids) + 1):
+        for seed in itertools.combinations(dic.ids, size):
+            assert dependence_closure(dic, set(seed)) == \
+                fixpoint_closure(dic, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionaries_and_patterns())
+def test_closed_subsets_match_brute_force(case):
+    dic, pattern = case
+    found = closed_subsets(pattern, dic)
+    assert found.subsets == brute_force_closed_subsets(pattern, dic)
+    assert not found.truncated
 
 
 def test_empty_subset_is_not_closed(worked_fit, worked_dict):
