@@ -17,16 +17,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     # trajectories
-    "Snapshot": ".trajectories",
     "Trajectory": ".trajectories",
     "TrajectorySet": ".trajectories",
     # dictionary
     "Observable": ".dictionary",
     "Dictionary": ".dictionary",
     "LiftedPair": ".dictionary",
-    "evaluate_snapshot": ".dictionary",
     "lift_trajectories": ".dictionary",
-    "delay_embed": ".dictionary",
     "dependence_closure": ".dictionary",
     "generator_features": ".dictionary",
     "features_at_columns": ".dictionary",
@@ -66,7 +63,6 @@ _EXPORTS = {
     "KoopmodelError": ".errors",
     "InputError": ".errors",
     "NumericalError": ".errors",
-    "InsufficientHistoryError": ".errors",
     "EvaluationError": ".errors",
     "UnknownObservableError": ".errors",
     "LiftError": ".errors",

@@ -168,7 +168,7 @@ def _parse_column(rows, col, convert, dtype):
 
 
 def read_trajectories(path):
-    """Parse the trajectory CSV into a TrajectorySet plus feature names.
+    """Parse the trajectory CSV into a TrajectorySet.
 
     Cells are parsed column by column straight into per-trajectory arrays.
     A malformed row is reported as ``file:line`` with its physical line
@@ -251,9 +251,8 @@ def read_trajectories(path):
             bad = int(np.isfinite(values[a:b]).all(axis=1).argmin())
             row = a if b - a < 2 or t[a] < 0 else a + bad
             raise InputError(f"{path}:{lines[row]}: {exc}") from exc
-    data = TrajectorySet(trajectories=tuple(trajectories),
+    return TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=tuple(header[c] for c in feature_cols))
-    return data, data.feature_names
 
 
 def read_dictionary(path, n_features: int):
@@ -298,7 +297,7 @@ def _fit_pipeline(config: RunConfig, decode: bool):
     from .edmd import DEFAULT_SVD_TOL, fit_koopman_matrix
 
     with _stage("reading data"):
-        data, feature_names = read_trajectories(config.require("data", "input"))
+        data = read_trajectories(config.require("data", "input"))
     with _stage("reading dictionary"):
         dictionary = read_dictionary(config.require("dictionary", "input"),
                                      data.n_features)
@@ -308,21 +307,20 @@ def _fit_pipeline(config: RunConfig, decode: bool):
     with _stage("fitting"):
         tol = config.tolerance("svd_tolerance", DEFAULT_SVD_TOL)
         fitted = fit_koopman_matrix(lifted, tol, outputs)
-    return data, feature_names, dictionary, lifted, fitted
+    return data, dictionary, lifted, fitted
 
 
 def cmd_fit(config: RunConfig) -> int:
     from .model_io import _encode, complex_pairs, model_json
     from .spectral import ModelMetadata, build_spectral_triple, eigendecompose
 
-    data, feature_names, dictionary, lifted, fitted = _fit_pipeline(
-        config, decode=True)
+    data, dictionary, lifted, fitted = _fit_pipeline(config, decode=True)
     with _stage("eigendecomposition"):
         system = eigendecompose(fitted)
     metadata = ModelMetadata(
         dict_hash=dictionary.spec_hash(),
-        feature_names=feature_names,
-        output_names=feature_names,
+        feature_names=data.feature_names,
+        output_names=data.feature_names,
         trajectory_ids=data.trajectory_ids,
     )
     with _stage("building spectral triple"):
@@ -334,7 +332,7 @@ def cmd_fit(config: RunConfig) -> int:
     report = {
         "command": "fit",
         "n_observables": fitted.dim,
-        "n_outputs": len(feature_names),
+        "n_outputs": data.n_features,
         "n_trajectories": len(data.trajectory_ids),
         "n_snapshot_pairs": lifted.n_columns,
         "svd_tolerance": fitted.svd_tolerance,
@@ -442,11 +440,11 @@ def cmd_spectrum(config: RunConfig) -> int:
     from .harmonic import find_eigenfrequencies
 
     with _stage("reading data"):
-        data, feature_names = read_trajectories(config.require("data", "input"))
+        data = read_trajectories(config.require("data", "input"))
     column = config.require("column", "series selector")
-    if column not in feature_names:
+    if column not in data.feature_names:
         raise InputError(f"column {column!r} not in data "
-                         f"(features: {list(feature_names)})")
+                         f"(features: {list(data.feature_names)})")
     traj_id = config.get("trajectory")
     if traj_id is None:
         if len(data.trajectory_ids) > 1:
@@ -489,8 +487,7 @@ def cmd_reduce(config: RunConfig) -> int:
         if key in config.options:
             raise InputError(f"config option {key!r} was removed: the "
                              f"closed-subset search is now exact")
-    data, feature_names, dictionary, lifted, fitted = _fit_pipeline(
-        config, decode=False)
+    data, dictionary, lifted, fitted = _fit_pipeline(config, decode=False)
     model_path = config.get("model")
     if model_path:
         with _stage("loading model"):

@@ -12,19 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     EvaluationError,
-    InsufficientHistoryError,
     LiftError,
     ShapeMismatchError,
     UnknownObservableError,
 )
-from .trajectories import Snapshot, Trajectory, TrajectorySet
+from .trajectories import TrajectorySet
 
 KINDS = ("coordinate", "sin", "cos", "monomial", "delay", "composition")
 
@@ -336,13 +334,20 @@ class Dictionary:
 
     # -- evaluation -------------------------------------------------------
 
-    def _evaluate_series(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate every observable along an (m, n) block of snapshots.
+    def evaluate(self, values) -> np.ndarray:
+        """Evaluate every observable along an (m, n) block of consecutive
+        snapshots, one per row.
 
-        Returns a (d, m) array; entries before an observable's lag are NaN
-        placeholders and are never read by callers. Non-finite values inside
-        the valid region raise :class:`EvaluationError`.
+        Returns a (d, m) array; column j is the lift of row j, and entries
+        before an observable's lag are NaN placeholders. Non-finite values
+        inside the valid region raise :class:`EvaluationError`.
         """
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != self.n_features:
+            raise ShapeMismatchError(
+                f"snapshots must form an (m, {self.n_features}) array, got "
+                f"shape {values.shape}"
+            )
         m = values.shape[0]
         series: dict[str, np.ndarray] = {}
         out = np.full((len(self.observables), m), np.nan)
@@ -394,23 +399,23 @@ class LiftedPair:
     """The paired data matrices of dictionary lifts one time step apart.
 
     ``current[:, k]`` and ``shifted[:, k]`` are lifts of consecutive
-    snapshots of the same trajectory. ``column_origin[k]`` records the
-    (trajectory id, time index) of the snapshot lifted into ``current``;
-    ``x0_columns[i]`` is the first column of the i-th trajectory.
+    snapshots of the same trajectory. ``x0_columns[i]`` is the first column
+    of the i-th trajectory; its columns run to the next entry, in time order.
     """
 
     current: np.ndarray
     shifted: np.ndarray
-    column_origin: tuple[tuple[str, int], ...]
     x0_columns: tuple[int, ...]
 
     def __post_init__(self):
         if self.current.shape != self.shifted.shape:
             raise ShapeMismatchError("lifted matrices must have equal shapes")
-        if self.current.shape[1] != len(self.column_origin):
-            raise ShapeMismatchError("column_origin length must match columns")
-        if not self.x0_columns:
-            raise ShapeMismatchError("x0_columns must not be empty")
+        x0 = self.x0_columns
+        if (not x0 or x0[0] != 0 or x0[-1] >= self.n_columns
+                or any(a >= b for a, b in zip(x0, x0[1:]))):
+            raise ShapeMismatchError(
+                f"x0_columns must start at 0, strictly increase and stay "
+                f"below the {self.n_columns} columns, got {x0}")
 
     @property
     def n_observables(self) -> int:
@@ -419,34 +424,6 @@ class LiftedPair:
     @property
     def n_columns(self) -> int:
         return self.current.shape[1]
-
-
-def evaluate_snapshot(dictionary: Dictionary,
-                      window: list[Snapshot]) -> np.ndarray:
-    """Evaluate the dictionary at the last snapshot of a contiguous window.
-
-    Delay observables read backwards into the window, so the window must
-    contain at least ``max_lag + 1`` snapshots.
-    """
-    window = list(window)
-    need = dictionary.max_lag + 1
-    if len(window) < need:
-        raise InsufficientHistoryError(
-            f"window of {len(window)} snapshots is too short; the deepest "
-            f"delay needs {need}"
-        )
-    for prev, cur in zip(window, window[1:]):
-        if cur.time_index != prev.time_index + 1:
-            raise InsufficientHistoryError(
-                "window snapshots must be contiguous in time"
-            )
-    values = np.stack([s.values for s in window])
-    if values.shape[1] != dictionary.n_features:
-        raise ShapeMismatchError(
-            f"snapshots have {values.shape[1]} features, dictionary expects "
-            f"{dictionary.n_features}"
-        )
-    return dictionary._evaluate_series(values)[:, -1].copy()
 
 
 def lift_trajectories(dictionary: Dictionary,
@@ -469,40 +446,19 @@ def lift_trajectories(dictionary: Dictionary,
             f"trajectories too short to lift with delay depth {lag}: "
             f"{too_short}"
         )
-    blocks_g, blocks_gp = [], []
-    origin: list[tuple[str, int]] = []
-    x0_columns: list[int] = []
+    blocks_g, blocks_gp, x0_columns = [], [], []
+    columns = 0
     for traj in data.trajectories:
-        lifted = dictionary._evaluate_series(traj.values)[:, lag:]
+        lifted = dictionary.evaluate(traj.values)[:, lag:]
         blocks_g.append(lifted[:, :-1])
         blocks_gp.append(lifted[:, 1:])
-        x0_columns.append(len(origin))
-        origin.extend(zip(repeat(traj.id),
-                          range(traj.t0 + lag, traj.t0 + len(traj) - 1)))
+        x0_columns.append(columns)
+        columns += lifted.shape[1] - 1
     return LiftedPair(
         current=np.concatenate(blocks_g, axis=1),
         shifted=np.concatenate(blocks_gp, axis=1),
-        column_origin=tuple(origin),
         x0_columns=tuple(x0_columns),
     )
-
-
-def delay_embed(series: Trajectory, feature: int, depth: int) -> np.ndarray:
-    """Stack delayed copies of one feature, newest entry first.
-
-    Column j holds ``(f(j+depth-1), ..., f(j))``, so the result has shape
-    ``(depth, m - depth + 1)``.
-    """
-    if depth < 1:
-        raise ShapeMismatchError("depth must be a positive integer")
-    values = series.feature_series(feature)
-    m = len(values)
-    if depth > m:
-        raise ShapeMismatchError(
-            f"depth {depth} exceeds series length {m}"
-        )
-    windows = np.lib.stride_tricks.sliding_window_view(values, depth)
-    return windows[:, ::-1].T.copy()
 
 
 def dependence_closure(dictionary: Dictionary,
@@ -535,14 +491,17 @@ def features_at_columns(data: TrajectorySet,
 
     Returns an (n, K) matrix whose column k holds the snapshot lifted into
     ``current[:, k]``. ``lifted`` comes from :func:`lift_trajectories` on
-    ``data``, so each trajectory's columns are consecutive in time.
+    ``data``, so the n_i columns of trajectory i lift its rows
+    ``len - 1 - n_i`` to ``len - 2``: every row with a successor and enough
+    history for the deepest delay.
     """
-    by_id = {t.id: t for t in data.trajectories}
+    if len(lifted.x0_columns) != len(data.trajectories):
+        raise ShapeMismatchError(
+            f"the lifted pair holds {len(lifted.x0_columns)} trajectories, "
+            f"the data {len(data.trajectories)}")
     stops = lifted.x0_columns[1:] + (lifted.n_columns,)
-    blocks = []
-    for start, stop in zip(lifted.x0_columns, stops):
-        traj_id, t = lifted.column_origin[start]
-        pos = t - by_id[traj_id].t0
-        blocks.append(by_id[traj_id].values[pos:pos + stop - start])
+    blocks = [traj.values[len(traj) - 1 - (stop - start):len(traj) - 1]
+              for traj, start, stop in zip(data.trajectories,
+                                           lifted.x0_columns, stops)]
     # C order, like the lifted matrices: the fits' rounding depends on it.
     return np.concatenate(blocks).T.copy()

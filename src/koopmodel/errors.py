@@ -18,10 +18,6 @@ class NumericalError(KoopmodelError):
     """A numerical procedure failed on otherwise well-formed input."""
 
 
-class InsufficientHistoryError(InputError):
-    """A window is too short for the deepest delay observable."""
-
-
 class EvaluationError(InputError):
     """An observable produced a non-finite value; names the observable."""
 

@@ -38,6 +38,8 @@ MAGIC = b"KOOPMDL1"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<5I")
+# The metadata JSON object: each key, where present, holds a list of names.
+_NAME_KEYS = ("feature_names", "output_names", "trajectory_ids")
 
 
 def file_layout(n: int, m: int, h: int, d: int, metadata_bytes: int) -> dict:
@@ -58,11 +60,7 @@ def file_layout(n: int, m: int, h: int, d: int, metadata_bytes: int) -> dict:
 
 def _encode(triple: SpectralTriple) -> bytes:
     meta = triple.metadata
-    meta_doc = {
-        "feature_names": list(meta.feature_names),
-        "output_names": list(meta.output_names),
-        "trajectory_ids": list(meta.trajectory_ids),
-    }
+    meta_doc = {key: list(getattr(meta, key)) for key in _NAME_KEYS}
     meta_bytes = json.dumps(meta_doc, sort_keys=True,
                             separators=(",", ":")).encode()
     parts = [
@@ -144,12 +142,16 @@ def load_model(path) -> SpectralTriple:
         meta_doc = json.loads(meta_bytes.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"metadata block is not valid JSON: {exc}") from exc
-    metadata = ModelMetadata(
-        dict_hash=dict_hash,
-        feature_names=tuple(meta_doc.get("feature_names", [])),
-        output_names=tuple(meta_doc.get("output_names", [])),
-        trajectory_ids=tuple(meta_doc.get("trajectory_ids", [])),
-    )
+    if not isinstance(meta_doc, dict):
+        raise ModelFormatError("metadata block must be a JSON object")
+    names = {key: meta_doc.get(key, []) for key in _NAME_KEYS}
+    for key, value in names.items():
+        if not (isinstance(value, list)
+                and all(isinstance(name, str) for name in value)):
+            raise ModelFormatError(f"metadata {key!r} must be a list of "
+                                   f"strings, got {value!r}")
+    metadata = ModelMetadata(dict_hash=dict_hash,
+                             **{key: tuple(v) for key, v in names.items()})
     return SpectralTriple(
         eigenvalues=eigenvalues,
         eigenfunction_values=phi,
@@ -180,10 +182,9 @@ def model_json(triple: SpectralTriple) -> str:
         "eigenfunction_values": complex_pairs(triple.eigenfunction_values),
         "modes": complex_pairs(triple.modes),
         "decode": [[float(x) for x in row] for row in triple.decode],
-        "feature_names": list(triple.metadata.feature_names),
-        "output_names": list(triple.metadata.output_names),
-        "trajectory_ids": list(triple.metadata.trajectory_ids),
     }
+    doc.update((key, list(getattr(triple.metadata, key)))
+               for key in _NAME_KEYS)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -98,6 +98,15 @@ class SpectralTriple:
             raise ShapeMismatchError(
                 "decode must have one row per output, matching the modes"
             )
+        meta = self.metadata
+        if meta.output_names and len(meta.output_names) != len(modes):
+            raise ShapeMismatchError(
+                f"metadata names {len(meta.output_names)} outputs, the model "
+                f"has {len(modes)}")
+        if meta.trajectory_ids and len(meta.trajectory_ids) != len(phi):
+            raise ShapeMismatchError(
+                f"metadata names {len(meta.trajectory_ids)} trajectories, the "
+                f"model has {len(phi)} initial conditions")
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenfunction_values", phi)
         object.__setattr__(self, "modes", modes)

@@ -11,26 +11,6 @@ from .errors import InputError
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """One observation vector at an integer time index."""
-
-    values: np.ndarray
-    time_index: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise InputError("snapshot values must be a 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise InputError(
-                f"snapshot at t={self.time_index} contains NaN/Inf entries"
-            )
-        if self.time_index < 0:
-            raise InputError("time_index must be non-negative")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Snapshots at times ``t0, t0 + 1, ...``: one per row of ``values``, a
     read-only (m, n) float array (a 1-D input is one feature). A writable
@@ -72,11 +52,6 @@ class Trajectory:
     def feature_series(self, feature: int) -> np.ndarray:
         """The scalar time series of one feature, ordered by time."""
         return self.values[:, feature]
-
-    @classmethod
-    def from_array(cls, values, id: str, t0: int = 0) -> "Trajectory":
-        """Build a trajectory from an (m, n) array with one snapshot per row."""
-        return cls(values, id, t0)
 
 
 @dataclass(frozen=True)

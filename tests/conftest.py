@@ -10,6 +10,8 @@ import csv
 import io
 import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -48,7 +50,7 @@ def simulate_worked_example(n_trajectories: int = 20, n_steps: int = 50,
         for _ in range(n_steps):
             rows.append([x, y])
             x, y = x + math.sin(x), y + x
-        trajectories.append(Trajectory.from_array(rows, id=f"traj{i:02d}"))
+        trajectories.append(Trajectory(rows, id=f"traj{i:02d}"))
     return TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=("x", "y"))
 
@@ -86,7 +88,7 @@ def simulate_linear(matrix: np.ndarray, initial_states: np.ndarray,
         for _ in range(n_steps):
             rows.append(state)
             state = matrix @ state
-        trajectories.append(Trajectory.from_array(rows, id=f"lin{i}"))
+        trajectories.append(Trajectory(rows, id=f"lin{i}"))
     return TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=tuple(f"x{i}" for i in range(dim)))
 
@@ -137,6 +139,15 @@ def random_triple(rng: np.random.Generator) -> SpectralTriple:
         decode=rng.normal(size=(h, d)),
         metadata=metadata,
     )
+
+
+def with_metadata(model: bytes, meta: bytes) -> bytes:
+    """A model file's bytes with its metadata block replaced by ``meta``
+    and the CRC recomputed; offsets follow the documented layout."""
+    n, m, h, d = struct.unpack_from("<4I", model, 12)
+    start = 60 + 16 * (1 + m + h) * n + 8 * h * d
+    body = model[:start] + struct.pack("<I", len(meta)) + meta
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def write_data_csv(path, data: TrajectorySet) -> None:

@@ -18,6 +18,7 @@ from koopmodel.model_io import model_json
 from conftest import (
     WORKED_DICT_ENTRIES,
     simulate_worked_example,
+    with_metadata,
     write_data_csv,
     write_json,
 )
@@ -453,6 +454,26 @@ def test_predict_bad_horizon_exits_2(workspace):
         "model": "model.bin", "x0": 0, "horizon": -1,
     })
     assert run(["predict", "--config", workspace / "predict.json"]) == 2
+
+
+@pytest.mark.parametrize("metadata", [
+    [1, 2],
+    {"trajectory_ids": 5},
+    {"output_names": ["a", "b", "c"]},  # the model has 2 outputs
+])
+def test_predict_malformed_metadata_exits_2_without_output(workspace, capsys,
+                                                           metadata):
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    model = workspace / "model.bin"
+    model.write_bytes(with_metadata(model.read_bytes(),
+                                    json.dumps(metadata).encode()))
+    write_json(workspace / "predict.json", {
+        "model": "model.bin", "x0": 0, "horizon": 3, "out": "pred.csv",
+    })
+    capsys.readouterr()
+    assert run(["predict", "--config", workspace / "predict.json"]) == 2
+    assert "error: loading model: metadata" in capsys.readouterr().err
+    assert not (workspace / "pred.csv").exists()
 
 
 # -- spectrum ----------------------------------------------------------------

@@ -11,16 +11,13 @@ from koopmodel import (
     ConfigError,
     Dictionary,
     EvaluationError,
-    InputError,
-    InsufficientHistoryError,
     LiftError,
-    Snapshot,
+    LiftedPair,
+    ShapeMismatchError,
     Trajectory,
     TrajectorySet,
     UnknownObservableError,
-    delay_embed,
     dependence_closure,
-    evaluate_snapshot,
     features_at_columns,
     generator_features,
     lift_trajectories,
@@ -28,13 +25,13 @@ from koopmodel import (
 from conftest import worked_dictionary
 
 
-def snaps(*rows, t0=0):
-    return [Snapshot(values=list(r), time_index=t0 + k)
-            for k, r in enumerate(rows)]
+def at_last_row(dictionary, *rows):
+    """The lift of the last of ``rows``, consecutive snapshots."""
+    return dictionary.evaluate(np.array(rows, dtype=float))[:, -1]
 
 
 def single_feature_set(series, id="s"):
-    traj = Trajectory.from_array(np.asarray(series, dtype=float), id=id)
+    traj = Trajectory(np.asarray(series, dtype=float), id=id)
     return TrajectorySet(trajectories=(traj,), feature_names=("x",))
 
 
@@ -108,13 +105,13 @@ def test_spec_hash_is_stable_and_distinguishes():
 
 def test_worked_dict_at_origin():
     dic = worked_dictionary()
-    out = evaluate_snapshot(dic, snaps([0.0, 5.0]))
+    out = at_last_row(dic, [0.0, 5.0])
     assert np.allclose(out, [0.0, 0.0, 5.0])
 
 
 def test_worked_dict_at_half_pi():
     dic = worked_dictionary()
-    out = evaluate_snapshot(dic, snaps([math.pi / 2, 1.0]))
+    out = at_last_row(dic, [math.pi / 2, 1.0])
     assert np.allclose(out, [math.pi / 2, 1.0, 1.0])
 
 
@@ -123,24 +120,16 @@ def test_delay_reads_previous_snapshot():
         {"id": "x", "kind": "coordinate", "params": {"index": 0}},
         {"id": "px", "kind": "delay", "params": {"of": "x", "lag": 1}},
     ], 1)
-    out = evaluate_snapshot(dic, snaps([1.0], [2.0]))
+    out = at_last_row(dic, [1.0], [2.0])
     assert np.allclose(out, [2.0, 1.0])
 
 
-def test_delay_needs_enough_history():
-    dic = Dictionary.from_spec([
-        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
-        {"id": "px", "kind": "delay", "params": {"of": "x", "lag": 1}},
-    ], 1)
-    with pytest.raises(InsufficientHistoryError):
-        evaluate_snapshot(dic, snaps([1.0]))
-
-
-def test_window_must_be_contiguous():
+def test_evaluate_checks_feature_count():
     dic = worked_dictionary()
-    window = [Snapshot([0.0, 0.0], 0), Snapshot([1.0, 1.0], 5)]
-    with pytest.raises(InputError):
-        evaluate_snapshot(dic, window)
+    with pytest.raises(ShapeMismatchError, match=r"\(m, 2\)"):
+        dic.evaluate(np.zeros((3, 3)))
+    with pytest.raises(ShapeMismatchError):
+        dic.evaluate(np.zeros(2))
 
 
 def test_evaluation_error_names_observable():
@@ -149,7 +138,7 @@ def test_evaluation_error_names_observable():
         {"id": "logx", "kind": "composition", "params": {"fn": "log", "of": "x"}},
     ], 1)
     with pytest.raises(EvaluationError, match="logx"):
-        evaluate_snapshot(dic, snaps([-1.0]))
+        at_last_row(dic, [-1.0])
 
 
 def test_monomial_and_linear_combination_values():
@@ -160,7 +149,7 @@ def test_monomial_and_linear_combination_values():
         {"id": "aff", "kind": "composition",
          "params": {"weights": {"x": 2.0, "y": -3.0}, "bias": 1.0}},
     ], 2)
-    out = evaluate_snapshot(dic, snaps([3.0, 4.0]))
+    out = at_last_row(dic, [3.0, 4.0])
     assert np.allclose(out, [3.0, 4.0, 36.0, 2 * 3.0 - 3 * 4.0 + 1.0])
 
 
@@ -174,15 +163,29 @@ def test_identity_lift_is_shift_pairing():
     assert np.array_equal(lifted.current, [[1.0, 2.0]])
     assert np.array_equal(lifted.shifted, [[2.0, 3.0]])
     assert lifted.x0_columns == (0,)
-    assert lifted.column_origin == (("s", 0), ("s", 1))
+
+
+@pytest.mark.parametrize("x0_columns", [(), (1,), (0, 0), (0, 2, 1), (0, 3)])
+def test_lifted_pair_rejects_bad_x0_columns(x0_columns):
+    with pytest.raises(ShapeMismatchError, match="x0_columns"):
+        LiftedPair(current=np.zeros((1, 3)), shifted=np.zeros((1, 3)),
+                   x0_columns=x0_columns)
+
+
+def test_features_need_one_trajectory_per_x0_column():
+    data = single_feature_set([1.0, 2.0, 3.0])
+    lifted = LiftedPair(current=np.zeros((1, 2)), shifted=np.zeros((1, 2)),
+                        x0_columns=(0, 1))
+    with pytest.raises(ShapeMismatchError, match="trajectories"):
+        features_at_columns(data, lifted)
 
 
 def test_column_count_across_trajectories():
     dic = Dictionary.from_spec(
         [{"id": "x", "kind": "coordinate", "params": {"index": 0}}], 1
     )
-    t0 = Trajectory.from_array([1.0, 2.0, 3.0, 4.0], id="a")
-    t1 = Trajectory.from_array([5.0, 6.0, 7.0], id="b")
+    t0 = Trajectory([1.0, 2.0, 3.0, 4.0], id="a")
+    t1 = Trajectory([5.0, 6.0, 7.0], id="b")
     data = TrajectorySet(trajectories=(t0, t1), feature_names=("x",))
     lifted = lift_trajectories(dic, data)
     assert lifted.n_columns == (4 - 1) + (3 - 1)
@@ -194,9 +197,11 @@ def test_column_count_across_trajectories():
 def test_worked_example_column_pairing(worked_data, worked_dict):
     lifted = lift_trajectories(worked_dict, worked_data)
     k = 17
-    traj_id, t = lifted.column_origin[k]
-    traj = worked_data.trajectory(traj_id)
-    state = traj.values[t - traj.t0]
+    # Each worked trajectory fills len - 1 columns (no delays).
+    starts = np.cumsum([0] + [len(t) - 1 for t in worked_data.trajectories])
+    i = int(np.searchsorted(starts, k, side="right")) - 1
+    assert lifted.x0_columns == tuple(starts[:-1])
+    state = worked_data.trajectories[i].values[k - starts[i]]
     x, y = state
     assert np.allclose(lifted.current[:, k], [x, math.sin(x), y])
     assert np.allclose(lifted.shifted[:, k],
@@ -222,22 +227,6 @@ def test_too_short_trajectory_is_named():
     ], 1)
     with pytest.raises(LiftError, match="shorty"):
         lift_trajectories(dic, single_feature_set([1.0, 2.0, 3.0], id="shorty"))
-
-
-# -- delay embedding ---------------------------------------------------------
-
-def test_delay_embed_newest_first():
-    traj = Trajectory.from_array([1.0, 2.0, 3.0, 4.0], id="d")
-    emb = delay_embed(traj, 0, 2)
-    assert np.array_equal(emb, [[2.0, 3.0, 4.0], [1.0, 2.0, 3.0]])
-
-
-def test_delay_embed_depth_one_and_full():
-    traj = Trajectory.from_array([1.0, 2.0, 3.0, 4.0], id="d")
-    assert np.array_equal(delay_embed(traj, 0, 1), [[1.0, 2.0, 3.0, 4.0]])
-    assert np.array_equal(delay_embed(traj, 0, 4), [[4.0], [3.0], [2.0], [1.0]])
-    with pytest.raises(Exception):
-        delay_embed(traj, 0, 5)
 
 
 # -- dependence --------------------------------------------------------------
@@ -324,7 +313,7 @@ def lifting_cases(draw):
             st.lists(st.floats(-10, 10, allow_nan=False),
                      min_size=n_features, max_size=n_features),
             min_size=m, max_size=m))
-        trajectories.append(Trajectory.from_array(
+        trajectories.append(Trajectory(
             rows, id=f"t{i}", t0=draw(st.integers(1, 50))))
     data = TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=tuple(f"f{i}" for i in range(n_features)))
@@ -340,11 +329,13 @@ def test_lifted_columns_match_window_evaluation(case):
     # The fits' rounding depends on memory order, so keep the lifted order.
     assert outputs.flags.c_contiguous
     lag = dictionary.max_lag
-    for k, (traj_id, t) in enumerate(lifted.column_origin):
-        traj = data.trajectory(traj_id)
-        pos = t - traj.t0
-        window = [Snapshot(row, time) for time, row in
-                  enumerate(traj.values[pos - lag:pos + 1], start=t - lag)]
-        assert np.array_equal(lifted.current[:, k],
-                              evaluate_snapshot(dictionary, window))
-        assert np.array_equal(outputs[:, k], traj.values[pos])
+    reference = [(traj, row) for traj in data.trajectories
+                 for row in range(lag, len(traj) - 1)]
+    assert lifted.n_columns == len(reference)
+    for k, (traj, row) in enumerate(reference):
+        values = traj.values
+        assert np.array_equal(lifted.current[:, k], dictionary.evaluate(
+            values[row - lag:row + 1])[:, -1])
+        assert np.array_equal(lifted.shifted[:, k], dictionary.evaluate(
+            values[row - lag + 1:row + 2])[:, -1])
+        assert np.array_equal(outputs[:, k], values[row])

@@ -31,7 +31,7 @@ def mp_identities_hold(matrix, pinv, tol=1e-10):
 
 def lift_series(series, id="s"):
     dic = identity_dictionary(1)
-    traj = Trajectory.from_array(np.asarray(series, dtype=float), id=id)
+    traj = Trajectory(np.asarray(series, dtype=float), id=id)
     data = TrajectorySet(trajectories=(traj,), feature_names=("x0",))
     return lift_trajectories(dic, data)
 
@@ -121,9 +121,7 @@ def test_row_residuals_are_the_relative_row_misfit(seed):
     scales = 10.0 ** rng.uniform(-3, 3, size=(d, 1))
     current = scales * rng.normal(size=(d, k))
     shifted = scales * rng.normal(size=(d, k))
-    lifted = LiftedPair(current=current, shifted=shifted,
-                        column_origin=tuple(("r", i) for i in range(k)),
-                        x0_columns=(0,))
+    lifted = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
     fitted = fit_koopman_matrix(lifted)
     misfit = shifted - fitted.matrix @ current
     expected = (np.sqrt((misfit * misfit).sum(axis=1))
@@ -138,7 +136,6 @@ def test_zero_targets_give_zero_matrix():
     lifted = LiftedPair(
         current=np.array([[1.0, 2.0, 3.0]]),
         shifted=np.zeros((1, 3)),
-        column_origin=(("z", 0), ("z", 1), ("z", 2)),
         x0_columns=(0,),
     )
     fitted = fit_koopman_matrix(lifted)
@@ -153,8 +150,7 @@ def test_rank_deficient_fit_is_minimal_norm():
 
     current = np.array([[1.0, 2.0], [1.0, 2.0]])
     shifted = np.array([[2.0, 4.0], [2.0, 4.0]])
-    lifted = LiftedPair(current=current, shifted=shifted,
-                        column_origin=(("r", 0), ("r", 1)), x0_columns=(0,))
+    lifted = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
     fitted = fit_koopman_matrix(lifted)
     assert np.allclose(fitted.matrix, np.full((2, 2), 1.0))
     assert fitted.rank_used == 1
@@ -192,11 +188,9 @@ def test_scale_equivariance_of_fit(seed, scale):
     d, k = int(rng.integers(1, 5)), int(rng.integers(2, 9))
     current = rng.normal(size=(d, k))
     shifted = rng.normal(size=(d, k))
-    origin = tuple(("p", i) for i in range(k))
-    base = LiftedPair(current=current, shifted=shifted,
-                      column_origin=origin, x0_columns=(0,))
+    base = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
     scaled = LiftedPair(current=scale * current, shifted=scale * shifted,
-                        column_origin=origin, x0_columns=(0,))
+                        x0_columns=(0,))
     a = fit_koopman_matrix(base)
     b = fit_koopman_matrix(scaled)
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12 * max(
@@ -212,6 +206,5 @@ def test_condition_number_tracks_singular_values():
 
     current = np.diag([10.0, 0.1]) @ rng.normal(size=(2, 40))
     pair = LiftedPair(current=current, shifted=np.zeros_like(current),
-                      column_origin=tuple(("c", i) for i in range(40)),
                       x0_columns=(0,))
     assert fit_koopman_matrix(pair).condition_number > 10.0

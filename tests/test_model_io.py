@@ -12,13 +12,14 @@ from koopmodel import (
     ModelFormatError,
     ModelTruncatedError,
     ModelVersionError,
+    ShapeMismatchError,
     export_model_json,
     load_model,
     save_model,
 )
 from koopmodel.atomic import write_atomically
 from koopmodel.model_io import FORMAT_VERSION, MAGIC, file_layout, model_json
-from conftest import random_triple
+from conftest import random_triple, with_metadata
 
 
 @pytest.fixture
@@ -139,6 +140,23 @@ def test_invalid_metadata_json_rejected(tmp_path, triple):
     bad.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="JSON"):
         load_model(bad)
+
+    # Valid JSON with a correct CRC can still be malformed metadata.
+    assert with_metadata(data, meta_bytes) == data
+    h, m = triple.n_outputs, triple.n_initial_conditions
+    cases = [
+        ([1, 2], ModelFormatError, "JSON object"),
+        ({"trajectory_ids": 5}, ModelFormatError, "'trajectory_ids'"),
+        ({"feature_names": ["a", 1]}, ModelFormatError, "'feature_names'"),
+        ({"output_names": [f"y{i}" for i in range(h + 1)]},
+         ShapeMismatchError, f"{h + 1} outputs"),
+        ({"trajectory_ids": [f"t{i}" for i in range(m + 1)]},
+         ShapeMismatchError, f"{m + 1} trajectories"),
+    ]
+    for doc, error, message in cases:
+        bad.write_bytes(with_metadata(data, json.dumps(doc).encode()))
+        with pytest.raises(error, match=message):
+            load_model(bad)
 
 
 def test_save_overwrites_atomically(tmp_path, triple):

@@ -117,8 +117,7 @@ def test_eigenfunction_dynamics_along_trajectories():
     assert at_x0.shape == (2, 3)
     assert np.array_equal(at_x0, full[list(lifted.x0_columns)])
     for k in range(lifted.n_columns - 1):
-        here, there = lifted.column_origin[k], lifted.column_origin[k + 1]
-        if here[0] != there[0]:
+        if k + 1 in lifted.x0_columns:  # column k + 1 starts a trajectory
             continue
         advanced = system.eigenvalues * full[k]
         assert np.max(np.abs(full[k + 1] - advanced)) < 1e-8
@@ -217,7 +216,7 @@ def full_rank_fits(draw):
         rows = [rng.uniform(-2.0, 2.0, size=n)]
         for _ in range(steps):
             rows.append(matrix @ rows[-1] + 0.1 * rng.normal(size=n))
-        trajectories.append(Trajectory.from_array(rows, id=f"r{t}"))
+        trajectories.append(Trajectory(rows, id=f"r{t}"))
     data = TrajectorySet(tuple(trajectories),
                          tuple(f"x{i}" for i in range(n)))
     return data, Dictionary.from_spec(entries, n)

@@ -6,27 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from koopmodel import InputError, Snapshot, Trajectory, TrajectorySet
+from koopmodel import InputError, Trajectory, TrajectorySet
 from koopmodel.cli import read_trajectories
 
 
 def make_trajectory(values, id="t0", t0=0):
-    return Trajectory.from_array(np.asarray(values, dtype=float), id=id, t0=t0)
-
-
-def test_snapshot_coerces_to_float_vector():
-    snap = Snapshot(values=[1, 2, 3], time_index=0)
-    assert snap.values.dtype == float
-    assert snap.values.shape == (3,)
-
-
-def test_snapshot_rejects_nan_and_matrix_and_negative_time():
-    with pytest.raises(InputError):
-        Snapshot(values=[1.0, np.nan], time_index=0)
-    with pytest.raises(InputError):
-        Snapshot(values=[[1.0]], time_index=0)
-    with pytest.raises(InputError):
-        Snapshot(values=[1.0], time_index=-1)
+    return Trajectory(np.asarray(values, dtype=float), id=id, t0=t0)
 
 
 def read_csv_text(tmp_path, text):
@@ -48,7 +33,7 @@ def test_trajectory_requires_two_snapshots_and_constant_width(tmp_path):
     with pytest.raises(InputError, match="at least 2"):
         make_trajectory([[0.0]], id="short")
     with pytest.raises(ValueError):
-        Trajectory.from_array([[0.0], [1.0, 2.0]], id="ragged")
+        Trajectory([[0.0], [1.0, 2.0]], id="ragged")
     with pytest.raises(InputError, match="expected 3 columns"):
         read_csv_text(tmp_path, "trajectory_id,t,x\nr,0,0.0\nr,1,1.0,2.0\n")
 
@@ -90,7 +75,7 @@ def test_from_array_rows_are_snapshots():
 
 def test_from_array_rejects_3d():
     with pytest.raises(InputError):
-        Trajectory.from_array(np.zeros((2, 2, 2)), id="cube")
+        Trajectory(np.zeros((2, 2, 2)), id="cube")
 
 
 def test_set_requires_matching_feature_count():
@@ -125,7 +110,7 @@ def test_set_requires_unique_ids_and_resolves_lookups():
     st.integers(0, 1000),
 )
 def test_from_array_round_trips_values(values, t0):
-    traj = Trajectory.from_array(values, id="rt", t0=t0)
+    traj = Trajectory(values, id="rt", t0=t0)
     assert traj.t0 == t0
     assert np.array_equal(traj.values, values)
     for j in range(values.shape[1]):
