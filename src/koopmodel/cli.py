@@ -419,13 +419,19 @@ def cmd_predict(config: RunConfig) -> int:
     names = triple.metadata.output_names or tuple(
         f"y{i}" for i in range(triple.n_outputs)
     )
-    rows = []
     with _stage("predicting"):
-        for k in range(horizon + 1):
-            values = np.asarray(predict(triple, x0, k))
-            rows.append([str(k)] + [fmt(v.real if np.iscomplexobj(values)
-                                        else v) for v in values])
-    text = _csv_text(["k"] + list(names), rows)
+        values = predict(triple, x0, np.arange(horizon + 1))
+    if np.iscomplexobj(values):
+        dropped = np.abs(values.imag)
+        k, i = np.unravel_index(np.argmax(dropped), dropped.shape)
+        ratio = dropped[k, i] / np.max(np.abs(values[k]))
+        print(f"warning: dropped imaginary parts up to {dropped[k, i]:.3g} "
+              f"(k={k}, {names[i]}), {ratio:.3g} of that row's largest "
+              f"|value|", file=sys.stderr)
+    # "%.17g" renders a float exactly as fmt() does.
+    row = "%d" + ",%.17g" * triple.n_outputs + "\n"
+    text = _csv_text(["k", *names], ()) + "".join(
+        row % (k, *v) for k, v in enumerate(values.real.tolist()))
 
     out = config.get("out")
     if out:

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import koopmodel
-from koopmodel import cli
-from koopmodel.model_io import model_json
+from koopmodel import SpectralTriple, cli
+from koopmodel.model_io import load_model, model_json, save_model
 from conftest import (
     WORKED_DICT_ENTRIES,
     simulate_worked_example,
@@ -406,10 +408,41 @@ def test_predict_geometric_decay(tmp_path, capsys):
     })
     capsys.readouterr()
     assert run(["predict", "--config", tmp_path / "predict.json"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
     assert lines[0] == "k,x"
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == pytest.approx([1.0, 0.5, 0.25, 0.125], abs=1e-10)
+    assert captured.err == ""
+
+
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308)
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+@given(st.floats())
+def test_prediction_row_template_renders_like_fmt(value):
+    assert "%.17g" % value == cli.fmt(value)
+
+
+def test_predict_reports_dropped_imaginary_parts(tmp_path, capsys):
+    # lambda = 0.5j with phi = v = 1 predicts 1, 0.5j, -0.25: the CSV on
+    # stdout keeps the real parts and stderr names the largest |imag|.
+    save_model(SpectralTriple([0.5j], [[1.0]], [[1.0]], [[1.0]]),
+               tmp_path / "model.bin")
+    write_json(tmp_path / "predict.json", {"model": "model.bin",
+                                           "horizon": 2})
+    assert run(["predict", "--config", tmp_path / "predict.json"]) == 0
+    captured = capsys.readouterr()
+    table = list(csv.reader(captured.out.splitlines()))
+    assert table[0] == ["k", "y0"]
+    assert [[float(v) for v in row] for row in table[1:]] == [
+        [0, 1.0], [1, 0.0], [2, -0.25]]
+    assert captured.err.count("\n") == 1
+    assert "dropped imaginary parts up to 0.5 (k=1, y0), 1 of" in captured.err
 
 
 def test_predict_horizon_zero_is_reconstruction(workspace, capsys):
@@ -474,6 +507,24 @@ def test_predict_malformed_metadata_exits_2_without_output(workspace, capsys,
     assert run(["predict", "--config", workspace / "predict.json"]) == 2
     assert "error: loading model: metadata" in capsys.readouterr().err
     assert not (workspace / "pred.csv").exists()
+
+
+def test_predict_header_quotes_output_names(workspace, capsys):
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    model = workspace / "model.bin"
+    model.write_bytes(with_metadata(model.read_bytes(),
+                                    b'{"output_names": ["a,b", "c"]}'))
+    write_json(workspace / "predict.json", {"model": "model.bin",
+                                            "horizon": 3})
+    capsys.readouterr()
+    assert run(["predict", "--config", workspace / "predict.json"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('k,"a,b",c\n')
+    table = list(csv.reader(out.splitlines()))
+    assert table[0] == ["k", "a,b", "c"]
+    expected = koopmodel.predict(load_model(model), 0, np.arange(4))
+    assert table[1:] == [[str(k)] + [cli.fmt(v) for v in row]
+                         for k, row in enumerate(expected)]
 
 
 # -- spectrum ----------------------------------------------------------------

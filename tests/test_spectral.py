@@ -25,6 +25,7 @@ from koopmodel import (
     predict,
     truncate_spectrum,
 )
+from koopmodel.spectral import PREDICT_CHUNK_BYTES
 from conftest import (
     identity_dictionary,
     random_contraction,
@@ -163,7 +164,32 @@ def test_prediction_is_real_for_real_systems(worked_triple):
     *_, triple = worked_triple
     value = predict(triple, 0, 7)
     assert value.dtype == np.float64
+    assert value.shape == (triple.n_outputs,)
+    table = predict(triple, 0, np.arange(5))
+    assert table.dtype == np.float64
+    assert table.shape == (5, triple.n_outputs)
+    assert predict(triple, 0, np.arange(0)).shape == (0, triple.n_outputs)
 
+
+
+def test_batch_is_complex_when_any_step_is():
+    # The imaginary part of the first step, in the first chunk, keeps the
+    # whole table complex; the later chunks alone are real.
+    triple = SpectralTriple([0.5j], [[1.0]], [[1.0]], [[1.0]])
+    steps = np.r_[1, np.zeros(PREDICT_CHUNK_BYTES // 16 + 5, dtype=int)]
+    values = predict(triple, 0, steps)
+    assert values.dtype == complex and values[0, 0] == 0.5j
+    assert predict(triple, 0, steps[1:]).dtype == np.float64
+
+
+def test_underflowed_steps_are_positive_zero():
+    # Every term underflows to a signed zero; the GEMM of a batch sums
+    # these to -0.0 for this triple, a matvec to 0.0.
+    triple = SpectralTriple([0.9, 0.81, 0.5], [[0.46, 0.25, -0.58]],
+                            [[-1.0, 1e-15, 1e-15], [1e-15, 0.54, 1.0]],
+                            np.eye(2, 3))
+    values = predict(triple, 0, np.arange(40000, 40010))
+    assert np.all(values == 0.0) and not np.any(np.signbit(values))
 
 def test_predict_range_checks(worked_triple):
     *_, triple = worked_triple
@@ -173,6 +199,9 @@ def test_predict_range_checks(worked_triple):
         predict(triple, triple.n_initial_conditions, 0)
     with pytest.raises(InputError):
         predict(triple, 0, -1)
+    for steps in (np.array([0, 3, -1]), 1.5, np.zeros((2, 2), dtype=int)):
+        with pytest.raises(InputError):
+            predict(triple, 0, steps)
 
 
 def test_predict_overflow_guard():
@@ -180,6 +209,69 @@ def test_predict_overflow_guard():
     assert np.all(np.isfinite(np.atleast_1d(predict(triple, 0, 100))))
     with pytest.raises(SpectralOverflowError, match="overflow"):
         predict(triple, 0, 2000)
+    # Both forms name the first overflowing step in the order given, also
+    # when it sits past the first chunk (N = 1: 16 bytes per step).
+    assert np.all(np.isfinite(predict(triple, 0, 1009)))
+    later = np.r_[np.zeros(PREDICT_CHUNK_BYTES // 16 + 5, dtype=int),
+                  np.arange(1000, 1100), 5000]
+    for steps in (1010, later):
+        with pytest.raises(SpectralOverflowError, match="at k=1010 for"):
+            predict(triple, 0, steps)
+
+
+@st.composite
+def stable_batches(draw):
+    """A random triple with |lambda| <= 1 (some exactly 0 or 1), N in
+    [1, 90] and h in [1, 4], and steps filling three or four chunks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 90))
+    h = draw(st.integers(1, 4))
+    radius = rng.uniform(0.0, 1.0, n)
+    radius[rng.random(n) < 0.1] = 1.0
+    radius[rng.random(n) < 0.1] = 0.0
+    eigenvalues = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    triple = SpectralTriple(
+        eigenvalues=eigenvalues,
+        eigenfunction_values=rng.normal(size=(1, n))
+        + 1j * rng.normal(size=(1, n)),
+        modes=rng.normal(size=(h, n)) + 1j * rng.normal(size=(h, n)),
+        decode=np.zeros((h, 1)),
+    )
+    rows = PREDICT_CHUNK_BYTES // (16 * n)
+    length = rows * draw(st.integers(2, 3)) + draw(st.integers(1, rows))
+    steps = rng.integers(0, draw(st.sampled_from([3, 100, 3000])), length)
+    return triple, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(stable_batches())
+def test_batch_prediction_matches_per_step_expansion(case):
+    triple, steps = case
+    eigenvalues = triple.eigenvalues
+    phi = triple.eigenfunction_values[0]
+    values = predict(triple, 0, steps)
+    # With phi = 1 and the identity as modes, the prediction is the power
+    # table itself: every product and sum in the GEMM is exact.
+    n = triple.n_eigenvalues
+    table = predict(SpectralTriple(eigenvalues, np.ones((1, n)), np.eye(n),
+                                   np.zeros((n, 1))), 0, steps)
+    assert values.shape == (len(steps), triple.n_outputs)
+    # Per distinct step: the power lambda ** int(k) and the matvec.
+    # numpy evaluates ``lam ** 2`` with an int exponent as ``lam * lam``,
+    # which may round the last bit unlike the power every other k uses.
+    distinct, row_step = np.unique(steps, return_inverse=True)
+    powers = np.array([eigenvalues ** (complex(k) if k == 2 else k)
+                       for k in distinct.tolist()])
+    weights = powers * phi
+    expected = np.array([triple.modes @ w for w in weights])
+    scale = np.abs(weights) @ np.abs(triple.modes).T
+    if not np.iscomplexobj(table):
+        powers = powers.real
+    if not np.iscomplexobj(values):
+        expected = expected.real
+    assert np.array_equal(table, powers[row_step])
+    assert np.all(np.abs(values - expected[row_step])
+                  <= 8 * np.finfo(float).eps * scale[row_step])
 
 
 def test_mode_projection_needs_full_rank():
