@@ -11,6 +11,11 @@ and sorted by ``t``.  The observable dictionary is a JSON list of
 in model files and checked by ``predict``/``reduce`` so a model is never
 combined with a different dictionary.
 
+Each command reads a closed set of options (``_OPTIONS``) from its
+``--config`` JSON object.  A key the command does not read, a value of the
+wrong kind (such as a path that is not a string), and a config or
+dictionary file that is not UTF-8 JSON all exit 2.
+
 ``KOOP_THREADS`` caps BLAS/FFT parallelism; it is applied before the
 numerical libraries load, and explicitly set library-specific variables
 (e.g. ``OMP_NUM_THREADS``) still win.
@@ -25,7 +30,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
@@ -40,16 +44,28 @@ _THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-_TOLERANCE_KEYS = ("svd_tolerance", "zero_threshold", "closure_tol",
-                   "peak_threshold")
-_FLAG_KEYS = ("refine", "json_sidecar")
-# Each override flag sets one option per command it means something for;
-# the other commands reject it.
-_SCOPED_FLAGS = {
-    "--tol": {"fit": "svd_tolerance", "reduce": "svd_tolerance"},
-    "--threshold": {"reduce": "zero_threshold", "spectrum": "peak_threshold"},
+# What each command reads from its --config file, by kind: "input" (a
+# string naming an existing file), "output" (a string path), "positive" (a
+# number > 0), "flag" (true or false), "count" (an integer >= 0), or None
+# (checked where it is used).  Any other key is rejected.
+_OPTIONS = {
+    "fit": {"data": "input", "dictionary": "input", "out": "output",
+            "report": "output", "svd_tolerance": "positive",
+            "closure_tol": "positive", "json_sidecar": "flag"},
+    "predict": {"model": "input", "out": "output", "horizon": "count",
+                "x0": None},
+    "spectrum": {"data": "input", "out": "output", "column": None,
+                 "trajectory": None, "peak_threshold": "positive",
+                 "refine": "flag"},
+    "reduce": {"data": "input", "dictionary": "input", "model": "input",
+               "out": "output", "text_out": "output",
+               "svd_tolerance": "positive", "zero_threshold": "positive",
+               "closure_tol": "positive"},
 }
-_INPUT_PATH_KEYS = ("data", "dictionary", "model")
+# Each override flag sets whichever of its keys the command reads (no
+# command reads two); commands that read none of them reject the flag.
+_OVERRIDES = {"--tol": ("svd_tolerance",),
+              "--threshold": ("zero_threshold", "peak_threshold")}
 
 
 def _apply_thread_cap() -> None:
@@ -68,77 +84,70 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-@dataclass
-class RunConfig:
-    """Merged file + command-line options for one command."""
+def _read_json(path: Path, what: str):
+    """The JSON value in a UTF-8 file; any failure to read it exits 2."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
 
-    options: dict = field(default_factory=dict)
 
-    @classmethod
-    def load(cls, args) -> "RunConfig":
-        options: dict = {}
-        if args.config is not None:
-            path = Path(args.config)
-            if not path.is_file():
-                raise InputError(f"config file not found: {path}")
-            try:
-                loaded = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise InputError(f"config file {path} is not valid JSON: "
-                                 f"{exc}") from exc
-            if not isinstance(loaded, dict):
-                raise InputError("config file must hold a JSON object")
-            options.update(loaded)
-            # Relative paths in the config resolve against its directory.
-            base = path.parent
-            for key in _INPUT_PATH_KEYS + ("out", "report", "text_out"):
-                if isinstance(options.get(key), str):
-                    options[key] = str((base / options[key]))
-        for key in _TOLERANCE_KEYS:
-            if getattr(args, key, None) is not None:
-                options[key] = getattr(args, key)
-        if args.out is not None:
-            options["out"] = args.out
-        config = cls(options)
-        config._validate()
-        return config
-
-    def _validate(self) -> None:
-        for key in _TOLERANCE_KEYS:
-            if key in self.options:
-                self.tolerance(key, None)
-        for key in _FLAG_KEYS:
-            if key in self.options:
-                self.flag(key, None)
-        for key in _INPUT_PATH_KEYS:
-            value = self.options.get(key)
-            if isinstance(value, str) and not Path(value).is_file():
-                raise InputError(f"config option {key!r} references a "
-                                 f"missing file: {value}")
-
-    def require(self, key: str, kind: str = "option"):
-        if key not in self.options:
-            raise InputError(f"missing required {kind} {key!r} "
-                             f"(set it in the --config file)")
-        return self.options[key]
-
-    def get(self, key: str, default=None):
-        return self.options.get(key, default)
-
-    def tolerance(self, key: str, default: float) -> float:
-        value = self.options.get(key, default)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or value <= 0):
-            raise InputError(f"config option {key!r} must be a positive "
-                             f"number, got {value!r}")
-        return float(value)
-
-    def flag(self, key: str, default: bool) -> bool:
-        value = self.options.get(key, default)
-        if not isinstance(value, bool):
+def load_options(command: str, args) -> dict:
+    """The options of ``command``: its --config file, with relative paths
+    resolved against the file's directory, then the command-line
+    overrides, each key and value checked against its kind in _OPTIONS."""
+    kinds = _OPTIONS[command]
+    options: dict = {}
+    if args.config is not None:
+        path = Path(args.config)
+        if not path.is_file():
+            raise InputError(f"config file not found: {path}")
+        options = _read_json(path, "config file")
+        if not isinstance(options, dict):
+            raise InputError("config file must hold a JSON object")
+        for key in options:
+            if key in ("max_seed_size", "full_enumeration"):
+                raise InputError(f"config option {key!r} was removed: the "
+                                 f"closed-subset search is now exact")
+            if key not in kinds:
+                raise InputError(f"config option {key!r} is not read by "
+                                 f"{command}; it reads {', '.join(kinds)}")
+        for key, value in options.items():
+            if kinds[key] in ("input", "output") and isinstance(value, str):
+                options[key] = str(path.parent / value)
+    options.update((key, value) for key in kinds
+                   if (value := getattr(args, key, None)) is not None)
+    for key, value in options.items():
+        kind = kinds[key]
+        if kind in ("input", "output") and not isinstance(value, str):
+            raise InputError(f"config option {key!r} must be a path string, "
+                             f"got {value!r}")
+        if kind == "input" and not Path(value).is_file():
+            raise InputError(f"config option {key!r} references a "
+                             f"missing file: {value}")
+        if kind == "positive":
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or value <= 0):
+                raise InputError(f"config option {key!r} must be a positive "
+                                 f"number, got {value!r}")
+            options[key] = float(value)
+        if kind == "flag" and not isinstance(value, bool):
             raise InputError(f"config option {key!r} must be true or false, "
                              f"got {value!r}")
-        return value
+        if kind == "count" and (isinstance(value, bool)
+                                or not isinstance(value, int) or value < 0):
+            raise InputError(f"{key} must be a non-negative integer, "
+                             f"got {value!r}")
+    return options
+
+
+def _require(options: dict, key: str, what: str):
+    if key not in options:
+        raise InputError(f"missing required {what} {key!r} "
+                         f"(set it in the --config file)")
+    return options[key]
 
 
 @contextlib.contextmanager
@@ -258,16 +267,7 @@ def read_trajectories(path):
 def read_dictionary(path, n_features: int):
     from .dictionary import Dictionary
 
-    path = Path(path)
-    try:
-        entries = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read dictionary file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"dictionary file {path} is not valid JSON: "
-                         f"{exc}") from exc
-    if isinstance(entries, dict) and "observables" in entries:
-        entries = entries["observables"]
+    entries = _read_json(Path(path), "dictionary file")
     if not isinstance(entries, list):
         raise InputError(f"dictionary file {path} must hold a JSON list "
                          f"of observable entries")
@@ -290,31 +290,31 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-def _fit_pipeline(config: RunConfig, decode: bool):
+def _fit_pipeline(options: dict, decode: bool):
     """Shared fit path: data -> dictionary -> lifted pair -> matrix (with
     the decode map to the features if ``decode``)."""
     from .dictionary import features_at_columns, lift_trajectories
     from .edmd import DEFAULT_SVD_TOL, fit_koopman_matrix
 
     with _stage("reading data"):
-        data = read_trajectories(config.require("data", "input"))
+        data = read_trajectories(_require(options, "data", "input"))
     with _stage("reading dictionary"):
-        dictionary = read_dictionary(config.require("dictionary", "input"),
+        dictionary = read_dictionary(_require(options, "dictionary", "input"),
                                      data.n_features)
     with _stage("lifting"):
         lifted = lift_trajectories(dictionary, data)
         outputs = features_at_columns(data, lifted) if decode else None
     with _stage("fitting"):
-        tol = config.tolerance("svd_tolerance", DEFAULT_SVD_TOL)
+        tol = options.get("svd_tolerance", DEFAULT_SVD_TOL)
         fitted = fit_koopman_matrix(lifted, tol, outputs)
     return data, dictionary, lifted, fitted
 
 
-def cmd_fit(config: RunConfig) -> int:
+def cmd_fit(options: dict) -> int:
     from .model_io import _encode, complex_pairs, model_json
     from .spectral import ModelMetadata, build_spectral_triple, eigendecompose
 
-    data, dictionary, lifted, fitted = _fit_pipeline(config, decode=True)
+    data, dictionary, lifted, fitted = _fit_pipeline(options, decode=True)
     with _stage("eigendecomposition"):
         system = eigendecompose(fitted)
     metadata = ModelMetadata(
@@ -328,7 +328,7 @@ def cmd_fit(config: RunConfig) -> int:
 
     from .representation import DEFAULT_CLOSURE_TOL
 
-    closure_tol = config.tolerance("closure_tol", DEFAULT_CLOSURE_TOL)
+    closure_tol = options.get("closure_tol", DEFAULT_CLOSURE_TOL)
     report = {
         "command": "fit",
         "n_observables": fitted.dim,
@@ -349,13 +349,13 @@ def cmd_fit(config: RunConfig) -> int:
         "biorthogonality_error": system.biorthogonality_error,
     }
 
-    model_path = config.require("out", "output path")
+    model_path = _require(options, "out", "output path")
     with _stage("serializing model"):
         pending = [(model_path, _encode(triple))]
-        if config.flag("json_sidecar", False):
+        if options.get("json_sidecar", False):
             pending.append((str(model_path) + ".json",
                             model_json(triple).encode()))
-    report_path = config.get("report")
+    report_path = options.get("report")
     if report_path:
         pending.append((report_path, (json.dumps(report, sort_keys=True,
                                                  indent=2) + "\n").encode()))
@@ -402,19 +402,16 @@ def _resolve_x0(triple, selector) -> int:
     raise InputError(f"x0 selector must be an id or index, got {selector!r}")
 
 
-def cmd_predict(config: RunConfig) -> int:
+def cmd_predict(options: dict) -> int:
     import numpy as np
 
     from .model_io import load_model
     from .spectral import predict
 
     with _stage("loading model"):
-        triple = load_model(config.require("model", "input"))
-    horizon = config.get("horizon", 10)
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-        raise InputError(f"horizon must be a non-negative integer, "
-                         f"got {horizon!r}")
-    x0 = _resolve_x0(triple, config.get("x0", 0))
+        triple = load_model(_require(options, "model", "input"))
+    horizon = options.get("horizon", 10)
+    x0 = _resolve_x0(triple, options.get("x0", 0))
 
     names = triple.metadata.output_names or tuple(
         f"y{i}" for i in range(triple.n_outputs)
@@ -433,7 +430,7 @@ def cmd_predict(config: RunConfig) -> int:
     text = _csv_text(["k", *names], ()) + "".join(
         row % (k, *v) for k, v in enumerate(values.real.tolist()))
 
-    out = config.get("out")
+    out = options.get("out")
     if out:
         _publish([(out, text.encode())])
         print(f"wrote {horizon + 1} prediction rows to {out}")
@@ -442,16 +439,16 @@ def cmd_predict(config: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(options: dict) -> int:
     from .harmonic import find_eigenfrequencies
 
     with _stage("reading data"):
-        data = read_trajectories(config.require("data", "input"))
-    column = config.require("column", "series selector")
+        data = read_trajectories(_require(options, "data", "input"))
+    column = _require(options, "column", "series selector")
     if column not in data.feature_names:
         raise InputError(f"column {column!r} not in data "
                          f"(features: {list(data.feature_names)})")
-    traj_id = config.get("trajectory")
+    traj_id = options.get("trajectory")
     if traj_id is None:
         if len(data.trajectory_ids) > 1:
             raise InputError("data holds multiple trajectories; select one "
@@ -461,8 +458,8 @@ def cmd_spectrum(config: RunConfig) -> int:
         trajectory = data.trajectory(traj_id)
         series = trajectory.feature_series(data.feature_index(column))
 
-    threshold = config.tolerance("peak_threshold", 0.1)
-    refine = config.flag("refine", True)
+    threshold = options.get("peak_threshold", 0.1)
+    refine = options.get("refine", True)
     with _stage("analyzing spectrum"):
         peaks = find_eigenfrequencies(series, peak_threshold=threshold,
                                       refine=refine)
@@ -475,7 +472,7 @@ def cmd_spectrum(config: RunConfig) -> int:
          "average_re", "average_im"],
         rows,
     )
-    out = config.get("out")
+    out = options.get("out")
     if out:
         _publish([(out, text.encode())])
         print(f"wrote {len(peaks)} detected frequencies to {out}")
@@ -484,17 +481,13 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
-def cmd_reduce(config: RunConfig) -> int:
+def cmd_reduce(options: dict) -> int:
     from .model_io import load_model
     from .representation import (DEFAULT_CLOSURE_TOL, DEFAULT_ZERO_THRESHOLD,
                                  analyze_representation)
 
-    for key in ("max_seed_size", "full_enumeration"):
-        if key in config.options:
-            raise InputError(f"config option {key!r} was removed: the "
-                             f"closed-subset search is now exact")
-    data, dictionary, lifted, fitted = _fit_pipeline(config, decode=False)
-    model_path = config.get("model")
+    data, dictionary, lifted, fitted = _fit_pipeline(options, decode=False)
+    model_path = options.get("model")
     if model_path:
         with _stage("loading model"):
             triple = load_model(model_path)
@@ -504,11 +497,11 @@ def cmd_reduce(config: RunConfig) -> int:
                 "fitted with a different dictionary configuration)"
             )
 
-    threshold = config.tolerance("zero_threshold", DEFAULT_ZERO_THRESHOLD)
-    closure_tol = config.tolerance("closure_tol", DEFAULT_CLOSURE_TOL)
+    threshold = options.get("zero_threshold", DEFAULT_ZERO_THRESHOLD)
+    closure_tol = options.get("closure_tol", DEFAULT_CLOSURE_TOL)
     with _stage("analyzing representation"):
-        report = analyze_representation(fitted, dictionary, threshold,
-                                        closure_tol, lifted)
+        report = analyze_representation(fitted, dictionary, lifted,
+                                        threshold, closure_tol)
 
     doc = report.as_dict()
     doc.update({
@@ -519,13 +512,13 @@ def cmd_reduce(config: RunConfig) -> int:
         "row_residuals": {oid: float(fitted.row_residuals[i])
                           for i, oid in enumerate(dictionary.ids)},
     })
-    out = config.get("out")
+    out = options.get("out")
     pending = []
     if out:
         pending.append((out, (json.dumps(doc, sort_keys=True,
                                          indent=2) + "\n").encode()))
-    if config.get("text_out"):
-        pending.append((config.get("text_out"),
+    if options.get("text_out"):
+        pending.append((options["text_out"],
                         (report.narrative + "\n").encode()))
     _publish(pending)
     print(report.narrative)
@@ -558,10 +551,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text[name])
         p.add_argument("--config", metavar="PATH",
                        help="JSON file with inputs and options")
-        for flag, keys in _SCOPED_FLAGS.items():
-            if name in keys:
-                p.add_argument(flag, type=float, metavar="X", dest=keys[name],
-                               help=f"sets {keys[name]}")
+        for flag, keys in _OVERRIDES.items():
+            for key in keys:
+                if key in _OPTIONS[name]:
+                    p.add_argument(flag, type=float, metavar="X", dest=key,
+                                   help=f"sets {key}")
         p.add_argument("--out", metavar="PATH",
                        help="primary output path")
     return parser
@@ -571,8 +565,7 @@ def main(argv=None) -> int:
     try:
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)
-        config = RunConfig.load(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](load_options(args.command, args))
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

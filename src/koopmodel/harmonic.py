@@ -32,21 +32,6 @@ class FrequencySpectrum:
     amplitudes: np.ndarray
     series_length: int
 
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=float)
-        if freqs.shape != amps.shape or freqs.ndim != 1:
-            raise InputError("frequencies and amplitudes must be matching "
-                             "1-D arrays")
-        if freqs.size and (freqs[0] < 0 or freqs[-1] > 0.5):
-            raise InputError("frequencies must lie in [0, 0.5]")
-        if freqs.size > 1 and np.any(np.diff(freqs) <= 0):
-            raise InputError("frequencies must be strictly increasing")
-        if not np.all(np.isfinite(amps)) or np.any(amps < 0):
-            raise InputError("amplitudes must be finite and non-negative")
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "amplitudes", amps)
-
 
 @dataclass(frozen=True)
 class EigenFrequency:

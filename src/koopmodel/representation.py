@@ -67,8 +67,6 @@ def zero_pattern(fitted: KoopmanMatrix,
                  closure_tol: float = DEFAULT_CLOSURE_TOL) -> ZeroPattern:
     """Threshold a fitted matrix into a boolean mask plus the rows whose
     fit residual is below ``closure_tol``."""
-    if threshold <= 0:
-        raise InputError(f"threshold must be > 0, got {threshold}")
     residuals = np.asarray(fitted.row_residuals, dtype=float)
     if residuals.shape != (fitted.dim,):
         raise ShapeMismatchError(
@@ -235,17 +233,11 @@ class RepresentationReport:
 
 
 def _subset_is_linear(fitted: KoopmanMatrix, pattern: ZeroPattern,
-                      dictionary: Dictionary, subset,
-                      lifted: LiftedPair | None,
+                      dictionary: Dictionary, subset, lifted: LiftedPair,
                       closure_tol: float) -> bool:
     indices = [dictionary.index_of(oid) for oid in subset]
     if any(i not in pattern.closed_rows for i in indices):
         return False
-    if lifted is None:
-        # Without the lifted data we cannot test the restricted update
-        # numerically; require every row's support to stay inside the
-        # subset itself so the restriction is the full row.
-        return not np.delete(pattern.mask[indices], indices, axis=1).any()
     sub = fitted.matrix[np.ix_(indices, indices)]
     shifted = lifted.shifted[indices, :]
     misfit = shifted - sub @ lifted.current[indices, :]
@@ -273,16 +265,16 @@ def _narrate(subsets, truncated: bool, n_features: int) -> str:
 
 
 def analyze_representation(fitted: KoopmanMatrix, dictionary: Dictionary,
+                           lifted: LiftedPair,
                            zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                           closure_tol: float = DEFAULT_CLOSURE_TOL,
-                           lifted: LiftedPair | None = None
+                           closure_tol: float = DEFAULT_CLOSURE_TOL
                            ) -> RepresentationReport:
     """Classify the smallest generators of every class of closed subsets
     (:func:`closed_subsets`, exact up to its class cap) as linear or
     nonlinear.  A subset is linear when all member rows are numerically
     closed *and* the sub-matrix restricted to the subset reproduces the
-    members' one-step-ahead data within the closure tolerance (checked
-    against ``lifted`` when given, structurally otherwise).  Subsets whose
+    members' one-step-ahead data in ``lifted`` within the closure
+    tolerance.  Subsets whose
     closure leans on declared functional dependence are nonlinear.
     Faithful means the generators involve every raw feature.
     """

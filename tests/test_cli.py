@@ -223,6 +223,72 @@ def test_malformed_config_json_exits_2(tmp_path):
     assert run(["fit", "--config", tmp_path / "cfg.json"]) == 2
 
 
+def test_non_utf8_config_exits_2(workspace, capsys):
+    (workspace / "fit.json").write_bytes(b"\xff\xfe[")
+    assert run(["fit", "--config", workspace / "fit.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file "
+                          f"{workspace / 'fit.json'}: ")
+    assert not (workspace / "model.bin").exists()
+
+
+# The options each command reads, as the README lists them.
+ACCEPTED_KEYS = {
+    "fit": {"data", "dictionary", "out", "report", "svd_tolerance",
+            "closure_tol", "json_sidecar"},
+    "predict": {"model", "out", "horizon", "x0"},
+    "spectrum": {"data", "out", "column", "trajectory", "peak_threshold",
+                 "refine"},
+    "reduce": {"data", "dictionary", "model", "out", "text_out",
+               "svd_tolerance", "zero_threshold", "closure_tol"},
+}
+# A valid config per command (predict needs a fitted model.bin), and one
+# bad key of each kind per command.
+VALID_CONFIG = {
+    "fit": {"data": "data.csv", "dictionary": "dict.json", "out": "out.bin"},
+    "predict": {"model": "model.bin", "out": "out.bin"},
+    "spectrum": {"data": "data.csv", "column": "x", "trajectory": "traj00",
+                 "out": "out.bin"},
+    "reduce": {"data": "data.csv", "dictionary": "dict.json",
+               "out": "out.bin"},
+}
+BAD_KEYS = {
+    "fit": {"misspelt": ("svd_tol", 0.5), "foreign": ("horizon", 5),
+            "input": ("data", 5)},
+    "predict": {"misspelt": ("horizn", 5), "foreign": ("svd_tolerance", 0.5),
+                "input": ("model", 5)},
+    "spectrum": {"misspelt": ("peak_treshold", 0.5),
+                 "foreign": ("dictionary", "dict.json"),
+                 "input": ("data", 5)},
+    "reduce": {"misspelt": ("zero_treshold", 0.5), "foreign": ("column", "x"),
+               "input": ("dictionary", 5)},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+def test_each_command_reads_a_closed_set_of_options(workspace, capsys,
+                                                    command):
+    write_json(workspace / "cfg.json", {"unknown": 1})
+    assert run([command, "--config", workspace / "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"'unknown' is not read by {command}; it reads " in err
+    listed = err.rstrip("\n").rsplit("it reads ", 1)[1].split(", ")
+    assert set(listed) == ACCEPTED_KEYS[command]
+
+
+@pytest.mark.parametrize("case", ["misspelt", "foreign", "input", "output"])
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+def test_bad_option_exits_2_naming_it_without_output(workspace, capsys,
+                                                     command, case):
+    if command == "predict":
+        assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    key, value = ("out", 7) if case == "output" else BAD_KEYS[command][case]
+    write_json(workspace / "cfg.json", {**VALID_CONFIG[command], key: value})
+    assert run([command, "--config", workspace / "cfg.json"]) == 2
+    assert f"config option {key!r} " in capsys.readouterr().err
+    assert not (workspace / "out.bin").exists()
+
+
 # -- malformed data ----------------------------------------------------------
 
 # Each case is one fault in an otherwise valid file, with the message the
@@ -284,10 +350,7 @@ def test_malformed_csv_exits_2_with_message(tmp_path, capsys, case):
     ("spectrum", "peak_threshold"),
 ])
 def test_boolean_tolerance_exits_2(workspace, capsys, command, key):
-    write_json(workspace / "cfg.json", {
-        "data": "data.csv", "dictionary": "dict.json", "column": "x",
-        "trajectory": "traj00", "out": "out.bin", key: True,
-    })
+    write_json(workspace / "cfg.json", {**VALID_CONFIG[command], key: True})
     assert run([command, "--config", workspace / "cfg.json"]) == 2
     assert f"{key!r} must be a positive number, got True" in (
         capsys.readouterr().err)
@@ -301,10 +364,7 @@ def test_boolean_tolerance_exits_2(workspace, capsys, command, key):
 ])
 @pytest.mark.parametrize("value", ["false", 1, None])
 def test_non_boolean_flag_exits_2(workspace, capsys, command, key, value):
-    write_json(workspace / "cfg.json", {
-        "data": "data.csv", "dictionary": "dict.json", "column": "x",
-        "trajectory": "traj00", "out": "out.bin", key: value,
-    })
+    write_json(workspace / "cfg.json", {**VALID_CONFIG[command], key: value})
     assert run([command, "--config", workspace / "cfg.json"]) == 2
     # full_enumeration is gone: any value is rejected as a removed option.
     expected = (f"{key!r} was removed" if key == "full_enumeration"
@@ -364,6 +424,21 @@ def test_malformed_dictionary_entry_exits_2(workspace, capsys):
     ])
     assert run(["fit", "--config", workspace / "fit.json"]) == 2
     assert "params must be an object" in capsys.readouterr().err
+    assert not (workspace / "model.bin").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"\xff\xfe[", "cannot read dictionary file", id="non-utf8"),
+    pytest.param(json.dumps({"observables": WORKED_DICT_ENTRIES}).encode(),
+                 "must hold a JSON list", id="object"),
+])
+def test_unreadable_dictionary_file_exits_2(workspace, capsys, content,
+                                            message):
+    (workspace / "dict.json").write_bytes(content)
+    assert run(["fit", "--config", workspace / "fit.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"dictionary file {workspace / 'dict.json'}" in err
+    assert message in err
     assert not (workspace / "model.bin").exists()
 
 

@@ -11,6 +11,7 @@ from koopmodel import (
     Dictionary,
     InputError,
     KoopmanMatrix,
+    LiftedPair,
     ShapeMismatchError,
     ZeroPattern,
     analyze_representation,
@@ -140,7 +141,10 @@ def test_more_classes_than_the_cap_sets_truncation_flag():
     found = closed_subsets(zero_pattern(fitted), dic)
     assert found.truncated
     assert 0 < len(found.subsets) <= 512
-    report = analyze_representation(fitted, dic)
+    current = np.random.default_rng(3).normal(size=(10, 20))
+    lifted = LiftedPair(current=current, shifted=0.9 * current,
+                        x0_columns=(0,))
+    report = analyze_representation(fitted, dic, lifted)
     assert report.truncated
     assert "More than 512 classes" in report.narrative
 
@@ -314,13 +318,6 @@ def test_worked_example_report(worked_fit, worked_dict):
     assert "1-dimensional nonlinear representation generated by x" \
         in report.narrative
     assert "faithful" in report.narrative
-
-
-def test_worked_example_report_without_lifted_data(worked_fit, worked_dict):
-    _, _, fitted, _ = worked_fit
-    report = analyze_representation(fitted, worked_dict)
-    kinds = {s.observable_ids: s.kind for s in report.subsets}
-    assert kinds == {("x",): "nonlinear", ("x", "y"): "nonlinear"}
 
 
 def test_exactly_linear_system_is_one_faithful_linear_block():
