@@ -28,6 +28,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 from operator import itemgetter
@@ -46,8 +47,8 @@ _THREAD_VARS = (
 
 # What each command reads from its --config file, by kind: "input" (a
 # string naming an existing file), "output" (a string path), "positive" (a
-# number > 0), "flag" (true or false), "count" (an integer >= 0), or None
-# (checked where it is used).  Any other key is rejected.
+# finite double > 0), "flag" (true or false), "count" (an integer >= 0), or
+# None (checked where it is used).  Any other key is rejected.
 _OPTIONS = {
     "fit": {"data": "input", "dictionary": "input", "out": "output",
             "report": "output", "svd_tolerance": "positive",
@@ -90,8 +91,20 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _finite_double(value) -> float | None:
+    """``value`` as a finite double, or None if it is not a JSON number or
+    is infinite, NaN or beyond the double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    return number if math.isfinite(number) else None
 
 
 def load_options(command: str, args) -> dict:
@@ -128,11 +141,12 @@ def load_options(command: str, args) -> dict:
             raise InputError(f"config option {key!r} references a "
                              f"missing file: {value}")
         if kind == "positive":
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or value <= 0):
+            number = _finite_double(value)
+            if number is None or number <= 0:
                 raise InputError(f"config option {key!r} must be a positive "
-                                 f"number, got {value!r}")
-            options[key] = float(value)
+                                 f"number, got {value!r} (a finite double "
+                                 f"> 0 is required)")
+            options[key] = number
         if kind == "flag" and not isinstance(value, bool):
             raise InputError(f"config option {key!r} must be true or false, "
                              f"got {value!r}")
@@ -487,6 +501,7 @@ def cmd_reduce(options: dict) -> int:
                                  analyze_representation)
 
     data, dictionary, lifted, fitted = _fit_pipeline(options, decode=False)
+    del data, lifted  # the fit's factor is all the analysis reads of them
     model_path = options.get("model")
     if model_path:
         with _stage("loading model"):
@@ -500,8 +515,8 @@ def cmd_reduce(options: dict) -> int:
     threshold = options.get("zero_threshold", DEFAULT_ZERO_THRESHOLD)
     closure_tol = options.get("closure_tol", DEFAULT_CLOSURE_TOL)
     with _stage("analyzing representation"):
-        report = analyze_representation(fitted, dictionary, lifted,
-                                        threshold, closure_tol)
+        report = analyze_representation(fitted, dictionary, threshold,
+                                        closure_tol)
 
     doc = report.as_dict()
     doc.update({

@@ -350,6 +350,7 @@ class Dictionary:
             )
         m = values.shape[0]
         series: dict[str, np.ndarray] = {}
+        powers: dict[tuple[int, int], np.ndarray] = {}
         out = np.full((len(self.observables), m), np.nan)
 
         def feature_or_series(refv) -> np.ndarray:
@@ -370,7 +371,9 @@ class Dictionary:
                     s = np.ones(m)
                     for i, e in enumerate(p["exponents"]):
                         if e:
-                            s = s * values[:, i] ** e
+                            if (i, e) not in powers:
+                                powers[i, e] = values[:, i] ** e
+                            s = s * powers[i, e]
                 elif obs.kind == "delay":
                     base = series[p["of"]]
                     d = p["lag"]
@@ -428,7 +431,8 @@ class LiftedPair:
 
 def lift_trajectories(dictionary: Dictionary,
                       data: TrajectorySet) -> LiftedPair:
-    """Build the lifted pair over all trajectories, concatenated in order.
+    """Build the lifted pair over all trajectories, in order, each written
+    straight into its columns.
 
     Columns are time ordered within each trajectory; the last snapshot of
     one trajectory is never paired with the first of the next. Trajectories
@@ -446,19 +450,16 @@ def lift_trajectories(dictionary: Dictionary,
             f"trajectories too short to lift with delay depth {lag}: "
             f"{too_short}"
         )
-    blocks_g, blocks_gp, x0_columns = [], [], []
-    columns = 0
-    for traj in data.trajectories:
+    stops = np.cumsum([len(t) - 1 - lag for t in data.trajectories])
+    starts = [0, *stops[:-1].tolist()]
+    current = np.empty((len(dictionary), int(stops[-1])))
+    shifted = np.empty_like(current)
+    for traj, start, stop in zip(data.trajectories, starts, stops):
         lifted = dictionary.evaluate(traj.values)[:, lag:]
-        blocks_g.append(lifted[:, :-1])
-        blocks_gp.append(lifted[:, 1:])
-        x0_columns.append(columns)
-        columns += lifted.shape[1] - 1
-    return LiftedPair(
-        current=np.concatenate(blocks_g, axis=1),
-        shifted=np.concatenate(blocks_gp, axis=1),
-        x0_columns=tuple(x0_columns),
-    )
+        current[:, start:stop] = lifted[:, :-1]
+        shifted[:, start:stop] = lifted[:, 1:]
+    return LiftedPair(current=current, shifted=shifted,
+                      x0_columns=tuple(starts))
 
 
 def dependence_closure(dictionary: Dictionary,

@@ -1,8 +1,15 @@
 """Least-squares fit of the finite-section operator matrix.
 
 The fitted matrix is the minimal-Frobenius-norm minimizer of
-``||shifted - B @ current||``, obtained through an SVD-based Moore-Penrose
-pseudoinverse with a relative singular-value cutoff.
+``||shifted - B @ current||``.  The fit folds the K x (2d + h) matrix
+``[current; shifted; outputs]^T`` block by block into its triangular QR
+factor ``R`` (TSQR), so its memory grows with the block size and d, not
+with K.  With ``Rc``, ``Rs``, ``Ro`` the column blocks of ``R``, the
+orthonormal factor drops out of every quantity: ``current`` and ``Rc`` share
+their singular values (hence the rank and the condition number),
+``B = (pinv(Rc) @ Rs)^T``, the decode map is ``(pinv(Rc) @ Ro)^T`` and the
+misfit's row norms are the column norms of ``Rs - Rc @ B^T``.  The
+pseudoinverse is SVD-based with a relative singular-value cutoff.
 """
 
 from __future__ import annotations
@@ -16,6 +23,10 @@ from .errors import ShapeMismatchError
 
 DEFAULT_SVD_TOL = 1e-10
 
+# Bytes of lifted data folded into the triangular factor at a time: 390
+# snapshot pairs at d=83, h=2, and never fewer than 2d + h.
+FIT_BLOCK_BYTES = 512 * 1024
+
 
 @dataclass(frozen=True)
 class KoopmanMatrix:
@@ -26,6 +37,12 @@ class KoopmanMatrix:
     ``||misfit_row|| / max(1, ||shifted_row||)``: rows with an exact linear
     closure report ~0, rows whose one-step evolution leaves the
     dictionary's linear span report strictly positive values.
+
+    ``factor`` is the triangular factor ``R`` the fit folded the data into,
+    of shape (min(K, 2d + h), 2d + h): columns ``[:d]`` are ``Rc``,
+    ``[d:2d]`` ``Rs`` and the rest ``Ro``.  It stands in for the lifted
+    data wherever only inner products of its rows are needed; it is None
+    for a matrix that was not fitted from data.
     """
 
     matrix: np.ndarray
@@ -35,6 +52,7 @@ class KoopmanMatrix:
     condition_number: float
     row_residuals: np.ndarray
     decode: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -71,17 +89,32 @@ def pseudoinverse(matrix: np.ndarray, tol: float = DEFAULT_SVD_TOL) -> np.ndarra
     return pinv
 
 
-def _row_residuals(misfit: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """Per-row ``||misfit_row|| / max(1, ||shifted_row||)``."""
-    return (np.linalg.norm(misfit, axis=1)
-            / np.maximum(1.0, np.linalg.norm(shifted, axis=1)))
+def _relative_misfit(misfit: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-column ``||misfit_col|| / max(1, ||target_col||)``: in ``R``
+    space, the columns are the rows of the data."""
+    return (np.linalg.norm(misfit, axis=0)
+            / np.maximum(1.0, np.linalg.norm(target, axis=0)))
+
+
+def _fold(blocks) -> np.ndarray:
+    """Triangular factor of ``concatenate(blocks).T``, folded from row
+    blocks of about FIT_BLOCK_BYTES so no array spans the data length."""
+    width = sum(len(b) for b in blocks)
+    step = max(width, FIT_BLOCK_BYTES // (8 * width))
+    r = np.empty((0, width))
+    for start in range(0, blocks[0].shape[1], step):
+        block = np.concatenate([b[:, start:start + step] for b in blocks]).T
+        r = np.linalg.qr(np.concatenate([r, block]), mode="r")
+    return r
 
 
 def fit_koopman_matrix(lifted: LiftedPair, tol: float = DEFAULT_SVD_TOL,
                        outputs: np.ndarray | None = None) -> KoopmanMatrix:
     """Fit ``matrix = shifted @ pinv(current)`` and report the residual;
     given (h, K) ``outputs``, the same pseudoinverse gives the decode map
-    ``outputs @ pinv(current)``."""
+    ``outputs @ pinv(current)``.  Everything comes from the triangular
+    factor of the stacked data (see the module docstring)."""
+    blocks = [lifted.current, lifted.shifted]
     if outputs is not None:
         outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
         if outputs.shape[1] != lifted.n_columns:
@@ -89,16 +122,20 @@ def fit_koopman_matrix(lifted: LiftedPair, tol: float = DEFAULT_SVD_TOL,
                 f"outputs have {outputs.shape[1]} columns, lifted data has "
                 f"{lifted.n_columns}"
             )
-    pinv, rank, cond = _svd_pseudoinverse(lifted.current, tol)
-    matrix = lifted.shifted @ pinv
-    misfit = lifted.shifted - matrix @ lifted.current
+        blocks.append(outputs)
+    d = lifted.n_observables
+    factor = _fold(blocks)
+    rc, rs, ro = factor[:, :d], factor[:, d:2 * d], factor[:, 2 * d:]
+    pinv, rank, cond = _svd_pseudoinverse(rc, tol)
+    coefficients = pinv @ rs  # matrix.T
+    misfit = rs - rc @ coefficients
     return KoopmanMatrix(
-        matrix=matrix,
+        matrix=coefficients.T,
         fit_residual=float(np.linalg.norm(misfit)),
         rank_used=rank,
         svd_tolerance=float(tol),
         condition_number=cond,
-        row_residuals=_row_residuals(misfit, lifted.shifted),
-        decode=None if outputs is None else outputs @ pinv,
+        row_residuals=_relative_misfit(misfit, rs),
+        decode=None if outputs is None else (pinv @ ro).T,
+        factor=factor,
     )
-

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, LiftedPair, generator_features
-from .edmd import KoopmanMatrix, _row_residuals
+from .dictionary import Dictionary, generator_features
+from .edmd import KoopmanMatrix, _relative_misfit
 from .errors import InputError, ShapeMismatchError
 
 DEFAULT_ZERO_THRESHOLD = 0.05
@@ -233,15 +233,20 @@ class RepresentationReport:
 
 
 def _subset_is_linear(fitted: KoopmanMatrix, pattern: ZeroPattern,
-                      dictionary: Dictionary, subset, lifted: LiftedPair,
+                      dictionary: Dictionary, subset,
                       closure_tol: float) -> bool:
+    """Whether the members' rows are closed and the sub-matrix on the
+    subset reproduces their one-step-ahead data: the relative misfit of
+    ``shifted[S] - A[S, S] @ current[S]``, read from the fit's factor as
+    the columns of ``Rs[:, S] - Rc[:, S] @ A[S, S]^T``."""
     indices = [dictionary.index_of(oid) for oid in subset]
     if any(i not in pattern.closed_rows for i in indices):
         return False
     sub = fitted.matrix[np.ix_(indices, indices)]
-    shifted = lifted.shifted[indices, :]
-    misfit = shifted - sub @ lifted.current[indices, :]
-    return bool(np.all(_row_residuals(misfit, shifted) < closure_tol))
+    rc = fitted.factor[:, indices]
+    rs = fitted.factor[:, [fitted.dim + i for i in indices]]
+    misfit = rs - rc @ sub.T
+    return bool(np.all(_relative_misfit(misfit, rs) < closure_tol))
 
 
 def _narrate(subsets, truncated: bool, n_features: int) -> str:
@@ -265,7 +270,6 @@ def _narrate(subsets, truncated: bool, n_features: int) -> str:
 
 
 def analyze_representation(fitted: KoopmanMatrix, dictionary: Dictionary,
-                           lifted: LiftedPair,
                            zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
                            closure_tol: float = DEFAULT_CLOSURE_TOL
                            ) -> RepresentationReport:
@@ -273,11 +277,14 @@ def analyze_representation(fitted: KoopmanMatrix, dictionary: Dictionary,
     (:func:`closed_subsets`, exact up to its class cap) as linear or
     nonlinear.  A subset is linear when all member rows are numerically
     closed *and* the sub-matrix restricted to the subset reproduces the
-    members' one-step-ahead data in ``lifted`` within the closure
-    tolerance.  Subsets whose
-    closure leans on declared functional dependence are nonlinear.
-    Faithful means the generators involve every raw feature.
+    members' one-step-ahead data within the closure tolerance, as read
+    from the fit's triangular factor.  Subsets whose closure leans on
+    declared functional dependence are nonlinear.  Faithful means the
+    generators involve every raw feature.
     """
+    if fitted.factor is None:
+        raise ShapeMismatchError("representation analysis needs the "
+                                 "factor of a matrix fitted from data")
     pattern = zero_pattern(fitted, zero_threshold, closure_tol)
     enumeration = closed_subsets(pattern, dictionary)
     all_features = frozenset(range(dictionary.n_features))
@@ -285,7 +292,7 @@ def analyze_representation(fitted: KoopmanMatrix, dictionary: Dictionary,
     for subset in enumeration.subsets:
         feats = generator_features(dictionary, set(subset))
         linear = _subset_is_linear(fitted, pattern, dictionary, subset,
-                                   lifted, closure_tol)
+                                   closure_tol)
         entries.append(RepresentationSubset(
             observable_ids=subset,
             generator_features=tuple(sorted(feats)),

@@ -28,6 +28,7 @@ from koopmodel import (
     fit_koopman_matrix,
     lift_trajectories,
 )
+from koopmodel.edmd import FIT_BLOCK_BYTES
 
 WORKED_SEED = 20240817
 
@@ -91,6 +92,12 @@ def simulate_linear(matrix: np.ndarray, initial_states: np.ndarray,
         trajectories.append(Trajectory(rows, id=f"lin{i}"))
     return TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=tuple(f"x{i}" for i in range(dim)))
+
+
+def fold_rows(width: int) -> int:
+    """Snapshot pairs per fold of the fit for ``width`` = 2d + h stacked
+    rows: FIT_BLOCK_BYTES of doubles, and never fewer than ``width``."""
+    return max(width, FIT_BLOCK_BYTES // (8 * width))
 
 
 def fit_pipeline(data: TrajectorySet, dictionary: Dictionary):

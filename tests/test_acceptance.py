@@ -321,10 +321,10 @@ def test_criterion_7_report_determinism(seed, threshold):
     matrix = random_contraction(rng, dim=dim, max_radius=0.9)
     data = simulate_linear(matrix, rng.uniform(-1.0, 1.0, (2, dim)), 10)
     dictionary = identity_dictionary(dim)
-    lifted, _, fitted, _ = fit_pipeline(data, dictionary)
+    _, _, fitted, _ = fit_pipeline(data, dictionary)
     first = analyze_representation(fitted, dictionary,
-                                   zero_threshold=threshold, lifted=lifted)
+                                   zero_threshold=threshold)
     second = analyze_representation(fitted, dictionary,
-                                    zero_threshold=threshold, lifted=lifted)
+                                    zero_threshold=threshold)
     assert first.as_dict() == second.as_dict()
     assert first.narrative == second.narrative

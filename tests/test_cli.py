@@ -105,20 +105,35 @@ def test_fit_publishing_error_exits_2_and_changes_no_output(workspace, capsys,
 
 
 def test_fit_factorizes_the_lifted_data_once(workspace, monkeypatch):
-    # The matrix, condition number, decode map and modes all come from one
-    # SVD of ``current``; the eigendecomposition of the d x d matrix is not
-    # a factorization of the data.
-    sides = []
-    svd = np.linalg.svd
+    # The lifted data is folded into one triangular factor: each QR call
+    # takes the factor so far plus fresh data rows, every data row enters
+    # exactly one call, and no SVD sees a side as long as the data.  The
+    # 20 x 450 rows make 8,980 pairs, more than one 8,192-row fold of
+    # 2d + h = 8 columns.
+    write_data_csv(workspace / "data.csv",
+                   simulate_worked_example(n_steps=450))
+    svd_sides, qr_rows = [], []
+    svd, qr = np.linalg.svd, np.linalg.qr
 
-    def counting_svd(matrix, *args, **kwargs):
-        sides.append(max(np.shape(matrix)))
+    def recording_svd(matrix, *args, **kwargs):
+        svd_sides.append(max(np.shape(matrix)))
         return svd(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    def recording_qr(matrix, *args, **kwargs):
+        factor = qr(matrix, *args, **kwargs)
+        qr_rows.append((np.shape(matrix)[0], np.shape(factor)[0]))
+        return factor
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
     assert run(["fit", "--config", workspace / "fit.json"]) == 0
-    report = json.loads((workspace / "fit_report.json").read_text())
-    assert sum(side >= report["n_snapshot_pairs"] for side in sides) == 1
+    pairs = json.loads(
+        (workspace / "fit_report.json").read_text())["n_snapshot_pairs"]
+    assert pairs == 20 * 449
+    fresh = [rows - previous for (rows, _), previous
+             in zip(qr_rows, [0] + [out for _, out in qr_rows[:-1]])]
+    assert len(fresh) >= 2 and min(fresh) > 0 and sum(fresh) == pairs
+    assert svd_sides and max(svd_sides) < pairs
 
 
 def test_fit_empty_csv_exits_2_without_outputs(workspace, capsys):
@@ -354,6 +369,38 @@ def test_boolean_tolerance_exits_2(workspace, capsys, command, key):
     assert run([command, "--config", workspace / "cfg.json"]) == 2
     assert f"{key!r} must be a positive number, got True" in (
         capsys.readouterr().err)
+    assert not (workspace / "out.bin").exists()
+
+
+@pytest.mark.parametrize("command,key", [
+    ("fit", "svd_tolerance"),
+    ("reduce", "closure_tol"),
+    ("spectrum", "peak_threshold"),
+])
+@pytest.mark.parametrize("literal", ["9" * 400, "1e999", "-0.0", "NaN"])
+def test_positive_option_must_be_a_finite_double(workspace, capsys, command,
+                                                 key, literal):
+    # A 400-digit integer has no double, 1e999 parses as inf and -0.0 is
+    # not > 0; the JSON literal is written as is.
+    config = json.dumps(VALID_CONFIG[command])[:-1] + f', "{key}": {literal}}}'
+    (workspace / "cfg.json").write_text(config)
+    assert run([command, "--config", workspace / "cfg.json"]) == 2
+    assert f"config option {key!r} must be a positive number" in (
+        capsys.readouterr().err)
+    assert not (workspace / "out.bin").exists()
+
+
+def test_infinite_tol_flag_and_overlong_integer_exit_2(workspace, capsys):
+    write_json(workspace / "cfg.json", VALID_CONFIG["fit"])
+    assert run(["fit", "--config", workspace / "cfg.json",
+                "--tol", "inf"]) == 2
+    assert "'svd_tolerance' must be a positive number, got inf" in (
+        capsys.readouterr().err)
+    # Past Python's 4,300-digit limit json itself refuses the integer.
+    (workspace / "cfg.json").write_text('{"svd_tolerance": ' + "9" * 5000
+                                        + "}")
+    assert run(["fit", "--config", workspace / "cfg.json"]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
     assert not (workspace / "out.bin").exists()
 
 

@@ -1,5 +1,6 @@
 """Observable dictionaries: grammar, evaluation, lifting, dependence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -151,6 +152,27 @@ def test_monomial_and_linear_combination_values():
     ], 2)
     out = at_last_row(dic, [3.0, 4.0])
     assert np.allclose(out, [3.0, 4.0, 36.0, 2 * 3.0 - 3 * 4.0 + 1.0])
+
+
+def test_monomials_share_powers_bit_for_bit():
+    # Every monomial of degree <= 6 in 3 features (83 entries over 18
+    # distinct powers), against the product of uncached powers in the same
+    # order.
+    exponents = [e for e in itertools.product(range(7), repeat=3)
+                 if 1 <= sum(e) <= 6]
+    dic = Dictionary.from_spec(
+        [{"id": f"m{i}", "kind": "monomial", "params": {"exponents": list(e)}}
+         for i, e in enumerate(exponents)], 3)
+    values = np.random.default_rng(9).uniform(-1.5, 1.5, size=(200, 3))
+    expected = np.empty((len(exponents), len(values)))
+    for row, e in enumerate(exponents):
+        s = np.ones(len(values))
+        for i, power in enumerate(e):
+            if power:
+                s = s * values[:, i] ** power
+        expected[row] = s
+    assert len(exponents) == 83
+    assert np.array_equal(dic.evaluate(values), expected)
 
 
 # -- lifting -----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Least-squares operator fitting and pseudoinverse diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,15 @@ from hypothesis import strategies as st
 from koopmodel import (
     Dictionary,
     InputError,
+    LiftedPair,
     Trajectory,
     TrajectorySet,
     fit_koopman_matrix,
     lift_trajectories,
     pseudoinverse,
 )
-from conftest import identity_dictionary, simulate_linear
+from koopmodel.edmd import DEFAULT_SVD_TOL
+from conftest import fold_rows, identity_dictionary, simulate_linear
 
 
 def mp_identities_hold(matrix, pinv, tol=1e-10):
@@ -109,30 +113,119 @@ def test_worked_example_rows(worked_fit):
     assert residuals[1] > 1e-3
 
 
+def svd_reference(current, shifted, outputs, tol=DEFAULT_SVD_TOL):
+    """The fit by one SVD of ``current`` in plain numpy, with the singular
+    values of ``current`` it was computed from."""
+    u, sigma, vt = np.linalg.svd(current, full_matrices=False)
+    keep = sigma > tol * sigma[0]
+    pinv = (vt[keep].T / sigma[keep]) @ u[:, keep].T
+    matrix = shifted @ pinv
+    misfit = shifted - matrix @ current
+    return {
+        "matrix": matrix,
+        "decode": outputs @ pinv,
+        "rank_used": int(np.count_nonzero(keep)),
+        "sigma": sigma[keep],
+        "fit_residual": float(np.linalg.norm(misfit)),
+        "row_residuals": (np.linalg.norm(misfit, axis=1)
+                          / np.maximum(1.0, np.linalg.norm(shifted, axis=1))),
+    }
+
+
+def assert_matches_svd_reference(current, shifted, outputs):
+    """The factor-based fit agrees with :func:`svd_reference` to
+    ``100 * eps * cond(current)`` (criterion 7's scale, cond over the
+    retained singular values) times each quantity's natural magnitude:
+    ``||shifted_i|| / sigma_min`` for row i of the matrix (the decode map
+    likewise), the condition number itself, and ``||shifted_i|| +
+    ||matrix_i|| * sigma_max`` for the misfit of row i (its total over all
+    rows for the fit residual)."""
+    lifted = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
+    fitted = fit_koopman_matrix(lifted, outputs=outputs)
+    ref = svd_reference(current, shifted, outputs)
+    sigma = ref["sigma"]
+    cond = sigma[0] / sigma[-1]
+    scale = 100 * np.finfo(float).eps * cond
+    target = np.linalg.norm(shifted, axis=1)
+    misfit_scale = target + np.linalg.norm(ref["matrix"], axis=1) * sigma[0]
+
+    def row_gap(a, b):
+        return np.linalg.norm(a - b, axis=1)
+
+    assert fitted.rank_used == ref["rank_used"]
+    assert np.all(row_gap(fitted.matrix, ref["matrix"])
+                  <= scale * target / sigma[-1])
+    assert np.all(row_gap(fitted.decode, ref["decode"])
+                  <= scale * np.linalg.norm(outputs, axis=1) / sigma[-1])
+    assert abs(fitted.condition_number - cond) <= scale * cond
+    assert (abs(fitted.fit_residual - ref["fit_residual"])
+            <= scale * np.linalg.norm(misfit_scale))
+    assert fitted.row_residuals.shape == target.shape
+    assert np.all(np.abs(fitted.row_residuals - ref["row_residuals"])
+                  <= scale * misfit_scale / np.maximum(1.0, target))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["short", "one", "folds"]))
+def test_factor_fit_matches_the_svd_path(seed, length):
+    # ``short`` has fewer columns than the 2d + h of a factor row, ``one``
+    # fits in one fold and ``folds`` spans two to four folds.  The rank is
+    # drawn below min(d, K) to include rank-deficient inputs, and half the
+    # rows of ``shifted`` are exact linear images of ``current``.
+    rng = np.random.default_rng(seed)
+    d, h = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    width = 2 * d + h
+    k = {"short": lambda: int(rng.integers(1, width)),
+         "one": lambda: int(rng.integers(width, 80)),
+         "folds": lambda: int(rng.integers(2 * fold_rows(width) + 1,
+                                           4 * fold_rows(width)))}[length]()
+    rank = int(rng.integers(1, min(d, k) + 1))
+    left, _ = np.linalg.qr(rng.normal(size=(d, rank)))
+    right, _ = np.linalg.qr(rng.normal(size=(k, rank)))
+    sigma = 10.0 ** rng.uniform(-3, 0, rank)
+    current = 10.0 ** rng.uniform(-2, 2, (d, 1)) * (left * sigma) @ right.T
+    noise = 10.0 ** rng.uniform(-2, 2, (d, 1)) * rng.normal(size=(d, k))
+    shifted = np.where(rng.random((d, 1)) < 0.5,
+                       rng.normal(size=(d, d)) @ current, noise)
+    assert_matches_svd_reference(current, shifted, rng.normal(size=(h, k)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_row_residuals_are_the_relative_row_misfit(seed):
     # Oracle: ||misfit_row|| / max(1, ||shifted_row||) in plain numpy, on
-    # rows scaled so that both branches of the max occur.
-    from koopmodel import LiftedPair
-
+    # rows scaled so that both branches of the max occur, to the bound of
+    # the factor-based fit.
     rng = np.random.default_rng(seed)
     d, k = int(rng.integers(1, 6)), int(rng.integers(2, 30))
     scales = 10.0 ** rng.uniform(-3, 3, size=(d, 1))
     current = scales * rng.normal(size=(d, k))
     shifted = scales * rng.normal(size=(d, k))
-    lifted = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
-    fitted = fit_koopman_matrix(lifted)
-    misfit = shifted - fitted.matrix @ current
-    expected = (np.sqrt((misfit * misfit).sum(axis=1))
-                / np.maximum(1.0, np.sqrt((shifted * shifted).sum(axis=1))))
-    assert fitted.row_residuals.shape == (d,)
-    assert np.array_equal(fitted.row_residuals, expected)
+    assert_matches_svd_reference(current, shifted, rng.normal(size=(1, k)))
+
+
+def test_fit_memory_does_not_grow_with_the_data_length():
+    # Every array the fit allocates is a fold of at most FIT_BLOCK_BYTES or
+    # a few (2d + h)-sided squares, so 8 times the columns adds no memory.
+    rng = np.random.default_rng(4)
+
+    def peak_bytes(k):
+        lifted = LiftedPair(current=rng.normal(size=(20, k)),
+                            shifted=rng.normal(size=(20, k)), x0_columns=(0,))
+        outputs = rng.normal(size=(2, k))
+        tracemalloc.start()
+        try:
+            fit_koopman_matrix(lifted, outputs=outputs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(5_000), peak_bytes(40_000)
+    assert 5_000 > 2 * fold_rows(42)  # both lengths span several folds
+    assert abs(large - small) < 2**20
 
 
 def test_zero_targets_give_zero_matrix():
-    from koopmodel import LiftedPair
-
     lifted = LiftedPair(
         current=np.array([[1.0, 2.0, 3.0]]),
         shifted=np.zeros((1, 3)),
@@ -146,8 +239,6 @@ def test_zero_targets_give_zero_matrix():
 def test_rank_deficient_fit_is_minimal_norm():
     # Duplicated rows of G make the minimizer non-unique; the pseudoinverse
     # picks the minimal-Frobenius-norm one, which splits weight evenly.
-    from koopmodel import LiftedPair
-
     current = np.array([[1.0, 2.0], [1.0, 2.0]])
     shifted = np.array([[2.0, 4.0], [2.0, 4.0]])
     lifted = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
@@ -182,8 +273,6 @@ def test_fit_determinism(worked_data, worked_dict):
        st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
 def test_scale_equivariance_of_fit(seed, scale):
     # Scaling every data column by one positive constant leaves A unchanged.
-    from koopmodel import LiftedPair
-
     rng = np.random.default_rng(seed)
     d, k = int(rng.integers(1, 5)), int(rng.integers(2, 9))
     current = rng.normal(size=(d, k))
@@ -202,8 +291,6 @@ def test_condition_number_tracks_singular_values():
     lifted = lift_series([1.0, 0.9, 0.81])
     assert fit_koopman_matrix(lifted).condition_number == pytest.approx(1.0)
     rng = np.random.default_rng(3)
-    from koopmodel import LiftedPair
-
     current = np.diag([10.0, 0.1]) @ rng.normal(size=(2, 40))
     pair = LiftedPair(current=current, shifted=np.zeros_like(current),
                       x0_columns=(0,))

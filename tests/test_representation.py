@@ -17,11 +17,14 @@ from koopmodel import (
     analyze_representation,
     closed_subsets,
     dependence_closure,
+    fit_koopman_matrix,
     is_closed_subset,
     zero_pattern,
 )
+from koopmodel.representation import _subset_is_linear
 from conftest import (
     fit_pipeline,
+    fold_rows,
     identity_dictionary,
     simulate_linear,
     worked_dictionary,
@@ -142,9 +145,8 @@ def test_more_classes_than_the_cap_sets_truncation_flag():
     assert found.truncated
     assert 0 < len(found.subsets) <= 512
     current = np.random.default_rng(3).normal(size=(10, 20))
-    lifted = LiftedPair(current=current, shifted=0.9 * current,
-                        x0_columns=(0,))
-    report = analyze_representation(fitted, dic, lifted)
+    report = analyze_representation(fit_koopman_matrix(LiftedPair(
+        current=current, shifted=0.9 * current, x0_columns=(0,))), dic)
     assert report.truncated
     assert "More than 512 classes" in report.narrative
 
@@ -293,6 +295,13 @@ def test_empty_subset_is_not_closed(worked_fit, worked_dict):
     assert not is_closed_subset(pattern, worked_dict, set())
 
 
+def test_analysis_needs_a_fitted_factor(worked_dict):
+    # A matrix built by hand has no factor to test subset linearity on.
+    with pytest.raises(ShapeMismatchError, match="factor"):
+        analyze_representation(as_koopman(np.eye(3), np.zeros(3)),
+                               worked_dict)
+
+
 def test_dimension_mismatch_rejected(worked_dict):
     pattern = zero_pattern(as_koopman(np.eye(2), np.zeros(2)))
     with pytest.raises(ShapeMismatchError):
@@ -302,9 +311,8 @@ def test_dimension_mismatch_rejected(worked_dict):
 # -- full analysis -----------------------------------------------------------
 
 def test_worked_example_report(worked_fit, worked_dict):
-    lifted, _, fitted, _ = worked_fit
-    report = analyze_representation(fitted, worked_dict,
-                                    lifted=lifted)
+    _, _, fitted, _ = worked_fit
+    report = analyze_representation(fitted, worked_dict)
     by_ids = subsets_by_ids(report)
     reduced = by_ids[("x",)]
     assert reduced.dimension == 1
@@ -324,8 +332,8 @@ def test_exactly_linear_system_is_one_faithful_linear_block():
     data = simulate_linear(DENSE_CONTRACTION,
                            np.random.default_rng(8).normal(size=(3, 3)), 20)
     dic = identity_dictionary(3)
-    lifted, _, fitted, _ = fit_pipeline(data, dic)
-    report = analyze_representation(fitted, dic, lifted=lifted)
+    _, _, fitted, _ = fit_pipeline(data, dic)
+    report = analyze_representation(fitted, dic)
     assert len(report.subsets) == 1
     block = report.subsets[0]
     assert block.observable_ids == ("x0", "x1", "x2")
@@ -341,10 +349,10 @@ def test_constant_observable_yields_linear_singleton():
         {"id": "x", "kind": "coordinate", "params": {"index": 0}},
         {"id": "one", "kind": "monomial", "params": {"exponents": [0]}},
     ], 1)
-    lifted, _, fitted, _ = fit_pipeline(data, dic)
+    _, _, fitted, _ = fit_pipeline(data, dic)
     # The fitted row of a constant observable is the unit row, eigenvalue 1.
     assert np.max(np.abs(fitted.matrix[1] - [0.0, 1.0])) < 1e-6
-    report = analyze_representation(fitted, dic, lifted=lifted)
+    report = analyze_representation(fitted, dic)
     by_ids = subsets_by_ids(report)
     const = by_ids[("one",)]
     assert const.kind == "linear"
@@ -354,20 +362,58 @@ def test_constant_observable_yields_linear_singleton():
     assert coord.faithful
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_subset_linearity_from_the_factor_matches_the_data(seed, folds):
+    # Oracle: one pass over the data, ||shifted[S] - A[S, S] @ current[S]||
+    # per member row over max(1, ||shifted row||), below closure_tol, with
+    # every member row closed.  ``shifted`` follows a sparse linear map plus
+    # noise on about half the rows; subsets with a residual within a factor
+    # 100 of closure_tol are skipped.  ``folds`` spans two to three folds.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    rows = fold_rows(2 * d)
+    k = int(rng.integers(2 * rows + 1, 3 * rows) if folds
+            else rng.integers(2 * d + 1, 60))
+    step = rng.uniform(-0.9, 0.9, (d, d)) * (
+        (rng.random((d, d)) < 0.4) | np.eye(d, dtype=bool))
+    current = 10.0 ** rng.uniform(-1, 1, (d, 1)) * rng.normal(size=(d, k))
+    noise = (10.0 ** rng.uniform(-10, -2, (d, 1)) * (rng.random((d, 1)) < 0.5)
+             * rng.normal(size=(d, k)))
+    shifted = step @ current + noise
+    fitted = fit_koopman_matrix(LiftedPair(current=current, shifted=shifted,
+                                           x0_columns=(0,)))
+    dic = identity_dictionary(d)
+    closure_tol = 1e-6
+    pattern = zero_pattern(fitted, closure_tol=closure_tol)
+    for size in range(1, d + 1):
+        for subset in itertools.combinations(range(d), size):
+            idx = list(subset)
+            misfit = (shifted[idx]
+                      - fitted.matrix[np.ix_(idx, idx)] @ current[idx])
+            residual = (np.linalg.norm(misfit, axis=1) / np.maximum(
+                1.0, np.linalg.norm(shifted[idx], axis=1)))
+            if np.any((residual > closure_tol / 100)
+                      & (residual < closure_tol * 100)):
+                continue
+            expected = (all(i in pattern.closed_rows for i in idx)
+                        and bool(np.all(residual < closure_tol)))
+            assert _subset_is_linear(fitted, pattern, dic,
+                                     [dic.ids[i] for i in idx],
+                                     closure_tol) == expected
+
+
 def test_report_is_deterministic(worked_fit, worked_dict):
-    lifted, _, fitted, _ = worked_fit
-    first = analyze_representation(fitted, worked_dict,
-                                   lifted=lifted)
-    second = analyze_representation(fitted, worked_dict,
-                                    lifted=lifted)
+    _, _, fitted, _ = worked_fit
+    first = analyze_representation(fitted, worked_dict)
+    second = analyze_representation(fitted, worked_dict)
     assert first.as_dict() == second.as_dict()
     assert first.narrative == second.narrative
 
 
 def test_report_as_dict_shape(worked_fit, worked_dict):
-    lifted, _, fitted, _ = worked_fit
-    report = analyze_representation(fitted, worked_dict,
-                                    lifted=lifted)
+    _, _, fitted, _ = worked_fit
+    report = analyze_representation(fitted, worked_dict)
     doc = report.as_dict()
     assert set(doc) == {"subsets", "narrative", "truncated"}
     assert doc["subsets"][0] == {
