@@ -6,10 +6,12 @@ computation finishes, so a failed command never leaves partial results.
 
 Input data is CSV with a ``trajectory_id`` column, an integer ``t``
 column, and one column per feature; rows of a trajectory are contiguous
-and sorted by ``t``.  The observable dictionary is a JSON list of
-``{id, kind, params, depends_on}`` entries; its canonical hash is stored
-in model files and checked by ``predict``/``reduce`` so a model is never
-combined with a different dictionary.
+and sorted by ``t``.  Data files are UTF-8; numpy's parser reads a
+well-formed one, and an exact reader the rest.  The observable dictionary
+is a JSON list of ``{id, kind, params, depends_on}`` entries; its
+canonical hash is stored in model files and checked by
+``predict``/``reduce`` so a model is never combined with a different
+dictionary.
 
 Each command reads a closed set of options (``_OPTIONS``) from its
 ``--config`` JSON object.  A key the command does not read, a value of the
@@ -31,7 +33,6 @@ import json
 import math
 import os
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 from .atomic import write_atomically
@@ -173,109 +174,22 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _parse_column(rows, col, convert, dtype):
-    """``(array, None)`` of column ``col`` converted, or ``(None, i)`` where
-    row ``i`` holds the first cell that ``convert`` or ``dtype`` rejects."""
-    import numpy as np
-
-    try:
-        return np.fromiter(map(convert, map(itemgetter(col), rows)), dtype,
-                           len(rows)), None
-    except (ValueError, OverflowError):
-        for i, row in enumerate(rows):
-            try:
-                np.array(convert(row[col]), dtype)
-            except (ValueError, OverflowError):
-                return None, i
-        raise
-
-
 def read_trajectories(path):
     """Parse the trajectory CSV into a TrajectorySet.
 
-    Cells are parsed column by column straight into per-trajectory arrays.
-    A malformed row is reported as ``file:line`` with its physical line
-    number; of several, the first in the file is reported.
+    numpy's C parser reads a well-formed file (`data_io.read_fast`).  A
+    file it does not take, whether malformed or only outside what it
+    models, is read again by the exact reader (`data_io.read_exact`),
+    which returns the same set and alone reports faults, as ``file:line``
+    messages.
     """
-    import numpy as np
-
-    from .trajectories import Trajectory, TrajectorySet
+    from .data_io import read_exact, read_fast
 
     path = Path(path)
-    rows, lines = [], []
     try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            for row in reader:
-                if any(map(str.strip, row)):
-                    rows.append(row)
-                    lines.append(reader.line_num)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"cannot read data file {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"data file {path} is empty")
-    header = [cell.strip() for cell in rows[0]]
-    for required in ("trajectory_id", "t"):
-        if required not in header:
-            raise InputError(f"data file {path} lacks required column "
-                             f"{required!r}")
-    id_col, t_col = header.index("trajectory_id"), header.index("t")
-    feature_cols = [i for i in range(len(header)) if i not in (id_col, t_col)]
-    if not feature_cols:
-        raise InputError(f"data file {path} has no feature columns")
-    body, lines = rows[1:], lines[1:]
-    if not body:
-        raise InputError(f"data file {path} has a header but no data rows")
-
-    # Each check sees only the rows before the earliest failure found so
-    # far, so the failure reported is the first in file order.
-    error = None
-    bad = next((i for i, row in enumerate(body) if len(row) != len(header)),
-               None)
-    if bad is not None:
-        body, error = body[:bad], (bad, f"expected {len(header)} columns, "
-                                        f"got {len(body[bad])}")
-    t, bad = _parse_column(body, t_col, int, np.int64)
-    if bad is not None:
-        body, error = body[:bad], (bad, f"t must be an integer, got "
-                                        f"{body[bad][t_col]!r}")
-    # Filled column by column: one data-sized array, not one per column
-    # plus a stacked copy.
-    values = np.empty((len(body), len(feature_cols)))
-    for j, col in enumerate(feature_cols):
-        column, bad = _parse_column(body, col, float, float)
-        if bad is None:
-            values[:len(column), j] = column
-        else:
-            body, error = body[:bad], (bad, f"column {header[col]!r} is not "
-                                            f"a number: {body[bad][col]!r}")
-    ids = [row[id_col].strip() for row in body]
-    starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
-    first: dict[str, int] = {}
-    repeated = [s for s in starts if first.setdefault(ids[s], s) != s]
-    if repeated:
-        error = (repeated[0], f"rows of trajectory {ids[repeated[0]]!r} are "
-                              f"not contiguous")
-    if error is not None:
-        raise InputError(f"{path}:{lines[error[0]]}: {error[1]}")
-
-    gaps = np.setdiff1d(np.flatnonzero(np.diff(t) != 1) + 1, starts)
-    if gaps.size:
-        g = int(gaps[0])
-        raise InputError(f"{path}:{lines[g]}: trajectory {ids[g]!r}: time "
-                         f"indices must increase by 1 (got {t[g - 1]} -> "
-                         f"{t[g]})")
-    values.flags.writeable = False  # trajectories share it instead of copying
-    trajectories = []
-    for a, b in zip(starts, starts[1:] + [len(ids)]):
-        try:
-            trajectories.append(Trajectory(values[a:b], ids[a], t0=t[a]))
-        except InputError as exc:  # too short or t0 < 0: the first row
-            bad = int(np.isfinite(values[a:b]).all(axis=1).argmin())
-            row = a if b - a < 2 or t[a] < 0 else a + bad
-            raise InputError(f"{path}:{lines[row]}: {exc}") from exc
-    return TrajectorySet(trajectories=tuple(trajectories),
-                         feature_names=tuple(header[c] for c in feature_cols))
+        return read_fast(path)
+    except (ValueError, OSError, csv.Error, InputError, Warning):
+        return read_exact(path)
 
 
 def read_dictionary(path, n_features: int):
@@ -586,6 +500,10 @@ def main(argv=None) -> int:
         return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # such as a horizon too long to allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

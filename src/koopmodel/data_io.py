@@ -1,0 +1,193 @@
+"""Reading trajectory CSV files.
+
+A data file is UTF-8 text with a ``trajectory_id`` column, an integer ``t``
+column and one column per feature; rows of a trajectory are contiguous and
+consecutive in ``t``.  `read_fast` parses a well-formed file with numpy's C
+parser and raises on any other; `read_exact` parses every file cell by cell
+with Python's ``int`` and ``float``, returns the same set wherever
+`read_fast` does, and reports a malformed file as ``file:line: message``.
+"""
+
+from __future__ import annotations
+
+import csv
+import functools
+import re
+import warnings
+from operator import itemgetter
+from pathlib import Path
+
+import numpy as np
+
+from .errors import InputError
+from .trajectories import Trajectory, TrajectorySet
+
+# Bytes the fast reader leaves to the exact one: a quote (csv unquotes a
+# cell, numpy does not), NUL, and \x1c-\x1f, which numpy strips from a
+# number as whitespace and Python's int and float do not.
+_UNMODELLED_BYTES = re.compile(rb'["\0\x1c-\x1f]')
+_CELL_END = re.compile(rb"[,\r\n]")
+
+
+def read_fast(path: Path):
+    """The TrajectorySet of a well-formed data file, parsed by numpy.
+
+    Raises on any file the exact reader could read differently: one with
+    a byte of ``_UNMODELLED_BYTES``, a row without one cell per header
+    column, a cell of half csv's field size limit or more, a cell numpy
+    rejects (it takes a subset of what Python's ``int`` and ``float``
+    take, to the same values), and every fault.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        skipped_commas = 0  # up to the header; numpy skips those lines
+        for row in reader:
+            skipped_commas += max(len(row) - 1, 0)
+            if any(map(str.strip, row)):
+                break
+        else:
+            raise ValueError("no header")
+        header_line = reader.line_num
+    header = [cell.strip() for cell in row]
+    id_col, t_col = header.index("trajectory_id"), header.index("t")
+    feature_cols = [i for i in range(len(header)) if i not in (id_col, t_col)]
+    if not feature_cols:
+        raise ValueError("no feature columns")
+    # csv rejects a cell longer than its field size limit.  A cell of at
+    # least half the limit spans a whole chunk of a quarter of it.
+    size = max(1, csv.field_size_limit() // 4)
+    data_commas = -skipped_commas
+    with open(path, "rb") as handle:
+        for chunk in iter(functools.partial(handle.read, size), b""):
+            if _UNMODELLED_BYTES.search(chunk):
+                raise ValueError("a byte of _UNMODELLED_BYTES")
+            if len(chunk) == size and not _CELL_END.search(chunk):
+                raise ValueError("a cell near csv's field size limit")
+            data_commas += chunk.count(b",")
+
+    names: dict[str, int] = {}  # stripped id -> code, in file order
+    options = {"delimiter": ",", "comments": None, "skiprows": header_line,
+               "encoding": "utf-8", "ndmin": 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # such as "input contained no data"
+        keys = np.loadtxt(path, np.int64, usecols=(id_col, t_col),
+                          converters={id_col: lambda cell: names.setdefault(
+                              cell.strip(), len(names))}, **options)
+        values = np.loadtxt(path, float, usecols=feature_cols, **options)
+    # Each row has at least one cell per column, or a usecols lookup would
+    # have failed; the comma count leaves no room for more.
+    if data_commas != (len(header) - 1) * len(values):
+        raise ValueError("a row has more cells than the header")
+    ids, t = keys[:, 0], keys[:, 1]
+    starts = np.flatnonzero(np.diff(ids)) + 1
+    if len(starts) + 1 != len(names):
+        raise ValueError("rows of a trajectory are not contiguous")
+    steps = np.diff(t) != 1
+    steps[starts - 1] = False
+    if steps.any():
+        raise ValueError("time gap")
+    values.flags.writeable = False  # trajectories share it instead of copying
+    bounds = [0, *starts.tolist(), len(t)]
+    return TrajectorySet(
+        trajectories=tuple(Trajectory(values[a:b], name, t0=t[a])
+                           for name, a, b in zip(names, bounds, bounds[1:])),
+        feature_names=tuple(header[c] for c in feature_cols))
+
+
+def read_exact(path: Path):
+    """The TrajectorySet of any data file, parsed cell by cell with
+    Python's ``int`` and ``float``; InputError if it is malformed.
+
+    Cells are parsed column by column straight into per-trajectory arrays.
+    A malformed row is reported as ``file:line`` with its physical line
+    number; of several, the first in the file is reported.
+    """
+    rows, lines = [], []
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                if any(map(str.strip, row)):
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read data file {path}: {exc}") from exc
+    if not rows:
+        raise InputError(f"data file {path} is empty")
+    header = [cell.strip() for cell in rows[0]]
+    for required in ("trajectory_id", "t"):
+        if required not in header:
+            raise InputError(f"data file {path} lacks required column "
+                             f"{required!r}")
+    id_col, t_col = header.index("trajectory_id"), header.index("t")
+    feature_cols = [i for i in range(len(header)) if i not in (id_col, t_col)]
+    if not feature_cols:
+        raise InputError(f"data file {path} has no feature columns")
+    body, lines = rows[1:], lines[1:]
+    if not body:
+        raise InputError(f"data file {path} has a header but no data rows")
+
+    # Each check sees only the rows before the earliest failure found so
+    # far, so the failure reported is the first in file order.
+    error = None
+    bad = next((i for i, row in enumerate(body) if len(row) != len(header)),
+               None)
+    if bad is not None:
+        body, error = body[:bad], (bad, f"expected {len(header)} columns, "
+                                        f"got {len(body[bad])}")
+    t, bad = _parse_column(body, t_col, int, np.int64)
+    if bad is not None:
+        body, error = body[:bad], (bad, f"t must be an integer, got "
+                                        f"{body[bad][t_col]!r}")
+    # Filled column by column: one data-sized array, not one per column
+    # plus a stacked copy.
+    values = np.empty((len(body), len(feature_cols)))
+    for j, col in enumerate(feature_cols):
+        column, bad = _parse_column(body, col, float, float)
+        if bad is None:
+            values[:len(column), j] = column
+        else:
+            body, error = body[:bad], (bad, f"column {header[col]!r} is not "
+                                            f"a number: {body[bad][col]!r}")
+    ids = [row[id_col].strip() for row in body]
+    starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
+    first: dict[str, int] = {}
+    repeated = [s for s in starts if first.setdefault(ids[s], s) != s]
+    if repeated:
+        error = (repeated[0], f"rows of trajectory {ids[repeated[0]]!r} are "
+                              f"not contiguous")
+    if error is not None:
+        raise InputError(f"{path}:{lines[error[0]]}: {error[1]}")
+
+    gaps = np.setdiff1d(np.flatnonzero(np.diff(t) != 1) + 1, starts)
+    if gaps.size:
+        g = int(gaps[0])
+        raise InputError(f"{path}:{lines[g]}: trajectory {ids[g]!r}: time "
+                         f"indices must increase by 1 (got {t[g - 1]} -> "
+                         f"{t[g]})")
+    values.flags.writeable = False  # trajectories share it instead of copying
+    trajectories = []
+    for a, b in zip(starts, starts[1:] + [len(ids)]):
+        try:
+            trajectories.append(Trajectory(values[a:b], ids[a], t0=t[a]))
+        except InputError as exc:  # too short or t0 < 0: the first row
+            bad = int(np.isfinite(values[a:b]).all(axis=1).argmin())
+            row = a if b - a < 2 or t[a] < 0 else a + bad
+            raise InputError(f"{path}:{lines[row]}: {exc}") from exc
+    return TrajectorySet(trajectories=tuple(trajectories),
+                         feature_names=tuple(header[c] for c in feature_cols))
+
+
+def _parse_column(rows, col, convert, dtype):
+    """``(array, None)`` of column ``col`` converted, or ``(None, i)`` where
+    row ``i`` holds the first cell that ``convert`` or ``dtype`` rejects."""
+    try:
+        return np.fromiter(map(convert, map(itemgetter(col), rows)), dtype,
+                           len(rows)), None
+    except (ValueError, OverflowError):
+        for i, row in enumerate(rows):
+            try:
+                np.array(convert(row[col]), dtype)
+            except (ValueError, OverflowError):
+                return None, i
+        raise

@@ -109,16 +109,32 @@ def _peak_bins(amplitudes: np.ndarray, threshold: float) -> np.ndarray:
                           & (amplitudes >= floor) & (amplitudes != 0.0))
 
 
+def _smooth_length(m: int) -> int:
+    """The smallest integer >= ``m`` with no prime factor above 5: an FFT
+    of that length is fast, unlike one of a length with a large prime."""
+    best, p5 = 2 * m, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best, p35 = min(best, p), p35 * 3
+        p5 *= 5
+    return best
+
+
 def _refine_omega(values: np.ndarray, fine: np.ndarray, b: int) -> float:
     """Maximize |harmonic average| within one bin of peak bin ``b``, given
-    the magnitudes ``fine`` of the 16-times zero-padded transform."""
-    n = values.size
+    the magnitudes ``fine`` of the transform zero-padded to L >= 16n."""
+    n, size = values.size, fine.size
     omega = b / n
     lo, hi = max(0.0, omega - 1.0 / n), min(0.5, omega + 1.0 / n)
-    # Coarse scan of the 1/16-bin grid (index 8n is frequency 0.5) first:
+    # Coarse scan of the 1/L grid (index L // 2 is the last up to 0.5) first:
     # sidelobes within +-1 bin could pull a local search onto the wrong lobe.
-    first, last = max(0, 16 * (b - 1)), min(16 * (b + 1), 8 * n)
-    step = 1.0 / (16 * n)
+    first = max(0, -(-(b - 1) * size // n))
+    last = min((b + 1) * size // n, size // 2)
+    step = 1.0 / size
     w = (first + int(np.argmax(fine[first:last + 1]))) * step
     left, right = max(lo, w - step), min(hi, w + step)
     # Newton steps on f = |H|^2, H(w) = mean(exp(-2*pi*i*w*k) * x_k).  With
@@ -153,10 +169,10 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     compare against their single neighbor) that reach ``peak_threshold``
     times the maximum amplitude.  With ``refine`` the frequency of each
     peak is polished within one bin: the maximum of the harmonic-average
-    magnitude on a 1/16-bin grid, read from one zero-padded FFT, seeds
-    Newton steps on the squared magnitude.  Returns `EigenFrequency`
-    records ordered by increasing frequency; no peaks above threshold
-    yields an empty list.
+    magnitude on a grid of at most 1/16 bin, read from one FFT zero-padded
+    to the smallest 2-3-5-smooth length L >= 16n, seeds Newton steps on
+    the squared magnitude.  Returns `EigenFrequency` records ordered by
+    increasing frequency; no peaks above threshold yields an empty list.
     """
     if not 0 < peak_threshold <= 1:
         raise InputError(
@@ -168,7 +184,7 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     bins = _peak_bins(spectrum.amplitudes, peak_threshold)
     found = [float(spectrum.frequencies[b]) for b in bins]
     if refine and bins.size:
-        fine = np.abs(np.fft.fft(values, 16 * n))
+        fine = np.abs(np.fft.fft(values, _smooth_length(16 * n)))
         found = [_refine_omega(values, fine, int(b)) for b in bins]
 
     merged = []

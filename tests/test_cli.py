@@ -611,6 +611,25 @@ def test_predict_bad_horizon_exits_2(workspace):
     assert run(["predict", "--config", workspace / "predict.json"]) == 2
 
 
+
+def test_out_of_memory_exits_2_without_output(workspace, capsys,
+                                              monkeypatch):
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    write_json(workspace / "predict.json", {
+        "model": "model.bin", "horizon": 10, "out": "pred.csv",
+    })
+    message = ("Unable to allocate 7.28 TiB for an array with shape "
+               "(1000000000001,) and data type int64")
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("koopmodel.spectral.predict", exhausted)
+    capsys.readouterr()
+    assert run(["predict", "--config", workspace / "predict.json"]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not (workspace / "pred.csv").exists()
+
 @pytest.mark.parametrize("metadata", [
     [1, 2],
     {"trajectory_ids": 5},
@@ -713,6 +732,28 @@ def test_spectrum_trajectory_selector_required_when_ambiguous(
     })
     assert run(["spectrum", "--config", workspace / "spec.json"]) == 0
 
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_data_file_is_utf8_under_an_ascii_locale(tmp_path, quote):
+    # A quoted id sends the file to the exact reader; both readers decode
+    # UTF-8 whatever the locale's encoding.
+    k = np.arange(16)
+    (tmp_path / "wave.csv").write_text(
+        "trajectory_id,t,s\n" + "".join(
+            f"{quote}rün{quote},{t},{v!r}\n"
+            for t, v in zip(k.tolist(), np.cos(0.5 * k).tolist())),
+        encoding="utf-8")
+    write_json(tmp_path / "spec.json", {"data": "wave.csv", "column": "s",
+                                        "out": "spec.csv"})
+    env = {**_child_env(), "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0"}
+    result = subprocess.run(
+        [sys.executable, "-m", "koopmodel.cli", "spectrum", "--config",
+         str(tmp_path / "spec.json")],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "spec.csv").exists()
 
 # -- reduce ------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Harmonic averaging and FFT-based eigenfrequency detection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,8 @@ from koopmodel import (
     find_eigenfrequencies,
     harmonic_average,
 )
-from koopmodel.harmonic import _peak_bins
+from koopmodel import harmonic
+from koopmodel.harmonic import _peak_bins, _smooth_length
 
 
 def rotation_series(omega, n, phase=0.0):
@@ -185,6 +188,43 @@ def test_refinement_keeps_on_bin_rotation_exact(n, where, phase):
     assert len(found) == 1
     assert found[0].omega == b / n
 
+
+
+def test_smooth_length_is_the_next_2_3_5_smooth_integer():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for m in range(1, 3000):
+        want = next(k for k in range(m, 2 * m + 1) if smooth(k))
+        assert _smooth_length(m) == want, m
+    # A smooth 16n is kept: the benchmark's 500- and 1000-sample series
+    # are refined on the same grid as before.
+    assert _smooth_length(16 * 500) == 16 * 500
+    assert _smooth_length(16 * 1000) == 16 * 1000
+    assert _smooth_length(16 * 32_769) == 524_880  # 2^4 3^8 5, not 331
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1_000, 8_000), st.integers(0, 2**32 - 1))
+def test_smooth_padding_agrees_with_the_16n_grid(n, seed):
+    # Six real tones at separated off-bin frequencies, as in the benchmark's
+    # harmonic analysis; the 16n-padded transform is the earlier grid.
+    rng = np.random.default_rng(seed)
+    omega = 0.04 + 0.07 * np.arange(6) + rng.uniform(0.0, 0.03, 6)
+    amp, phase = rng.uniform(0.5, 1.0, 6), rng.uniform(0.0, 2 * np.pi, 6)
+    k = np.arange(n)[:, None]
+    series = np.sum(amp * np.cos(2 * np.pi * omega * k + phase), axis=1)
+    found = find_eigenfrequencies(series)
+    with mock.patch.object(harmonic, "_smooth_length", lambda m: m):
+        reference = find_eigenfrequencies(series)
+    assert len(found) == len(reference) >= 6
+    for got, want in zip(found, reference):
+        assert abs(got.omega - want.omega) <= 1e-12
+        # d average / d omega is at most 2 pi n times the series' amplitude.
+        assert abs(got.average - want.average) <= 2 * np.pi * n * 1e-12
 
 def test_exact_bin_rotation_detected():
     series = rotation_series(32 / 256, 256)
