@@ -22,11 +22,9 @@ _EXPORTS = {
     # dictionary
     "Observable": ".dictionary",
     "Dictionary": ".dictionary",
-    "LiftedPair": ".dictionary",
     "lift_trajectories": ".dictionary",
     "dependence_closure": ".dictionary",
     "generator_features": ".dictionary",
-    "features_at_columns": ".dictionary",
     # edmd
     "KoopmanMatrix": ".edmd",
     "fit_koopman_matrix": ".edmd",

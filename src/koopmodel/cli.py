@@ -219,9 +219,9 @@ def _csv_text(header, rows) -> str:
 
 
 def _fit_pipeline(options: dict, decode: bool):
-    """Shared fit path: data -> dictionary -> lifted pair -> matrix (with
-    the decode map to the features if ``decode``)."""
-    from .dictionary import features_at_columns, lift_trajectories
+    """Shared fit path: data -> dictionary -> lifted segments folded into
+    the matrix (with the decode map to the features if ``decode``)."""
+    from .dictionary import lift_trajectories
     from .edmd import DEFAULT_SVD_TOL, fit_koopman_matrix
 
     with _stage("reading data"):
@@ -229,20 +229,18 @@ def _fit_pipeline(options: dict, decode: bool):
     with _stage("reading dictionary"):
         dictionary = read_dictionary(_require(options, "dictionary", "input"),
                                      data.n_features)
-    with _stage("lifting"):
-        lifted = lift_trajectories(dictionary, data)
-        outputs = features_at_columns(data, lifted) if decode else None
-    with _stage("fitting"):
+    with _stage("lifting and fitting"):
         tol = options.get("svd_tolerance", DEFAULT_SVD_TOL)
-        fitted = fit_koopman_matrix(lifted, tol, outputs)
-    return data, dictionary, lifted, fitted
+        fitted = fit_koopman_matrix(
+            lift_trajectories(dictionary, data, outputs=decode), tol)
+    return data, dictionary, fitted
 
 
 def cmd_fit(options: dict) -> int:
     from .model_io import _encode, complex_pairs, model_json
     from .spectral import ModelMetadata, build_spectral_triple, eigendecompose
 
-    data, dictionary, lifted, fitted = _fit_pipeline(options, decode=True)
+    data, dictionary, fitted = _fit_pipeline(options, decode=True)
     with _stage("eigendecomposition"):
         system = eigendecompose(fitted)
     metadata = ModelMetadata(
@@ -252,7 +250,7 @@ def cmd_fit(options: dict) -> int:
         trajectory_ids=data.trajectory_ids,
     )
     with _stage("building spectral triple"):
-        triple = build_spectral_triple(system, lifted, fitted, metadata)
+        triple = build_spectral_triple(system, fitted, metadata)
 
     from .representation import DEFAULT_CLOSURE_TOL
 
@@ -262,7 +260,7 @@ def cmd_fit(options: dict) -> int:
         "n_observables": fitted.dim,
         "n_outputs": data.n_features,
         "n_trajectories": len(data.trajectory_ids),
-        "n_snapshot_pairs": lifted.n_columns,
+        "n_snapshot_pairs": fitted.n_pairs,
         "svd_tolerance": fitted.svd_tolerance,
         "rank_used": fitted.rank_used,
         "fit_residual": fitted.fit_residual,
@@ -292,7 +290,7 @@ def cmd_fit(options: dict) -> int:
     not_closed = [oid for oid in dictionary.ids
                   if oid not in report["closed_rows"]]
     print(f"fitted {fitted.dim}x{fitted.dim} operator from "
-          f"{lifted.n_columns} snapshot pairs "
+          f"{fitted.n_pairs} snapshot pairs "
           f"({len(data.trajectory_ids)} trajectories)")
     print(f"rank {fitted.rank_used}, fit residual {fmt(fitted.fit_residual)}, "
           f"condition number {fmt(report['condition_number'])}")
@@ -414,8 +412,7 @@ def cmd_reduce(options: dict) -> int:
     from .representation import (DEFAULT_CLOSURE_TOL, DEFAULT_ZERO_THRESHOLD,
                                  analyze_representation)
 
-    data, dictionary, lifted, fitted = _fit_pipeline(options, decode=False)
-    del data, lifted  # the fit's factor is all the analysis reads of them
+    _, dictionary, fitted = _fit_pipeline(options, decode=False)
     model_path = options.get("model")
     if model_path:
         with _stage("loading model"):

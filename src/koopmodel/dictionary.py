@@ -1,10 +1,11 @@
-"""Observable dictionaries: definition, evaluation, and lifted data matrices.
+"""Observable dictionaries: definition, evaluation, and lifting.
 
 A dictionary is an ordered list of closed-form observables over the raw
 features. Lifting a trajectory evaluates every observable at every usable
-time index and pairs each column with its one-step-ahead partner, producing
-the two data matrices the operator fit consumes. The dictionary also keeps
-the functional-dependence graph used by representation analysis.
+time index and pairs each column with its one-step-ahead partner, one
+segment per trajectory, which the operator fit folds into its triangular
+factor as it goes. The dictionary also keeps the functional-dependence
+graph used by representation analysis.
 """
 
 from __future__ import annotations
@@ -397,46 +398,17 @@ class Dictionary:
         return out
 
 
-@dataclass(frozen=True)
-class LiftedPair:
-    """The paired data matrices of dictionary lifts one time step apart.
-
-    ``current[:, k]`` and ``shifted[:, k]`` are lifts of consecutive
-    snapshots of the same trajectory. ``x0_columns[i]`` is the first column
-    of the i-th trajectory; its columns run to the next entry, in time order.
-    """
-
-    current: np.ndarray
-    shifted: np.ndarray
-    x0_columns: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.current.shape != self.shifted.shape:
-            raise ShapeMismatchError("lifted matrices must have equal shapes")
-        x0 = self.x0_columns
-        if (not x0 or x0[0] != 0 or x0[-1] >= self.n_columns
-                or any(a >= b for a, b in zip(x0, x0[1:]))):
-            raise ShapeMismatchError(
-                f"x0_columns must start at 0, strictly increase and stay "
-                f"below the {self.n_columns} columns, got {x0}")
-
-    @property
-    def n_observables(self) -> int:
-        return self.current.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.current.shape[1]
-
-
-def lift_trajectories(dictionary: Dictionary,
-                      data: TrajectorySet) -> LiftedPair:
-    """Build the lifted pair over all trajectories, in order, each written
-    straight into its columns.
+def lift_trajectories(dictionary: Dictionary, data: TrajectorySet,
+                      outputs: bool = False):
+    """Yield one segment per trajectory, in order, for the operator fit:
+    ``(current, shifted)``, views of the trajectory's (d, m) lift one time
+    step apart, plus with ``outputs`` the (n, n_i) raw features of the
+    snapshots lifted into ``current``.
 
     Columns are time ordered within each trajectory; the last snapshot of
     one trajectory is never paired with the first of the next. Trajectories
-    too short to produce a single column pair are an error.
+    too short to produce a single column pair are an error, raised before
+    the first segment.
     """
     if data.n_features != dictionary.n_features:
         raise ShapeMismatchError(
@@ -450,16 +422,11 @@ def lift_trajectories(dictionary: Dictionary,
             f"trajectories too short to lift with delay depth {lag}: "
             f"{too_short}"
         )
-    stops = np.cumsum([len(t) - 1 - lag for t in data.trajectories])
-    starts = [0, *stops[:-1].tolist()]
-    current = np.empty((len(dictionary), int(stops[-1])))
-    shifted = np.empty_like(current)
-    for traj, start, stop in zip(data.trajectories, starts, stops):
+    for traj in data.trajectories:
         lifted = dictionary.evaluate(traj.values)[:, lag:]
-        current[:, start:stop] = lifted[:, :-1]
-        shifted[:, start:stop] = lifted[:, 1:]
-    return LiftedPair(current=current, shifted=shifted,
-                      x0_columns=tuple(starts))
+        segment = (lifted[:, :-1], lifted[:, 1:])
+        # Every row with a successor and enough history for the deepest delay.
+        yield segment + (traj.values[lag:-1].T,) if outputs else segment
 
 
 def dependence_closure(dictionary: Dictionary,
@@ -484,25 +451,3 @@ def generator_features(dictionary: Dictionary,
             mask |= dictionary.needs[i][0]
             feats |= dictionary.needs[i][1]
     return frozenset(f for f in range(dictionary.n_features) if feats >> f & 1)
-
-
-def features_at_columns(data: TrajectorySet,
-                        lifted: LiftedPair) -> np.ndarray:
-    """Raw feature readings aligned with the lifted pair's columns.
-
-    Returns an (n, K) matrix whose column k holds the snapshot lifted into
-    ``current[:, k]``. ``lifted`` comes from :func:`lift_trajectories` on
-    ``data``, so the n_i columns of trajectory i lift its rows
-    ``len - 1 - n_i`` to ``len - 2``: every row with a successor and enough
-    history for the deepest delay.
-    """
-    if len(lifted.x0_columns) != len(data.trajectories):
-        raise ShapeMismatchError(
-            f"the lifted pair holds {len(lifted.x0_columns)} trajectories, "
-            f"the data {len(data.trajectories)}")
-    stops = lifted.x0_columns[1:] + (lifted.n_columns,)
-    blocks = [traj.values[len(traj) - 1 - (stop - start):len(traj) - 1]
-              for traj, start, stop in zip(data.trajectories,
-                                           lifted.x0_columns, stops)]
-    # C order, like the lifted matrices: the fits' rounding depends on it.
-    return np.concatenate(blocks).T.copy()

@@ -1,12 +1,14 @@
 """Least-squares fit of the finite-section operator matrix.
 
 The fitted matrix is the minimal-Frobenius-norm minimizer of
-``||shifted - B @ current||``.  The fit folds the K x (2d + h) matrix
-``[current; shifted; outputs]^T`` block by block into its triangular QR
-factor ``R`` (TSQR), so its memory grows with the block size and d, not
-with K.  With ``Rc``, ``Rs``, ``Ro`` the column blocks of ``R``, the
-orthonormal factor drops out of every quantity: ``current`` and ``Rc`` share
-their singular values (hence the rank and the condition number),
+``||shifted - B @ current||`` over the lifted snapshot pairs.  The fit takes
+them as segments, one per trajectory, and folds each segment's columns, as
+rows ``[current; shifted; outputs]^T`` of 2d + h entries, into their
+triangular QR factor ``R`` block by block (TSQR), so its memory grows with
+the block size, d and the largest segment, not with the number of pairs K.
+With ``Rc``, ``Rs``, ``Ro`` the column blocks of ``R``, the orthonormal
+factor drops out of every quantity: ``current`` and ``Rc`` share their
+singular values (hence the rank and the condition number),
 ``B = (pinv(Rc) @ Rs)^T``, the decode map is ``(pinv(Rc) @ Ro)^T`` and the
 misfit's row norms are the column norms of ``Rs - Rc @ B^T``.  The
 pseudoinverse is SVD-based with a relative singular-value cutoff.
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import LiftedPair
 from .errors import ShapeMismatchError
 
 DEFAULT_SVD_TOL = 1e-10
@@ -32,6 +33,10 @@ FIT_BLOCK_BYTES = 512 * 1024
 class KoopmanMatrix:
     """Fitted operator matrix with fit diagnostics; ``decode`` maps lifted
     vectors to outputs when the fit was given them.
+
+    ``initial_lifts`` holds each segment's first ``current`` column, (d, M),
+    and ``n_pairs`` the K snapshot pairs fitted (None and 0 for a matrix
+    that was not fitted from data).
 
     ``row_residuals`` holds the per-row relative misfit
     ``||misfit_row|| / max(1, ||shifted_row||)``: rows with an exact linear
@@ -53,6 +58,8 @@ class KoopmanMatrix:
     row_residuals: np.ndarray
     decode: np.ndarray | None = None
     factor: np.ndarray | None = None
+    initial_lifts: np.ndarray | None = None
+    n_pairs: int = 0
 
     @property
     def dim(self) -> int:
@@ -96,35 +103,68 @@ def _relative_misfit(misfit: np.ndarray, target: np.ndarray) -> np.ndarray:
             / np.maximum(1.0, np.linalg.norm(target, axis=0)))
 
 
-def _fold(blocks) -> np.ndarray:
-    """Triangular factor of ``concatenate(blocks).T``, folded from row
-    blocks of about FIT_BLOCK_BYTES so no array spans the data length."""
-    width = sum(len(b) for b in blocks)
-    step = max(width, FIT_BLOCK_BYTES // (8 * width))
-    r = np.empty((0, width))
-    for start in range(0, blocks[0].shape[1], step):
-        block = np.concatenate([b[:, start:start + step] for b in blocks]).T
-        r = np.linalg.qr(np.concatenate([r, block]), mode="r")
-    return r
+def _segment_arrays(index: int, segment, heights) -> list[np.ndarray]:
+    """The arrays of one segment, checked against the first segment's
+    row counts ``heights`` (None for the first segment itself)."""
+    arrays = [np.asarray(a) for a in segment]
+    if (len(arrays) not in (2, 3) or any(a.ndim != 2 for a in arrays)
+            or len({a.shape[1] for a in arrays}) != 1 or 0 in arrays[0].shape
+            or arrays[0].shape[0] != arrays[1].shape[0]
+            or heights is not None and heights != [len(a) for a in arrays]):
+        raise ShapeMismatchError(
+            f"segment {index}: expected (current, shifted[, outputs]) 2-D "
+            f"arrays with one non-zero column count, current and shifted "
+            f"of one non-zero height, all as in segment 0, got shapes "
+            f"{[np.shape(a) for a in arrays]}")
+    return arrays
 
 
-def fit_koopman_matrix(lifted: LiftedPair, tol: float = DEFAULT_SVD_TOL,
-                       outputs: np.ndarray | None = None) -> KoopmanMatrix:
-    """Fit ``matrix = shifted @ pinv(current)`` and report the residual;
-    given (h, K) ``outputs``, the same pseudoinverse gives the decode map
-    ``outputs @ pinv(current)``.  Everything comes from the triangular
-    factor of the stacked data (see the module docstring)."""
-    blocks = [lifted.current, lifted.shifted]
-    if outputs is not None:
-        outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-        if outputs.shape[1] != lifted.n_columns:
-            raise ShapeMismatchError(
-                f"outputs have {outputs.shape[1]} columns, lifted data has "
-                f"{lifted.n_columns}"
-            )
-        blocks.append(outputs)
-    d = lifted.n_observables
-    factor = _fold(blocks)
+def _fold(segments):
+    """Triangular factor of the segments' columns stacked as rows, folded
+    from row blocks of about FIT_BLOCK_BYTES so no array spans the data
+    length; with the row counts of a segment's arrays, each segment's
+    first current column and the number of columns."""
+    heights = r = buffer = None
+    fill = n_pairs = 0
+    initial = []
+    for index, segment in enumerate(segments):
+        arrays = _segment_arrays(index, segment, heights)
+        if heights is None:
+            heights = [len(a) for a in arrays]
+            width = sum(heights)
+            step = max(width, FIT_BLOCK_BYTES // (8 * width))
+            r, buffer = np.empty((0, width)), np.empty((step, width))
+        initial.append(arrays[0][:, 0].copy())  # a view would pin the lift
+        n = arrays[0].shape[1]
+        n_pairs += n
+        done = 0
+        while done < n:
+            take = min(n - done, step - fill)
+            buffer[fill:fill + take] = np.concatenate(
+                [a[:, done:done + take] for a in arrays]).T
+            fill += take
+            done += take
+            if fill == step:
+                r = np.linalg.qr(np.concatenate([r, buffer]), mode="r")
+                fill = 0
+    if heights is None:
+        raise ShapeMismatchError("the fit needs at least one segment")
+    if fill:
+        r = np.linalg.qr(np.concatenate([r, buffer[:fill]]), mode="r")
+    return r, heights, np.stack(initial, axis=1), n_pairs
+
+
+def fit_koopman_matrix(segments, tol: float = DEFAULT_SVD_TOL
+                       ) -> KoopmanMatrix:
+    """Fit ``matrix = shifted @ pinv(current)`` over an iterable of segments
+    ``(current, shifted)`` or ``(current, shifted, outputs)`` (d, d and h
+    rows, each segment's columns in time order) and report the residual;
+    segments with (h, n_i) outputs give the decode map
+    ``outputs @ pinv(current)`` from the same pseudoinverse.  Everything
+    comes from the triangular factor of the stacked data (see the module
+    docstring)."""
+    factor, heights, initial_lifts, n_pairs = _fold(segments)
+    d = heights[0]
     rc, rs, ro = factor[:, :d], factor[:, d:2 * d], factor[:, 2 * d:]
     pinv, rank, cond = _svd_pseudoinverse(rc, tol)
     coefficients = pinv @ rs  # matrix.T
@@ -136,6 +176,8 @@ def fit_koopman_matrix(lifted: LiftedPair, tol: float = DEFAULT_SVD_TOL,
         svd_tolerance=float(tol),
         condition_number=cond,
         row_residuals=_relative_misfit(misfit, rs),
-        decode=None if outputs is None else (pinv @ ro).T,
+        decode=(pinv @ ro).T if len(heights) == 3 else None,
         factor=factor,
+        initial_lifts=initial_lifts,
+        n_pairs=n_pairs,
     )

@@ -1,8 +1,9 @@
 """Spectral decomposition of the fitted operator and the reduced model.
 
 The eigensystem carries biorthogonally normalized left and right
-eigenvectors. Combining it with the lifted data yields the compact model:
-eigenvalues, eigenfunction values at each initial condition, and the mode
+eigenvectors. Combining it with the fit yields the compact model:
+eigenvalues, eigenfunction values at each initial condition (from the lift
+of each trajectory's first snapshot, which the fit keeps), and the mode
 vectors that project outputs onto each eigendirection. Prediction is the
 geometric sum ``sum_j lambda_j^k phi_j(x0) v_j``.
 """
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dictionary import LiftedPair
 from .edmd import KoopmanMatrix
 from .errors import (
     DefectiveMatrixError,
@@ -182,20 +182,20 @@ def eigendecompose(fitted: KoopmanMatrix | np.ndarray) -> EigenSystem:
     )
 
 
-def eigenfunction_values(es: EigenSystem, lifted: LiftedPair) -> np.ndarray:
+def eigenfunction_values(es: EigenSystem,
+                         initial_lifts: np.ndarray) -> np.ndarray:
     """Eigenfunction values ``phi_j(x) = w_j* g(x)`` at the initial
-    conditions: an (M, N) table, one row per trajectory."""
-    if es.left_vectors.shape[0] != lifted.n_observables:
+    conditions, given their (d, M) lifts: an (M, N) table, one row per
+    trajectory."""
+    if es.left_vectors.shape[0] != initial_lifts.shape[0]:
         raise ShapeMismatchError(
             f"eigensystem dimension {es.left_vectors.shape[0]} does not "
-            f"match {lifted.n_observables} observables"
+            f"match {initial_lifts.shape[0]} observables"
         )
-    return (es.left_vectors.conj().T
-            @ lifted.current[:, list(lifted.x0_columns)]).T
+    return (es.left_vectors.conj().T @ initial_lifts).T
 
 
-def build_spectral_triple(es: EigenSystem, lifted: LiftedPair,
-                          fitted: KoopmanMatrix,
+def build_spectral_triple(es: EigenSystem, fitted: KoopmanMatrix,
                           metadata: ModelMetadata | None = None
                           ) -> SpectralTriple:
     """Assemble the serializable model from an eigensystem and the fit,
@@ -206,8 +206,8 @@ def build_spectral_triple(es: EigenSystem, lifted: LiftedPair,
     (W is invertible), so the projection is unique only at full rank.
     """
     if fitted.decode is None:
-        raise ShapeMismatchError("the fit has no decode map; pass the "
-                                 "outputs to fit_koopman_matrix")
+        raise ShapeMismatchError("the fit has no decode map; give "
+                                 "fit_koopman_matrix segments with outputs")
     if fitted.rank_used < es.n_eigenvalues:
         raise EigenfunctionRankError(
             f"eigenfunction time series has rank {fitted.rank_used} < "
@@ -216,7 +216,8 @@ def build_spectral_triple(es: EigenSystem, lifted: LiftedPair,
         )
     return SpectralTriple(
         eigenvalues=es.eigenvalues,
-        eigenfunction_values=eigenfunction_values(es, lifted),
+        eigenfunction_values=eigenfunction_values(es,
+                                                  fitted.initial_lifts),
         modes=fitted.decode @ es.right_vectors,
         decode=fitted.decode,
         metadata=metadata if metadata is not None else ModelMetadata(),

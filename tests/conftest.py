@@ -24,7 +24,6 @@ from koopmodel import (
     TrajectorySet,
     build_spectral_triple,
     eigendecompose,
-    features_at_columns,
     fit_koopman_matrix,
     lift_trajectories,
 )
@@ -100,18 +99,23 @@ def fold_rows(width: int) -> int:
     return max(width, FIT_BLOCK_BYTES // (8 * width))
 
 
+def stacked_lift(dictionary: Dictionary, data: TrajectorySet):
+    """(current, shifted, outputs): every trajectory's lifted segment side
+    by side, the d x K data matrices the fit itself never builds."""
+    return tuple(np.concatenate(parts, axis=1) for parts in
+                 zip(*lift_trajectories(dictionary, data, outputs=True)))
+
+
 def fit_pipeline(data: TrajectorySet, dictionary: Dictionary):
-    """data -> (lifted, outputs, fitted, residuals) with default tolerances;
-    the fit carries the decode map to the features."""
-    lifted = lift_trajectories(dictionary, data)
-    outputs = features_at_columns(data, lifted)
-    fitted = fit_koopman_matrix(lifted, outputs=outputs)
-    return lifted, outputs, fitted, fitted.row_residuals
+    """The fit of ``data`` with default tolerances and the decode map to
+    the features."""
+    return fit_koopman_matrix(lift_trajectories(dictionary, data,
+                                                outputs=True))
 
 
 def triple_pipeline(data: TrajectorySet, dictionary: Dictionary):
-    """Full model build; returns (lifted, fitted, residuals, triple)."""
-    lifted, _, fitted, residuals = fit_pipeline(data, dictionary)
+    """Full model build; returns (fitted, triple)."""
+    fitted = fit_pipeline(data, dictionary)
     system = eigendecompose(fitted)
     metadata = ModelMetadata(
         dict_hash=dictionary.spec_hash(),
@@ -119,8 +123,7 @@ def triple_pipeline(data: TrajectorySet, dictionary: Dictionary):
         output_names=data.feature_names,
         trajectory_ids=data.trajectory_ids,
     )
-    triple = build_spectral_triple(system, lifted, fitted, metadata)
-    return lifted, fitted, residuals, triple
+    return fitted, build_spectral_triple(system, fitted, metadata)
 
 
 def random_triple(rng: np.random.Generator) -> SpectralTriple:

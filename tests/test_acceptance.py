@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from koopmodel import cli
 from koopmodel.dictionary import (
     Dictionary,
-    LiftedPair,
     dependence_closure,
     lift_trajectories,
 )
@@ -49,7 +48,8 @@ from conftest import (
 def test_criterion_1_worked_example(tmp_path, capsys):
     start = time.perf_counter()
     data = simulate_worked_example()
-    lifted, outputs, fitted, residuals = fit_pipeline(data, worked_dictionary())
+    fitted = fit_pipeline(data, worked_dictionary())
+    residuals = fitted.row_residuals
 
     assert np.max(np.abs(fitted.matrix[0] - [1.0, 1.0, 0.0])) <= 1e-6
     assert np.max(np.abs(fitted.matrix[2] - [1.0, 0.0, 1.0])) <= 1e-6
@@ -87,7 +87,7 @@ def test_criterion_2_linear_identification():
     start = time.perf_counter()
     dictionary = identity_dictionary(4)
     for true_matrix, data in _linear_instances():
-        _, _, fitted, _ = fit_pipeline(data, dictionary)
+        fitted = fit_pipeline(data, dictionary)
         assert np.max(np.abs(fitted.matrix - true_matrix)) <= 1e-8
         expected = np.sort_complex(np.linalg.eigvals(true_matrix))
         recovered = np.sort_complex(eigendecompose(fitted).eigenvalues)
@@ -98,9 +98,8 @@ def test_criterion_2_linear_identification():
 def test_criterion_3_spectral_expansion_equivalence():
     dictionary = identity_dictionary(4)
     for _, data in _linear_instances():
-        lifted, fitted, _, triple = triple_pipeline(data, dictionary)
-        for x0_index, column in enumerate(lifted.x0_columns):
-            g0 = lifted.current[:, column]
+        fitted, triple = triple_pipeline(data, dictionary)
+        for x0_index, g0 in enumerate(fitted.initial_lifts.T):
             power = np.eye(4)
             for k in range(101):
                 direct = triple.decode @ power @ g0
@@ -217,15 +216,13 @@ def test_criterion_7_shift_consistency(data):
         trajectories.append(Trajectory(values, f"t{i}"))
     dataset = TrajectorySet(trajectories=tuple(trajectories),
                             feature_names=("x",))
-    lifted = lift_trajectories(_SHIFT_DICTIONARY, dataset)
-    # Without delays, trajectory i fills len_i - 1 columns.
-    starts = np.cumsum([0] + [len(t) - 1 for t in trajectories])
-    assert lifted.x0_columns == tuple(starts[:-1])
-    assert lifted.n_columns == starts[-1]
-    for c in range(lifted.n_columns - 1):
-        if c + 1 not in lifted.x0_columns:
-            assert np.array_equal(lifted.shifted[:, c],
-                                  lifted.current[:, c + 1])
+    segments = list(lift_trajectories(_SHIFT_DICTIONARY, dataset))
+    # Without delays, trajectory i fills len_i - 1 columns, each segment
+    # one trajectory.
+    assert len(segments) == n_traj
+    for trajectory, (current, shifted) in zip(trajectories, segments):
+        assert current.shape[1] == shifted.shape[1] == len(trajectory) - 1
+        assert np.array_equal(shifted[:, :-1], current[:, 1:])
 
 
 @st.composite
@@ -300,10 +297,8 @@ def test_criterion_7_scale_equivariance(seed, scale):
     d, k = int(rng.integers(1, 5)), int(rng.integers(2, 9))
     current = rng.normal(size=(d, k))
     shifted = rng.normal(size=(d, k))
-    base = fit_koopman_matrix(LiftedPair(
-        current=current, shifted=shifted, x0_columns=(0,)))
-    scaled = fit_koopman_matrix(LiftedPair(
-        current=scale * current, shifted=scale * shifted, x0_columns=(0,)))
+    base = fit_koopman_matrix([(current, shifted)])
+    scaled = fit_koopman_matrix([(scale * current, scale * shifted)])
     sigma = np.linalg.svd(current, compute_uv=False)
     retained = sigma[sigma > 1e-10 * sigma[0]]  # the fit's default cutoff
     cond = float(retained[0] / retained[-1])
@@ -321,7 +316,7 @@ def test_criterion_7_report_determinism(seed, threshold):
     matrix = random_contraction(rng, dim=dim, max_radius=0.9)
     data = simulate_linear(matrix, rng.uniform(-1.0, 1.0, (2, dim)), 10)
     dictionary = identity_dictionary(dim)
-    _, _, fitted, _ = fit_pipeline(data, dictionary)
+    fitted = fit_pipeline(data, dictionary)
     first = analyze_representation(fitted, dictionary,
                                    zero_threshold=threshold)
     second = analyze_representation(fitted, dictionary,

@@ -149,6 +149,23 @@ def test_fit_header_only_csv_exits_2(workspace):
     assert run(["fit", "--config", workspace / "fit.json"]) == 2
 
 
+def test_fit_lift_error_exits_2_naming_the_observable(workspace, capsys):
+    # The worked example's x runs negative, where log(x) is not finite: the
+    # error surfaces while the fit is folding, and still leaves no output.
+    write_json(workspace / "dict.json", [
+        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+        {"id": "logx", "kind": "composition",
+         "params": {"fn": "log", "of": "x"}},
+    ])
+    before = sorted(p.name for p in workspace.iterdir())
+    assert run(["fit", "--config", workspace / "fit.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: lifting and fitting: observable "
+                                   "'logx' produced a non-finite value")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert sorted(p.name for p in workspace.iterdir()) == before
+
+
 def test_fit_underdetermined_eigenfunctions_exit_3(tmp_path, capsys):
     # Proportional coordinates decaying at the same rate span a single
     # direction, so one eigenfunction is identically zero on the data and

@@ -13,13 +13,11 @@ from koopmodel import (
     Dictionary,
     EvaluationError,
     LiftError,
-    LiftedPair,
     ShapeMismatchError,
     Trajectory,
     TrajectorySet,
     UnknownObservableError,
     dependence_closure,
-    features_at_columns,
     generator_features,
     lift_trajectories,
 )
@@ -181,25 +179,10 @@ def test_identity_lift_is_shift_pairing():
     dic = Dictionary.from_spec(
         [{"id": "x", "kind": "coordinate", "params": {"index": 0}}], 1
     )
-    lifted = lift_trajectories(dic, single_feature_set([1.0, 2.0, 3.0]))
-    assert np.array_equal(lifted.current, [[1.0, 2.0]])
-    assert np.array_equal(lifted.shifted, [[2.0, 3.0]])
-    assert lifted.x0_columns == (0,)
-
-
-@pytest.mark.parametrize("x0_columns", [(), (1,), (0, 0), (0, 2, 1), (0, 3)])
-def test_lifted_pair_rejects_bad_x0_columns(x0_columns):
-    with pytest.raises(ShapeMismatchError, match="x0_columns"):
-        LiftedPair(current=np.zeros((1, 3)), shifted=np.zeros((1, 3)),
-                   x0_columns=x0_columns)
-
-
-def test_features_need_one_trajectory_per_x0_column():
-    data = single_feature_set([1.0, 2.0, 3.0])
-    lifted = LiftedPair(current=np.zeros((1, 2)), shifted=np.zeros((1, 2)),
-                        x0_columns=(0, 1))
-    with pytest.raises(ShapeMismatchError, match="trajectories"):
-        features_at_columns(data, lifted)
+    [(current, shifted)] = lift_trajectories(
+        dic, single_feature_set([1.0, 2.0, 3.0]))
+    assert np.array_equal(current, [[1.0, 2.0]])
+    assert np.array_equal(shifted, [[2.0, 3.0]])
 
 
 def test_column_count_across_trajectories():
@@ -209,24 +192,21 @@ def test_column_count_across_trajectories():
     t0 = Trajectory([1.0, 2.0, 3.0, 4.0], id="a")
     t1 = Trajectory([5.0, 6.0, 7.0], id="b")
     data = TrajectorySet(trajectories=(t0, t1), feature_names=("x",))
-    lifted = lift_trajectories(dic, data)
-    assert lifted.n_columns == (4 - 1) + (3 - 1)
+    (c0, s0), (c1, s1) = lift_trajectories(dic, data)
+    assert (c0.shape[1], c1.shape[1]) == (4 - 1, 3 - 1)
     # Never pair across the trajectory boundary.
-    assert lifted.current[0, 3] == 5.0 and lifted.shifted[0, 2] == 4.0
-    assert lifted.x0_columns == (0, 3)
+    assert c1[0, 0] == 5.0 and s0[0, -1] == 4.0
 
 
 def test_worked_example_column_pairing(worked_data, worked_dict):
-    lifted = lift_trajectories(worked_dict, worked_data)
-    k = 17
+    segments = list(lift_trajectories(worked_dict, worked_data))
     # Each worked trajectory fills len - 1 columns (no delays).
-    starts = np.cumsum([0] + [len(t) - 1 for t in worked_data.trajectories])
-    i = int(np.searchsorted(starts, k, side="right")) - 1
-    assert lifted.x0_columns == tuple(starts[:-1])
-    state = worked_data.trajectories[i].values[k - starts[i]]
-    x, y = state
-    assert np.allclose(lifted.current[:, k], [x, math.sin(x), y])
-    assert np.allclose(lifted.shifted[:, k],
+    assert [c.shape[1] for c, _ in segments] == [
+        len(t) - 1 for t in worked_data.trajectories]
+    current, shifted = segments[1]
+    x, y = worked_data.trajectories[1].values[3]
+    assert np.allclose(current[:, 3], [x, math.sin(x), y])
+    assert np.allclose(shifted[:, 3],
                        [x + math.sin(x), math.sin(x + math.sin(x)), y + x])
 
 
@@ -235,11 +215,12 @@ def test_delay_lag_shrinks_column_count():
         {"id": "x", "kind": "coordinate", "params": {"index": 0}},
         {"id": "px", "kind": "delay", "params": {"of": "x", "lag": 2}},
     ], 1)
-    lifted = lift_trajectories(dic, single_feature_set([1.0, 2.0, 3.0, 4.0, 5.0]))
+    [(current, shifted, outputs)] = lift_trajectories(
+        dic, single_feature_set([1.0, 2.0, 3.0, 4.0, 5.0]), outputs=True)
     # length m = 5, max lag L = 2 -> m - 1 - L = 2 column pairs
-    assert lifted.n_columns == 2
-    assert np.array_equal(lifted.current, [[3.0, 4.0], [1.0, 2.0]])
-    assert np.array_equal(lifted.shifted, [[4.0, 5.0], [2.0, 3.0]])
+    assert np.array_equal(current, [[3.0, 4.0], [1.0, 2.0]])
+    assert np.array_equal(shifted, [[4.0, 5.0], [2.0, 3.0]])
+    assert np.array_equal(outputs, [[3.0, 4.0]])
 
 
 def test_too_short_trajectory_is_named():
@@ -247,8 +228,15 @@ def test_too_short_trajectory_is_named():
         {"id": "x", "kind": "coordinate", "params": {"index": 0}},
         {"id": "px", "kind": "delay", "params": {"of": "x", "lag": 3}},
     ], 1)
+    segments = lift_trajectories(
+        dic, single_feature_set([1.0, 2.0, 3.0], id="shorty"))
     with pytest.raises(LiftError, match="shorty"):
-        lift_trajectories(dic, single_feature_set([1.0, 2.0, 3.0], id="shorty"))
+        next(segments)
+
+
+def test_feature_count_is_checked_before_any_lift(worked_dict):
+    with pytest.raises(ShapeMismatchError, match="dictionary expects 2"):
+        next(lift_trajectories(worked_dict, single_feature_set([1.0, 2.0])))
 
 
 # -- dependence --------------------------------------------------------------
@@ -307,9 +295,8 @@ def test_shift_consistency_single_trajectory(series):
         {"id": "x", "kind": "coordinate", "params": {"index": 0}},
         {"id": "sx", "kind": "sin", "params": {"of": "x"}},
     ], 1)
-    lifted = lift_trajectories(dic, single_feature_set(series))
-    for k in range(lifted.n_columns - 1):
-        assert np.array_equal(lifted.shifted[:, k], lifted.current[:, k + 1])
+    [(current, shifted)] = lift_trajectories(dic, single_feature_set(series))
+    assert np.array_equal(shifted[:, :-1], current[:, 1:])
 
 
 # -- lifting identity --------------------------------------------------------
@@ -346,18 +333,17 @@ def lifting_cases(draw):
 @given(lifting_cases())
 def test_lifted_columns_match_window_evaluation(case):
     dictionary, data = case
-    lifted = lift_trajectories(dictionary, data)
-    outputs = features_at_columns(data, lifted)
-    # The fits' rounding depends on memory order, so keep the lifted order.
-    assert outputs.flags.c_contiguous
+    segments = list(lift_trajectories(dictionary, data, outputs=True))
     lag = dictionary.max_lag
-    reference = [(traj, row) for traj in data.trajectories
-                 for row in range(lag, len(traj) - 1)]
-    assert lifted.n_columns == len(reference)
-    for k, (traj, row) in enumerate(reference):
+    assert len(segments) == len(data.trajectories)
+    for traj, (current, shifted, outputs) in zip(data.trajectories, segments):
+        rows = range(lag, len(traj) - 1)
+        assert current.shape[1] == shifted.shape[1] == outputs.shape[1] \
+            == len(rows)
         values = traj.values
-        assert np.array_equal(lifted.current[:, k], dictionary.evaluate(
-            values[row - lag:row + 1])[:, -1])
-        assert np.array_equal(lifted.shifted[:, k], dictionary.evaluate(
-            values[row - lag + 1:row + 2])[:, -1])
-        assert np.array_equal(outputs[:, k], values[row])
+        for k, row in enumerate(rows):
+            assert np.array_equal(current[:, k], dictionary.evaluate(
+                values[row - lag:row + 1])[:, -1])
+            assert np.array_equal(shifted[:, k], dictionary.evaluate(
+                values[row - lag + 1:row + 2])[:, -1])
+            assert np.array_equal(outputs[:, k], values[row])

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from koopmodel import (
     Dictionary,
     InputError,
-    LiftedPair,
+    ShapeMismatchError,
     Trajectory,
     TrajectorySet,
     fit_koopman_matrix,
     lift_trajectories,
     pseudoinverse,
 )
+from koopmodel import edmd
 from koopmodel.edmd import DEFAULT_SVD_TOL
-from conftest import fold_rows, identity_dictionary, simulate_linear
+from conftest import (fold_rows, identity_dictionary, simulate_linear,
+                      stacked_lift)
 
 
 def mp_identities_hold(matrix, pinv, tol=1e-10):
@@ -87,8 +89,7 @@ def test_pinv_identities_on_random_shapes(seed):
 # -- fitting -----------------------------------------------------------------
 
 def test_scalar_geometric_decay():
-    lifted = lift_series([1.0, 0.9, 0.81])
-    fitted = fit_koopman_matrix(lifted)
+    fitted = fit_koopman_matrix(lift_series([1.0, 0.9, 0.81]))
     assert np.allclose(fitted.matrix, [[0.9]], atol=1e-14)
     assert fitted.fit_residual < 1e-14
     assert fitted.rank_used == 1
@@ -99,13 +100,13 @@ def test_planar_rotation_recovery():
     rotation = np.array([[np.cos(theta), -np.sin(theta)],
                          [np.sin(theta), np.cos(theta)]])
     data = simulate_linear(rotation, np.array([[1.0, 0.25]]), 16)
-    lifted = lift_trajectories(identity_dictionary(2), data)
-    fitted = fit_koopman_matrix(lifted)
+    fitted = fit_koopman_matrix(lift_trajectories(identity_dictionary(2),
+                                                  data))
     assert np.max(np.abs(fitted.matrix - rotation)) < 1e-8
 
 
 def test_worked_example_rows(worked_fit):
-    _, _, fitted, residuals = worked_fit
+    fitted, residuals = worked_fit, worked_fit.row_residuals
     assert np.max(np.abs(fitted.matrix[0] - [1.0, 1.0, 0.0])) < 1e-6
     assert np.max(np.abs(fitted.matrix[2] - [1.0, 0.0, 1.0])) < 1e-6
     assert abs(fitted.matrix[0, 2]) < 1e-6
@@ -140,8 +141,7 @@ def assert_matches_svd_reference(current, shifted, outputs):
     likewise), the condition number itself, and ``||shifted_i|| +
     ||matrix_i|| * sigma_max`` for the misfit of row i (its total over all
     rows for the fit residual)."""
-    lifted = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
-    fitted = fit_koopman_matrix(lifted, outputs=outputs)
+    fitted = fit_koopman_matrix([(current, shifted, outputs)])
     ref = svd_reference(current, shifted, outputs)
     sigma = ref["sigma"]
     cond = sigma[0] / sigma[-1]
@@ -210,12 +210,11 @@ def test_fit_memory_does_not_grow_with_the_data_length():
     rng = np.random.default_rng(4)
 
     def peak_bytes(k):
-        lifted = LiftedPair(current=rng.normal(size=(20, k)),
-                            shifted=rng.normal(size=(20, k)), x0_columns=(0,))
-        outputs = rng.normal(size=(2, k))
+        segment = (rng.normal(size=(20, k)), rng.normal(size=(20, k)),
+                   rng.normal(size=(2, k)))
         tracemalloc.start()
         try:
-            fit_koopman_matrix(lifted, outputs=outputs)
+            fit_koopman_matrix([segment])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -225,13 +224,84 @@ def test_fit_memory_does_not_grow_with_the_data_length():
     assert abs(large - small) < 2**20
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_fit_does_not_depend_on_where_segments_split(seed, data):
+    # The fold copies each segment's columns into the same blocks whatever
+    # the split, so every fit quantity is bit-equal to the one-segment fit.
+    # Folds of ``rows`` pairs make cuts inside a block and on its edges.
+    rng = np.random.default_rng(seed)
+    d, h = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    rows = 2 * d + h + int(rng.integers(0, 4))
+    k = data.draw(st.integers(1, 4 * rows), label="k")
+    cuts = sorted(data.draw(st.sets(st.integers(1, k - 1)), label="cuts")
+                  if k > 1 else ())
+    arrays = [rng.normal(size=(d, k)), rng.normal(size=(d, k))]
+    if h:
+        arrays.append(rng.normal(size=(h, k)))
+    bounds = [0, *cuts, k]
+    split = [tuple(a[:, start:stop] for a in arrays)
+             for start, stop in zip(bounds, bounds[1:])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * (2 * d + h) * rows)
+        whole = fit_koopman_matrix([tuple(arrays)])
+        parts = fit_koopman_matrix(iter(split))
+    for name in ("factor", "matrix", "row_residuals"):
+        assert np.array_equal(getattr(parts, name), getattr(whole, name))
+    assert (parts.decode is None) == (h == 0)
+    if h:
+        assert np.array_equal(parts.decode, whole.decode)
+    assert parts.rank_used == whole.rank_used
+    assert parts.n_pairs == whole.n_pairs == k
+    assert np.array_equal(parts.initial_lifts, arrays[0][:, bounds[:-1]])
+
+
+@pytest.mark.parametrize("segments", [
+    [],
+    [(np.ones((2, 3)), np.ones((2, 4)))],
+    [(np.ones((2, 3)), np.ones((3, 3)))],
+    [(np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 2)))],
+    [(np.ones((2, 0)), np.ones((2, 0)))],
+    [(np.ones((2, 3)),)],
+    [(np.ones(3), np.ones(3))],
+    [(np.ones((2, 3)), np.ones((2, 3))), (np.ones((3, 3)), np.ones((3, 3)))],
+    [(np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 3))),
+     (np.ones((2, 3)), np.ones((2, 3)))],
+], ids=["empty", "columns", "rows", "output-columns", "no-columns",
+        "one-array", "one-dimensional", "rows-change", "outputs-dropped"])
+def test_fit_rejects_mismatched_segments(segments):
+    with pytest.raises(ShapeMismatchError):
+        fit_koopman_matrix(segments)
+
+
+def test_fit_memory_does_not_grow_with_the_number_of_trajectories():
+    # Lifting yields one trajectory at a time and the fit keeps only each
+    # one's first lifted column, copied: a view would pin the whole lift.
+    dictionary = identity_dictionary(10)
+    rng = np.random.default_rng(9)
+
+    def peak_bytes(n_trajectories):
+        data = TrajectorySet(
+            trajectories=tuple(Trajectory(rng.normal(size=(200, 10)),
+                                          id=f"t{i}")
+                               for i in range(n_trajectories)),
+            feature_names=tuple(f"x{i}" for i in range(10)))
+        tracemalloc.start()
+        try:
+            fit_koopman_matrix(lift_trajectories(dictionary, data,
+                                                 outputs=True))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(20), peak_bytes(80)
+    lifted_pair_bytes = 2 * 10 * 80 * 199 * 8  # 2.5 MB: current and shifted
+    assert large - small < 64 * 1024 < lifted_pair_bytes // 32
+
+
 def test_zero_targets_give_zero_matrix():
-    lifted = LiftedPair(
-        current=np.array([[1.0, 2.0, 3.0]]),
-        shifted=np.zeros((1, 3)),
-        x0_columns=(0,),
-    )
-    fitted = fit_koopman_matrix(lifted)
+    fitted = fit_koopman_matrix([(np.array([[1.0, 2.0, 3.0]]),
+                                  np.zeros((1, 3)))])
     assert np.array_equal(fitted.matrix, [[0.0]])
     assert np.allclose(fitted.row_residuals, [0.0])
 
@@ -241,29 +311,29 @@ def test_rank_deficient_fit_is_minimal_norm():
     # picks the minimal-Frobenius-norm one, which splits weight evenly.
     current = np.array([[1.0, 2.0], [1.0, 2.0]])
     shifted = np.array([[2.0, 4.0], [2.0, 4.0]])
-    lifted = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
-    fitted = fit_koopman_matrix(lifted)
+    fitted = fit_koopman_matrix([(current, shifted)])
     assert np.allclose(fitted.matrix, np.full((2, 2), 1.0))
     assert fitted.rank_used == 1
 
 
-def test_fit_minimality_against_perturbations(worked_fit):
-    lifted, _, fitted, _ = worked_fit
-    base = np.linalg.norm(lifted.shifted - fitted.matrix @ lifted.current)
+def test_fit_minimality_against_perturbations(worked_fit, worked_data,
+                                              worked_dict):
+    fitted = worked_fit
+    current, shifted, _ = stacked_lift(worked_dict, worked_data)
+    base = np.linalg.norm(shifted - fitted.matrix @ current)
     rng = np.random.default_rng(5)
     for _ in range(20):
         delta = rng.normal(size=fitted.matrix.shape)
         delta *= 1e-3 / np.linalg.norm(delta)
         perturbed = np.linalg.norm(
-            lifted.shifted - (fitted.matrix + delta) @ lifted.current
+            shifted - (fitted.matrix + delta) @ current
         )
         assert perturbed >= base - 1e-12
 
 
 def test_fit_determinism(worked_data, worked_dict):
-    lifted = lift_trajectories(worked_dict, worked_data)
-    a = fit_koopman_matrix(lifted)
-    b = fit_koopman_matrix(lifted)
+    a = fit_koopman_matrix(lift_trajectories(worked_dict, worked_data))
+    b = fit_koopman_matrix(lift_trajectories(worked_dict, worked_data))
     assert np.array_equal(a.matrix, b.matrix)
     assert a.fit_residual == b.fit_residual
 
@@ -277,21 +347,17 @@ def test_scale_equivariance_of_fit(seed, scale):
     d, k = int(rng.integers(1, 5)), int(rng.integers(2, 9))
     current = rng.normal(size=(d, k))
     shifted = rng.normal(size=(d, k))
-    base = LiftedPair(current=current, shifted=shifted, x0_columns=(0,))
-    scaled = LiftedPair(current=scale * current, shifted=scale * shifted,
-                        x0_columns=(0,))
-    a = fit_koopman_matrix(base)
-    b = fit_koopman_matrix(scaled)
+    a = fit_koopman_matrix([(current, shifted)])
+    b = fit_koopman_matrix([(scale * current, scale * shifted)])
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12 * max(
         1.0, float(np.max(np.abs(a.matrix)))
     )
 
 
 def test_condition_number_tracks_singular_values():
-    lifted = lift_series([1.0, 0.9, 0.81])
-    assert fit_koopman_matrix(lifted).condition_number == pytest.approx(1.0)
+    assert fit_koopman_matrix(
+        lift_series([1.0, 0.9, 0.81])).condition_number == pytest.approx(1.0)
     rng = np.random.default_rng(3)
     current = np.diag([10.0, 0.1]) @ rng.normal(size=(2, 40))
-    pair = LiftedPair(current=current, shifted=np.zeros_like(current),
-                      x0_columns=(0,))
-    assert fit_koopman_matrix(pair).condition_number > 10.0
+    pair = (current, np.zeros_like(current))
+    assert fit_koopman_matrix([pair]).condition_number > 10.0

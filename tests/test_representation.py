@@ -11,7 +11,6 @@ from koopmodel import (
     Dictionary,
     InputError,
     KoopmanMatrix,
-    LiftedPair,
     ShapeMismatchError,
     ZeroPattern,
     analyze_representation,
@@ -52,7 +51,7 @@ def subsets_by_ids(report):
 # -- zero pattern ------------------------------------------------------------
 
 def test_worked_example_pattern(worked_fit):
-    _, _, fitted, _ = worked_fit
+    fitted = worked_fit
     pattern = zero_pattern(fitted, threshold=0.05)
     assert np.array_equal(pattern.mask[0], [True, True, False])
     assert np.array_equal(pattern.mask[2], [True, False, True])
@@ -92,7 +91,7 @@ def test_mask_monotone_in_threshold(seed, t_low, t_high):
 # -- closed subsets ----------------------------------------------------------
 
 def test_worked_example_closed_subsets(worked_fit, worked_dict):
-    _, _, fitted, _ = worked_fit
+    fitted = worked_fit
     pattern = zero_pattern(fitted)
     assert is_closed_subset(pattern, worked_dict, {"x"})
     assert is_closed_subset(pattern, worked_dict, {"x", "y"})
@@ -121,7 +120,7 @@ def test_dense_pattern_only_full_set_closed():
 
 
 def test_union_of_reported_subsets_is_closed(worked_fit, worked_dict):
-    _, _, fitted, _ = worked_fit
+    fitted = worked_fit
     pattern = zero_pattern(fitted)
     found = closed_subsets(pattern, worked_dict)
     for a in found.subsets:
@@ -145,8 +144,8 @@ def test_more_classes_than_the_cap_sets_truncation_flag():
     assert found.truncated
     assert 0 < len(found.subsets) <= 512
     current = np.random.default_rng(3).normal(size=(10, 20))
-    report = analyze_representation(fit_koopman_matrix(LiftedPair(
-        current=current, shifted=0.9 * current, x0_columns=(0,))), dic)
+    report = analyze_representation(
+        fit_koopman_matrix([(current, 0.9 * current)]), dic)
     assert report.truncated
     assert "More than 512 classes" in report.narrative
 
@@ -290,7 +289,7 @@ def test_closed_subsets_match_brute_force(case):
 
 
 def test_empty_subset_is_not_closed(worked_fit, worked_dict):
-    _, _, fitted, _ = worked_fit
+    fitted = worked_fit
     pattern = zero_pattern(fitted)
     assert not is_closed_subset(pattern, worked_dict, set())
 
@@ -311,7 +310,7 @@ def test_dimension_mismatch_rejected(worked_dict):
 # -- full analysis -----------------------------------------------------------
 
 def test_worked_example_report(worked_fit, worked_dict):
-    _, _, fitted, _ = worked_fit
+    fitted = worked_fit
     report = analyze_representation(fitted, worked_dict)
     by_ids = subsets_by_ids(report)
     reduced = by_ids[("x",)]
@@ -332,7 +331,7 @@ def test_exactly_linear_system_is_one_faithful_linear_block():
     data = simulate_linear(DENSE_CONTRACTION,
                            np.random.default_rng(8).normal(size=(3, 3)), 20)
     dic = identity_dictionary(3)
-    _, _, fitted, _ = fit_pipeline(data, dic)
+    fitted = fit_pipeline(data, dic)
     report = analyze_representation(fitted, dic)
     assert len(report.subsets) == 1
     block = report.subsets[0]
@@ -349,7 +348,7 @@ def test_constant_observable_yields_linear_singleton():
         {"id": "x", "kind": "coordinate", "params": {"index": 0}},
         {"id": "one", "kind": "monomial", "params": {"exponents": [0]}},
     ], 1)
-    _, _, fitted, _ = fit_pipeline(data, dic)
+    fitted = fit_pipeline(data, dic)
     # The fitted row of a constant observable is the unit row, eigenvalue 1.
     assert np.max(np.abs(fitted.matrix[1] - [0.0, 1.0])) < 1e-6
     report = analyze_representation(fitted, dic)
@@ -381,8 +380,7 @@ def test_subset_linearity_from_the_factor_matches_the_data(seed, folds):
     noise = (10.0 ** rng.uniform(-10, -2, (d, 1)) * (rng.random((d, 1)) < 0.5)
              * rng.normal(size=(d, k)))
     shifted = step @ current + noise
-    fitted = fit_koopman_matrix(LiftedPair(current=current, shifted=shifted,
-                                           x0_columns=(0,)))
+    fitted = fit_koopman_matrix([(current, shifted)])
     dic = identity_dictionary(d)
     closure_tol = 1e-6
     pattern = zero_pattern(fitted, closure_tol=closure_tol)
@@ -404,7 +402,7 @@ def test_subset_linearity_from_the_factor_matches_the_data(seed, folds):
 
 
 def test_report_is_deterministic(worked_fit, worked_dict):
-    _, _, fitted, _ = worked_fit
+    fitted = worked_fit
     first = analyze_representation(fitted, worked_dict)
     second = analyze_representation(fitted, worked_dict)
     assert first.as_dict() == second.as_dict()
@@ -412,7 +410,7 @@ def test_report_is_deterministic(worked_fit, worked_dict):
 
 
 def test_report_as_dict_shape(worked_fit, worked_dict):
-    _, _, fitted, _ = worked_fit
+    fitted = worked_fit
     report = analyze_representation(fitted, worked_dict)
     doc = report.as_dict()
     assert set(doc) == {"subsets", "narrative", "truncated"}

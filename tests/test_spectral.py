@@ -19,7 +19,6 @@ from koopmodel import (
     build_spectral_triple,
     eigendecompose,
     eigenfunction_values,
-    features_at_columns,
     fit_koopman_matrix,
     lift_trajectories,
     predict,
@@ -30,6 +29,7 @@ from conftest import (
     identity_dictionary,
     random_contraction,
     simulate_linear,
+    stacked_lift,
     triple_pipeline,
 )
 
@@ -111,24 +111,22 @@ def test_eigenfunction_dynamics_along_trajectories():
     rng = np.random.default_rng(2)
     matrix = random_contraction(rng, dim=3)
     data = simulate_linear(matrix, rng.normal(size=(2, 3)), 12)
-    lifted = lift_trajectories(identity_dictionary(3), data)
-    system = eigendecompose(fit_koopman_matrix(lifted))
-    full = (system.left_vectors.conj().T @ lifted.current).T
-    at_x0 = eigenfunction_values(system, lifted)
+    dictionary = identity_dictionary(3)
+    fitted = fit_koopman_matrix(lift_trajectories(dictionary, data))
+    system = eigendecompose(fitted)
+    at_x0 = eigenfunction_values(system, fitted.initial_lifts)
     assert at_x0.shape == (2, 3)
-    assert np.array_equal(at_x0, full[list(lifted.x0_columns)])
-    for k in range(lifted.n_columns - 1):
-        if k + 1 in lifted.x0_columns:  # column k + 1 starts a trajectory
-            continue
-        advanced = system.eigenvalues * full[k]
-        assert np.max(np.abs(full[k + 1] - advanced)) < 1e-8
+    for i, (current, _) in enumerate(lift_trajectories(dictionary, data)):
+        series = (system.left_vectors.conj().T @ current).T
+        assert np.array_equal(at_x0[i], series[0])
+        advanced = system.eigenvalues * series[:-1]
+        assert np.max(np.abs(series[1:] - advanced)) < 1e-8
 
 
 def test_eigenfunction_values_dimension_check(worked_fit):
-    lifted, _, _, _ = worked_fit
     system = eigendecompose(np.diag([0.5, 0.25]))
     with pytest.raises(ShapeMismatchError):
-        eigenfunction_values(system, lifted)
+        eigenfunction_values(system, worked_fit.initial_lifts)
 
 
 # -- modes, decode, prediction ----------------------------------------------
@@ -138,7 +136,7 @@ def test_prediction_matches_linear_truth():
     matrix = random_contraction(rng, dim=4)
     x0s = rng.normal(size=(3, 4))
     data = simulate_linear(matrix, x0s, 30)
-    _, _, _, triple = triple_pipeline(data, identity_dictionary(4))
+    _, triple = triple_pipeline(data, identity_dictionary(4))
     for i, x0 in enumerate(x0s):
         state = x0.copy()
         for k in range(20):
@@ -148,9 +146,9 @@ def test_prediction_matches_linear_truth():
 
 
 def test_prediction_matches_matrix_power_oracle(worked_triple):
-    lifted, fitted, _, triple = worked_triple
+    fitted, triple = worked_triple
     power = np.eye(fitted.dim)
-    g0 = lifted.current[:, lifted.x0_columns[0]]
+    g0 = fitted.initial_lifts[:, 0]
     for k in range(40):
         oracle = triple.decode @ power @ g0
         value = predict(triple, 0, k)
@@ -278,12 +276,11 @@ def test_mode_projection_needs_full_rank():
     # One trajectory of a repeated eigenvalue gives proportional
     # eigenfunction series: the projection must refuse, not alias.
     data = simulate_linear(0.5 * np.eye(2), np.array([[1.0, 1.0]]), 10)
-    lifted = lift_trajectories(identity_dictionary(2), data)
-    fitted = fit_koopman_matrix(lifted,
-                                outputs=features_at_columns(data, lifted))
+    fitted = fit_koopman_matrix(lift_trajectories(identity_dictionary(2),
+                                                  data, outputs=True))
     system = eigendecompose(0.5 * np.eye(2))
     with pytest.raises(EigenfunctionRankError):
-        build_spectral_triple(system, lifted, fitted)
+        build_spectral_triple(system, fitted)
 
 
 @st.composite
@@ -322,23 +319,22 @@ def test_modes_are_decode_times_right_vectors(case):
     # eigenfunction series W* current, and the spectral expansion
     # reproduces the rollout decode @ A^k @ g(x0).
     data, dictionary = case
-    lifted, fitted, _, triple = triple_pipeline(data, dictionary)
-    outputs = features_at_columns(data, lifted)
+    fitted, triple = triple_pipeline(data, dictionary)
+    current, _, outputs = stacked_lift(dictionary, data)
     system = eigendecompose(fitted)
-    assert fitted.rank_used == lifted.n_observables
+    assert fitted.rank_used == len(dictionary)
     # Rounding of either side grows with the conditioning of both factors.
-    error_scale = (100 * np.finfo(float).eps * np.linalg.cond(lifted.current)
+    error_scale = (100 * np.finfo(float).eps * np.linalg.cond(current)
                    * np.linalg.cond(system.right_vectors))
 
-    series = system.left_vectors.conj().T @ lifted.current
+    series = system.left_vectors.conj().T @ current
     projection = np.linalg.lstsq(series.T, outputs.T.astype(complex),
                                  rcond=None)[0].T
     assert np.max(np.abs(triple.modes - projection)) <= error_scale * max(
         1.0, float(np.max(np.abs(projection))))
 
     decode_norm = np.linalg.norm(triple.decode, 2)
-    for i, column in enumerate(lifted.x0_columns):
-        g0 = lifted.current[:, column]
+    for i, g0 in enumerate(fitted.initial_lifts.T):
         power = np.eye(fitted.dim)
         for k in range(12):
             rollout = triple.decode @ power @ g0
