@@ -8,9 +8,11 @@ from pathlib import Path
 
 
 def write_atomically(outputs) -> None:
-    """Write ``(path, bytes)`` pairs by temp file + rename. Every payload is
-    staged before the first rename, and a failed rename undoes the ones
-    before it, so a failed write leaves every target as it was."""
+    """Write ``(path, payload)`` pairs by temp file + rename; a payload is
+    ``bytes`` or an iterable of byte chunks. Every payload is staged
+    before the first rename, and a failure while staging or renaming
+    undoes the renames before it, so a failed write leaves every target
+    as it was."""
     staged, renamed = [], 0
     try:
         for path, payload in outputs:
@@ -18,7 +20,8 @@ def write_atomically(outputs) -> None:
                                        prefix=Path(path).name, suffix=".tmp")
             staged.append((tmp, path))
             with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
+                handle.writelines([payload] if isinstance(payload, bytes)
+                                  else payload)
         for tmp, path in staged:
             if os.path.isfile(path):  # kept as ``tmp.old`` until all renamed
                 try:

@@ -332,7 +332,7 @@ def cmd_predict(options: dict) -> int:
     import numpy as np
 
     from .model_io import load_model
-    from .spectral import predict
+    from .spectral import REAL_REPORT_TOL, prediction_blocks
 
     with _stage("loading model"):
         triple = load_model(_require(options, "model", "input"))
@@ -343,25 +343,39 @@ def cmd_predict(options: dict) -> int:
         f"y{i}" for i in range(triple.n_outputs)
     )
     with _stage("predicting"):
-        values = predict(triple, x0, np.arange(horizon + 1))
-    if np.iscomplexobj(values):
-        dropped = np.abs(values.imag)
-        k, i = np.unravel_index(np.argmax(dropped), dropped.shape)
-        ratio = dropped[k, i] / np.max(np.abs(values[k]))
-        print(f"warning: dropped imaginary parts up to {dropped[k, i]:.3g} "
-              f"(k={k}, {names[i]}), {ratio:.3g} of that row's largest "
-              f"|value|", file=sys.stderr)
+        blocks = prediction_blocks(triple, x0, range(horizon + 1))
+    # The largest dropped |imag|, first in row-major order: its value, its
+    # step and output, and its ratio to that row's largest |value|.
+    dropped = [0.0, 0, 0, 0.0]
     # "%.17g" renders a float exactly as fmt() does.
     row = "%d" + ",%.17g" * triple.n_outputs + "\n"
-    text = _csv_text(["k", *names], ()) + "".join(
-        row % (k, *v) for k, v in enumerate(values.real.tolist()))
+
+    def chunks():
+        yield _csv_text(["k", *names], ())
+        start = 0
+        for block in blocks:
+            imag = np.abs(block.imag)
+            if imag.max(initial=0.0) > dropped[0]:
+                k, i = np.unravel_index(np.argmax(imag), imag.shape)
+                dropped[:] = (imag[k, i], start + k, i,
+                              imag[k, i] / np.max(np.abs(block[k])))
+            yield "".join(row % (j, *v) for j, v in
+                          enumerate(block.real.tolist(), start))
+            start += len(block)
 
     out = options.get("out")
     if out:
-        _publish([(out, text.encode())])
-        print(f"wrote {horizon + 1} prediction rows to {out}")
+        _publish([(out, (chunk.encode() for chunk in chunks()))])
     else:
-        sys.stdout.write(text)
+        for chunk in chunks():
+            sys.stdout.write(chunk)
+    if dropped[0] >= REAL_REPORT_TOL:
+        value, k, i, ratio = dropped
+        print(f"warning: dropped imaginary parts up to {value:.3g} "
+              f"(k={k}, {names[i]}), {ratio:.3g} of that row's largest "
+              f"|value|", file=sys.stderr)
+    if out:
+        print(f"wrote {horizon + 1} prediction rows to {out}")
     return 0
 
 
@@ -491,7 +505,15 @@ def main(argv=None) -> int:
     try:
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](load_options(args.command, args))
+        code = _COMMANDS[args.command](load_options(args.command, args))
+        sys.stdout.flush()  # a closed pipe shows here if stdout is buffered
+        return code
+    except BrokenPipeError as exc:  # such as ``koop predict ... | head``
+        # Python flushes stdout again at exit; aim that at the null device.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: writing outputs: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -150,6 +150,11 @@ def load_model(path) -> SpectralTriple:
                 and all(isinstance(name, str) for name in value)):
             raise ModelFormatError(f"metadata {key!r} must be a list of "
                                    f"strings, got {value!r}")
+    arrays = {"eigenvalues": eigenvalues, "eigenfunction table": phi,
+              "modes": modes, "decode matrix": decode}
+    for what, array in arrays.items():
+        if not np.all(np.isfinite(array)):  # a fit never writes one
+            raise ModelFormatError(f"{what} hold a non-finite value")
     metadata = ModelMetadata(dict_hash=dict_hash,
                              **{key: tuple(v) for key, v in names.items()})
     return SpectralTriple(

@@ -10,6 +10,7 @@ geometric sum ``sum_j lambda_j^k phi_j(x0) v_j``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,8 +30,9 @@ DEFECTIVE_CONDITION_LIMIT = 1e12
 
 REAL_REPORT_TOL = 1e-8
 
-# Bytes of complex power table per chunk of prediction steps (197 steps at
-# N=83), so that predict's memory does not grow with the horizon.
+# Bytes of the complex weight block (steps x N) per chunk of prediction
+# steps: 197 steps at N=83. It also sets the split of each power, so that
+# prediction's memory does not grow with the number of steps.
 PREDICT_CHUNK_BYTES = 256 * 1024
 
 
@@ -224,58 +226,141 @@ def build_spectral_triple(es: EigenSystem, fitted: KoopmanMatrix,
     )
 
 
-def predict(triple: SpectralTriple, x0_index: int,
-            k: int | np.ndarray) -> np.ndarray:
-    """Outputs after k steps from the chosen initial condition.
+def _step_bounds(steps) -> tuple[int, int]:
+    """Smallest and largest entry of a range or a 1-D integer array, or
+    (0, 0) if it is empty."""
+    if isinstance(steps, range):  # whose len() may not fit an index
+        if not steps:
+            return 0, 0
+        return min(steps[0], steps[-1]), max(steps[0], steps[-1])
+    if not steps.size:
+        return 0, 0
+    return int(steps.min()), int(steps.max())
 
-    Evaluates ``sum_j lambda_j^k phi_j(x0) v_j`` for an int ``k``, giving
-    shape ``(h,)``, or for each entry of a 1-D integer array of steps,
-    giving one row per step, ``(len(k), h)``. The result is returned as a
-    real array when every imaginary part is below ``REAL_REPORT_TOL`` in
-    magnitude, and complex otherwise.
-    """
+
+def _checked_steps(triple: SpectralTriple, x0_index: int, k):
+    """``k`` as a range or a 1-D integer array, once the initial condition
+    and the steps are valid and neither ``|lambda|^k`` nor a term of the
+    expansion overflows."""
     if not 0 <= x0_index < triple.n_initial_conditions:
         raise InputError(
             f"x0_index {x0_index} out of range for "
             f"{triple.n_initial_conditions} initial conditions"
         )
-    steps = np.asarray(k)
-    if steps.ndim > 1 or not np.issubdtype(steps.dtype, np.integer):
-        raise InputError("prediction steps must be an integer or a 1-D "
-                         "array of integers")
-    ks = steps.reshape(-1)
-    if np.any(ks < 0):
+    steps = k
+    if not isinstance(k, range):
+        steps = np.asarray(k)
+        if steps.ndim > 1 or not np.issubdtype(steps.dtype, np.integer):
+            raise InputError("prediction steps must be an integer, a 1-D "
+                             "array of integers or a range")
+        steps = steps.reshape(-1)
+    low, high = _step_bounds(steps)
+    if low < 0:
         raise InputError("prediction step k must be non-negative")
     magnitudes = np.abs(triple.eigenvalues)
     growing = magnitudes[magnitudes > 1.0]
     if growing.size:
-        overflows = ks * np.log(np.max(growing)) > 700.0
-        if overflows.any():
+        # The first step with k * log|lambda| > 700 as rounded: the
+        # quotient, then unit steps to settle its rounding.
+        log_max = np.log(np.max(growing))
+        limit = math.floor(700.0 / log_max) + 1
+        while (limit - 1) * log_max > 700.0:
+            limit -= 1
+        while not limit * log_max > 700.0:
+            limit += 1
+        if limit <= high:
+            if isinstance(steps, range):  # steps[i] is the first >= limit
+                i = 0 if steps.step < 0 else max(
+                    0, -((steps.start - limit) // steps.step))
+                first = steps[i]
+            else:
+                first = int(steps[np.argmax(steps >= limit)])
             worst = triple.eigenvalues[int(np.argmax(magnitudes))]
             raise SpectralOverflowError(
-                f"|lambda|^k overflows at k={int(ks[np.argmax(overflows)])} "
-                f"for eigenvalue {worst:.6g}"
+                f"|lambda|^k overflows at k={first} for eigenvalue "
+                f"{worst:.6g}"
             )
+    # Each weight |lambda_j^k phi_j| and each output's sum of |terms| at
+    # the largest |lambda_j|^k over the steps: a product or a sum beyond
+    # them, with room for rounding, would overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = magnitudes ** np.where(magnitudes > 1.0, float(high),
+                                      float(low))
+        weights = peak * np.abs(triple.eigenfunction_values[x0_index])
+        largest = max(np.max(weights),
+                      np.max(np.abs(triple.modes) @ weights, initial=0.0))
+    if not largest < np.finfo(float).max / 4:
+        raise SpectralOverflowError(
+            f"prediction overflows: terms of the expansion reach "
+            f"{largest:.3g}")
+    return steps
+
+
+def prediction_blocks(triple: SpectralTriple, x0_index: int, k):
+    """Check the initial condition and the steps, then return a generator
+    of the predictions as complex ``(rows, h)`` blocks, in the order of
+    the steps.
+
+    ``k`` is an int, a 1-D integer array or a range; a range is never
+    expanded into one array. Every check runs before this returns, so a
+    consumer sees an error before the first block. Each block covers at
+    most ``PREDICT_CHUNK_BYTES // (16 N)`` steps, so the memory held does
+    not grow with the number of steps.
+    """
+    return _blocks(triple, x0_index, _checked_steps(triple, x0_index, k))
+
+
+def _blocks(triple: SpectralTriple, x0_index: int, steps):
+    # lambda^k is split as lambda^(qR) * lambda^r, k = qR + r with R rows
+    # per chunk: the table lambda^r takes ``**`` once per call, and
+    # lambda^(qR) once per distinct q in a chunk, with phi folded in. No
+    # power beyond the largest step is taken, so none can overflow.
+    eigenvalues = triple.eigenvalues
     phi = triple.eigenfunction_values[x0_index]
-    values = np.empty((len(ks), triple.n_outputs), dtype=complex)
-    largest_imag = 0.0
     rows = max(1, PREDICT_CHUNK_BYTES // (16 * triple.n_eigenvalues))
-    for start in range(0, len(ks), rows):
-        # A complex exponent gives ``lambda ** int(k)`` bit for bit, bar
-        # k = 2, which numpy's int power computes as lambda * lambda.
-        table = triple.eigenvalues ** ks[start:start + rows, None].astype(
-            complex) * phi
-        block = np.matmul(table, triple.modes.T, out=values[start:start + rows])
-        # Keep the abs after the GEMM: it clears a CPU state zgemm leaves
-        # that slows the next chunk's powers 6-10 times (measured on x86-64).
-        largest_imag = np.maximum(
-            largest_imag, np.max(np.abs(block.imag), initial=0.0))
-    # zgemm can sum underflowed terms to -0.0 where a matvec gives 0.0;
-    # adding 0 turns every -0.0 into 0.0 and leaves other values as they are.
-    values += 0.0
+    _, high = _step_bounds(steps)
+    table = eigenvalues ** np.arange(min(rows, high + 1))[:, None].astype(
+        complex)
+    modes = triple.modes.T
+    start = 0
+    while len(chunk := steps[start:start + rows]):
+        start += rows
+        if isinstance(chunk, range):
+            chunk = np.arange(chunk.start, chunk.stop, chunk.step)
+        q, r = np.divmod(chunk, rows)
+        shifts, which = np.unique(q, return_inverse=True)
+        scaled = eigenvalues ** (shifts[:, None] * rows).astype(complex) * phi
+        weights = table[r]
+        weights *= scaled[which] if len(shifts) > 1 else scaled[0]
+        block = weights @ modes
+        # zgemm can sum underflowed terms to -0.0 where a matvec gives
+        # 0.0; adding 0 turns every -0.0 into 0.0 and leaves the rest.
+        block += 0.0
+        yield block
+
+
+def predict(triple: SpectralTriple, x0_index: int,
+            k: int | np.ndarray | range) -> np.ndarray:
+    """Outputs after k steps from the chosen initial condition.
+
+    Evaluates ``sum_j lambda_j^k phi_j(x0) v_j`` for an int ``k``, giving
+    shape ``(h,)``, or for each entry of a 1-D integer array or a range of
+    steps, giving one row per step, ``(len(k), h)``. The result is
+    returned as a real array when every imaginary part is below
+    ``REAL_REPORT_TOL`` in magnitude, and complex otherwise.
+    """
+    blocks = prediction_blocks(triple, x0_index, k)
+    count = len(k) if isinstance(k, range) else np.size(k)
+    values = np.empty((count, triple.n_outputs), dtype=complex)
+    largest_imag, start = 0.0, 0
+    for block in blocks:
+        values[start:start + len(block)] = block
+        start += len(block)
+        largest_imag = max(largest_imag,
+                           np.max(np.abs(block.imag), initial=0.0))
     if largest_imag < REAL_REPORT_TOL:
         values = values.real.copy()
-    return values if steps.ndim else values[0]
+    return values if isinstance(k, range) or np.ndim(k) else values[0]
 
 
 def _conjugate_units(eigenvalues: np.ndarray) -> list[tuple[int, ...]]:

@@ -4,21 +4,26 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import koopmodel
 from koopmodel import SpectralTriple, cli
+from koopmodel.model_io import _encode as model_bytes
 from koopmodel.model_io import load_model, model_json, save_model
 from conftest import (
     WORKED_DICT_ENTRIES,
+    random_triple,
     simulate_worked_example,
     with_metadata,
     write_data_csv,
@@ -584,6 +589,20 @@ def test_predict_reports_dropped_imaginary_parts(tmp_path, capsys):
     assert "dropped imaginary parts up to 0.5 (k=1, y0), 1 of" in captured.err
 
 
+def test_predict_warning_names_the_first_largest_drop(tmp_path, capsys):
+    # lambda = 1j predicts 1, 1j, -1, -1j, ...: |imag| = 1 at every odd k,
+    # in both chunks of 16384 steps (N = 1); the warning names k = 1.
+    save_model(SpectralTriple([1j], [[1.0]], [[1.0]], [[1.0]]),
+               tmp_path / "model.bin")
+    write_json(tmp_path / "predict.json", {"model": "model.bin",
+                                           "horizon": 20000})
+    assert run(["predict", "--config", tmp_path / "predict.json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 20002
+    assert captured.err == ("warning: dropped imaginary parts up to 1 (k=1, "
+                            "y0), 1 of that row's largest |value|\n")
+
+
 def test_predict_horizon_zero_is_reconstruction(workspace, capsys):
     assert run(["fit", "--config", workspace / "fit.json"]) == 0
     write_json(workspace / "predict.json", {
@@ -631,21 +650,51 @@ def test_predict_bad_horizon_exits_2(workspace):
 
 def test_out_of_memory_exits_2_without_output(workspace, capsys,
                                               monkeypatch):
+    # Memory runs out after the first block has reached the temp file.
     assert run(["fit", "--config", workspace / "fit.json"]) == 0
     write_json(workspace / "predict.json", {
         "model": "model.bin", "horizon": 10, "out": "pred.csv",
     })
-    message = ("Unable to allocate 7.28 TiB for an array with shape "
-               "(1000000000001,) and data type int64")
+    message = ("Unable to allocate 256. KiB for an array with shape "
+               "(8192, 2) and data type complex128")
 
     def exhausted(*args):
+        yield np.zeros((1, 2), dtype=complex)
         raise MemoryError(message)
 
-    monkeypatch.setattr("koopmodel.spectral.predict", exhausted)
+    monkeypatch.setattr("koopmodel.spectral.prediction_blocks", exhausted)
     capsys.readouterr()
     assert run(["predict", "--config", workspace / "predict.json"]) == 2
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
     assert not (workspace / "pred.csv").exists()
+    assert not list(workspace.glob("*.tmp"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(0, 2000), bit=st.integers(0, 7),
+       damage=st.sampled_from(["truncate", "flip", "flip and reseal"]))
+def test_predict_on_a_damaged_model_exits_cleanly(cut, bit, damage):
+    # "flip and reseal" rewrites the checksum, so the flipped bit reaches
+    # the header, the arrays, the metadata and prediction itself.
+    model = bytearray(model_bytes(random_triple(np.random.default_rng(3))))
+    cut %= len(model) - 4
+    if damage == "truncate":
+        model = model[:cut]
+    else:
+        model[cut] ^= 1 << bit
+    if damage == "flip and reseal":
+        model[-4:] = struct.pack("<I", zlib.crc32(model[:-4]))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "model.bin").write_bytes(model)
+        write_json(work / "predict.json", {"model": "model.bin",
+                                           "horizon": 300, "out": "p.csv"})
+        code = run(["predict", "--config", work / "predict.json"])
+        assert code in (0, 2, 3)
+        assert (work / "p.csv").exists() == (code == 0)
+        assert sorted(p.name for p in work.iterdir()) == sorted(
+            ["model.bin", "predict.json"] + ["p.csv"] * (code == 0))
+
 
 @pytest.mark.parametrize("metadata", [
     [1, 2],
@@ -884,6 +933,66 @@ def test_console_script_runs(workspace):
     )
     assert result.returncode == 0, result.stderr
     assert (workspace / "model.bin").exists()
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_closed_stdout_exits_2_with_one_line(workspace, command, buffered):
+    # The reader closes the pipe before the child writes its first byte.
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    write_json(workspace / "predict.json", {"model": "model.bin",
+                                            "horizon": 20000})
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "koopmodel.cli", command, "--config",
+         str(workspace / f"{command}.json")],
+        cwd=workspace, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 2
+    assert err == "error: writing outputs: [Errno 32] Broken pipe\n"
+
+
+# Started by a small interpreter, so that the child's peak RSS is its own:
+# a child forked from this process would start from the test's peak.
+_PEAK_RSS = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("out", ["pred.csv", None])
+def test_predict_memory_is_flat_in_the_horizon(tmp_path, out):
+    # |lambda| <= 1, so no horizon overflows; h = 3 outputs per row.
+    angle = np.exp(0.3j)
+    save_model(SpectralTriple(
+        [1.0, 0.95 * angle, 0.95 / angle, 0.5], np.ones((1, 4)),
+        np.random.default_rng(5).normal(size=(3, 4)), np.zeros((3, 1))),
+        tmp_path / "model.bin")
+    peaks = []
+    for horizon in (10**4, 2 * 10**5):
+        write_json(tmp_path / "predict.json", {
+            "model": "model.bin", "horizon": horizon,
+            **({"out": out} if out else {})})
+        result = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
+             "koopmodel.cli", "predict", "--config",
+             str(tmp_path / "predict.json")],
+            cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+            check=True)
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 0
+        peaks.append(peak_kib)
+    if out:
+        assert len(read_csv(tmp_path / out)) == 2 * 10**5 + 2
+    assert peaks[1] - peaks[0] < 4 * 1024, peaks
 
 
 def test_every_exported_name_resolves():

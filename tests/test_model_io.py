@@ -3,6 +3,7 @@
 import json
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ def test_corrupted_payload_fails_checksum(tmp_path, triple):
         load_model(bad)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("array", ["eigenvalues", "eigenfunction_values",
+                                   "modes", "decode"])
+def test_non_finite_entries_rejected(tmp_path, triple, array, value):
+    # A sealed file whose checksum holds: the values themselves are bad.
+    damaged = getattr(triple, array).copy()
+    damaged.flat[-1] = value
+    save_model(replace(triple, **{array: damaged}), tmp_path / "bad.bin")
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_model(tmp_path / "bad.bin")
+
+
 def test_trailing_bytes_rejected(tmp_path, triple):
     path, data = saved_bytes(tmp_path, triple)
     padded = tmp_path / "padded.bin"
@@ -183,6 +196,27 @@ def test_failed_output_leaves_no_file_of_the_set(tmp_path):
     with pytest.raises(OSError):
         write_atomically([(first, b"model"), (second, b"sidecar")])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_chunk_stream_leaves_every_target_as_it_was(tmp_path):
+    first = tmp_path / "first.bin"
+    second = tmp_path / "second.csv"
+    first.write_bytes(b"old model")
+
+    def chunks():
+        yield b"k,y0\n"
+        raise MemoryError("stream failed")
+
+    with pytest.raises(MemoryError, match="stream failed"):
+        write_atomically([(first, b"new model"), (second, chunks())])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.bin"]
+    assert first.read_bytes() == b"old model"
+
+
+def test_chunk_stream_is_written_in_order(tmp_path):
+    target = tmp_path / "out.csv"
+    write_atomically([(target, (f"{i}\n".encode() for i in range(5)))])
+    assert target.read_bytes() == b"0\n1\n2\n3\n4\n"
 
 
 def test_json_export_writes_rendered_text(tmp_path, triple):

@@ -24,7 +24,7 @@ from koopmodel import (
     predict,
     truncate_spectrum,
 )
-from koopmodel.spectral import PREDICT_CHUNK_BYTES
+from koopmodel.spectral import PREDICT_CHUNK_BYTES, prediction_blocks
 from conftest import (
     identity_dictionary,
     random_contraction,
@@ -217,16 +217,36 @@ def test_predict_overflow_guard():
             predict(triple, 0, steps)
 
 
+def test_predict_guards_terms_that_overflow():
+    # |lambda| <= 1, but a weight lambda^k phi or a sum of terms would
+    # pass the double range; a huge phi of a vanished power is harmless.
+    for phi, modes in (([[1e308, 1.0]], [[1.0, 1.0]]),
+                       ([[1.0, 1.0]], [[1e308, 1e308]])):
+        triple = SpectralTriple([1.0, 0.5], phi, modes, [[1.0]])
+        with pytest.raises(SpectralOverflowError, match="terms"):
+            prediction_blocks(triple, 0, range(3))
+    triple = SpectralTriple([1.0, 0.0], [[1.0, 1e308]], [[1.0, 1.0]],
+                            [[1.0]])
+    assert predict(triple, 0, 2)[0] == 1.0
+    with pytest.raises(SpectralOverflowError, match="terms"):
+        predict(triple, 0, range(2))
+
+
 @st.composite
 def stable_batches(draw):
-    """A random triple with |lambda| <= 1 (some exactly 0 or 1), N in
-    [1, 90] and h in [1, 4], and steps filling three or four chunks."""
+    """A random triple with N in [1, 90] and h in [1, 4], and steps below
+    ``top`` filling three or four chunks. Most |lambda| <= 1 (some exactly
+    0 or 1); about a tenth exceed 1, by as much as ``top`` allows below
+    the overflow limit."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 90))
     h = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([3, 100, 3000, 30000]))
     radius = rng.uniform(0.0, 1.0, n)
     radius[rng.random(n) < 0.1] = 1.0
     radius[rng.random(n) < 0.1] = 0.0
+    growing = rng.random(n) < 0.1
+    radius[growing] = np.exp(rng.uniform(0.0, 600.0 / top, growing.sum()))
     eigenvalues = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
     triple = SpectralTriple(
         eigenvalues=eigenvalues,
@@ -237,13 +257,14 @@ def stable_batches(draw):
     )
     rows = PREDICT_CHUNK_BYTES // (16 * n)
     length = rows * draw(st.integers(2, 3)) + draw(st.integers(1, rows))
-    steps = rng.integers(0, draw(st.sampled_from([3, 100, 3000])), length)
+    steps = rng.integers(0, top, length)
     return triple, steps
 
 
 @settings(max_examples=100, deadline=None)
 @given(stable_batches())
 def test_batch_prediction_matches_per_step_expansion(case):
+    mpmath = pytest.importorskip("mpmath")
     triple, steps = case
     eigenvalues = triple.eigenvalues
     phi = triple.eigenfunction_values[0]
@@ -254,22 +275,94 @@ def test_batch_prediction_matches_per_step_expansion(case):
     table = predict(SpectralTriple(eigenvalues, np.ones((1, n)), np.eye(n),
                                    np.zeros((n, 1))), 0, steps)
     assert values.shape == (len(steps), triple.n_outputs)
-    # Per distinct step: the power lambda ** int(k) and the matvec.
-    # numpy evaluates ``lam ** 2`` with an int exponent as ``lam * lam``,
-    # which may round the last bit unlike the power every other k uses.
-    distinct, row_step = np.unique(steps, return_inverse=True)
-    powers = np.array([eigenvalues ** (complex(k) if k == 2 else k)
-                       for k in distinct.tolist()])
-    weights = powers * phi
+    distinct, first, row_step = np.unique(steps, return_index=True,
+                                          return_inverse=True)
+    # The powers, against 40 digits, at up to 200 distinct steps, each
+    # with one eigenvalue in turn. numpy's lambda ** complex(m) squares
+    # for m < 100, off by up to about m eps relative, and calls libm's
+    # cpow, exp(m log lambda), from m = 100 on, off by up to about
+    # (m |log lambda| + 1) eps from rounding m log lambda. The split
+    # lambda^(qR) * lambda^r sums both factors' errors and adds one
+    # product, so with k = qR + r it must stay within
+    # eps |lambda|^k (2 k |log lambda| + 2 min(k, 200) + 8), a bound
+    # numpy's own lambda ** complex(k) meets too; below the normal range
+    # it is absolute.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    with mpmath.workdps(40):
+        for i, (k, row) in enumerate(zip(distinct.tolist()[:200],
+                                         first.tolist())):
+            lam = eigenvalues[i % n]
+            exact = mpmath.mpc(lam.real, lam.imag) ** k
+            size = float(abs(exact))
+            if not np.iscomplexobj(table):
+                exact = exact.real
+            spread = k * abs(np.log(lam)) if lam != 0 else 0.0
+            bound = eps * size * (2 * spread + 2 * min(k, 200) + 8) + tiny
+            assert float(abs(table[row, i % n] - exact)) <= bound, (k, lam)
+            own = lam ** complex(k)
+            if not np.iscomplexobj(table):
+                own = own.real
+            assert float(abs(own - exact)) <= bound, (k, lam)
+    # Per distinct step: the weights (lambda^(qR) phi) lambda^r, split as
+    # prediction splits them, and the matvec. Each side sums N rounded
+    # terms; with high probability that errs by under about sqrt(N) eps/2
+    # of the sum of |terms| (Higham and Mary, SIAM J. Sci. Comput. 2019).
+    # A term much larger than the rest, as |lambda| > 1 gives, brings
+    # zgemm near that: 9.2 eps at N = 85. Hence 2 sqrt(N) eps, and at
+    # least the 8 eps that |lambda| <= 1 always met.
+    r = distinct % (PREDICT_CHUNK_BYTES // (16 * n))
+    weights = eigenvalues ** r[:, None].astype(complex) * (
+        eigenvalues ** (distinct - r)[:, None].astype(complex) * phi)
     expected = np.array([triple.modes @ w for w in weights])
     scale = np.abs(weights) @ np.abs(triple.modes).T
-    if not np.iscomplexobj(table):
-        powers = powers.real
     if not np.iscomplexobj(values):
         expected = expected.real
-    assert np.array_equal(table, powers[row_step])
     assert np.all(np.abs(values - expected[row_step])
-                  <= 8 * np.finfo(float).eps * scale[row_step])
+                  <= max(8, 2 * np.sqrt(n)) * eps * scale[row_step])
+
+
+def test_prediction_blocks_check_everything_before_the_first_block():
+    triple = make_triple([2.0, 0.5])
+    for steps in (range(2000), np.arange(2000), range(1010, 0, -1)):
+        with pytest.raises(SpectralOverflowError, match="at k=1010 for"):
+            prediction_blocks(triple, 0, steps)
+    for x0, steps in ((2, range(3)), (0, range(-1, 3)), (0, [0.5])):
+        with pytest.raises(InputError):
+            prediction_blocks(triple, x0, steps)
+    # N = 2: 16 * 2 bytes per step.
+    blocks = prediction_blocks(make_triple([0.9, 0.5]), 1, range(20000))
+    rows = PREDICT_CHUNK_BYTES // 32
+    assert [len(block) for block in blocks] == [rows, rows, 20000 - 2 * rows]
+    # A range is never one array: 10**20 steps, as an int64 array too
+    # large for numpy, cost one chunk.
+    blocks = prediction_blocks(make_triple([0.9, 0.5]), 1, range(10**20))
+    assert next(blocks).shape == (rows, 1)
+
+
+@pytest.mark.parametrize("steps", [
+    range(3000), range(5, 3000, 7), range(2999, -1, -3), range(4, 4),
+    range(1010, 1012), range(1005, 1020), range(7, 5000, 9),
+    range(5000, 0, -9), range(1009, 0, -1)])
+def test_range_steps_predict_as_their_array(steps):
+    # N = 90 gives 182 steps per chunk; |lambda| = 2 first overflows at
+    # k = 1010, so some ranges must stop there, in either direction.
+    rng = np.random.default_rng(7)
+    eigenvalues = rng.uniform(0.5, 1.0, 90) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, 90))
+    eigenvalues[0] = 2.0
+    triple = make_triple(eigenvalues, n_outputs=3)
+    array = np.array(steps, dtype=np.int64)
+    if array.max(initial=0) < 1010:
+        assert np.array_equal(predict(triple, 1, steps),
+                              predict(triple, 1, array))
+        return
+    errors = []
+    for form in (steps, array):
+        with pytest.raises(SpectralOverflowError) as caught:
+            predict(triple, 1, form)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert f"at k={array[array >= 1010][0]} for" in errors[0]
 
 
 def test_mode_projection_needs_full_rank():
