@@ -32,6 +32,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -365,6 +366,17 @@ def cmd_predict(options: dict) -> int:
 
     out = options.get("out")
     if out:
+        # A row holds at least its step's digit, each output's comma and
+        # digit, and a newline: a horizon whose rows cannot fit exits now.
+        least = (horizon + 1) * (2 * triple.n_outputs + 2)
+        try:
+            room = shutil.disk_usage(os.path.dirname(os.path.abspath(out)))
+        except OSError:  # such as a missing directory: the write reports it
+            room = None
+        if room is not None and least > room.free:
+            raise InputError(f"writing outputs: {horizon + 1} rows need at "
+                             f"least {least} bytes, and {out}'s file system "
+                             f"has {room.free} free")
         _publish([(out, (chunk.encode() for chunk in chunks()))])
     else:
         for chunk in chunks():

@@ -226,55 +226,43 @@ def build_spectral_triple(es: EigenSystem, fitted: KoopmanMatrix,
     )
 
 
-def _step_bounds(steps) -> tuple[int, int]:
-    """Smallest and largest entry of a range or a 1-D integer array, or
-    (0, 0) if it is empty."""
-    if isinstance(steps, range):  # whose len() may not fit an index
-        if not steps:
-            return 0, 0
-        return min(steps[0], steps[-1]), max(steps[0], steps[-1])
-    if not steps.size:
-        return 0, 0
-    return int(steps.min()), int(steps.max())
-
-
 def _checked_steps(triple: SpectralTriple, x0_index: int, k):
-    """``k`` as a range or a 1-D integer array, once the initial condition
-    and the steps are valid and neither ``|lambda|^k`` nor a term of the
-    expansion overflows."""
+    """``k`` as a range or a 1-D int64 array, and its largest entry, once
+    the initial condition and the steps are valid and neither
+    ``|lambda|^k`` nor a term of the expansion overflows."""
     if not 0 <= x0_index < triple.n_initial_conditions:
         raise InputError(
             f"x0_index {x0_index} out of range for "
             f"{triple.n_initial_conditions} initial conditions"
         )
-    steps = k
-    if not isinstance(k, range):
+    if isinstance(k, range):  # whose len() may not fit an index
+        steps, ends = k, (k[0], k[-1]) if k else (0,)
+    else:
         steps = np.asarray(k)
         if steps.ndim > 1 or not np.issubdtype(steps.dtype, np.integer):
             raise InputError("prediction steps must be an integer, a 1-D "
                              "array of integers or a range")
         steps = steps.reshape(-1)
-    low, high = _step_bounds(steps)
+        ends = (int(steps.min()), int(steps.max())) if steps.size else (0,)
+    low, high = min(ends), max(ends)
     if low < 0:
         raise InputError("prediction step k must be non-negative")
+    if high > np.iinfo(np.int64).max:
+        raise InputError(f"prediction step k={high} is past 2**63 - 1")
+    if not isinstance(steps, range):  # no arithmetic in a narrow dtype
+        steps = steps.astype(np.int64, copy=False)
     magnitudes = np.abs(triple.eigenvalues)
     growing = magnitudes[magnitudes > 1.0]
     if growing.size:
-        # The first step with k * log|lambda| > 700 as rounded: the
-        # quotient, then unit steps to settle its rounding.
-        log_max = np.log(np.max(growing))
-        limit = math.floor(700.0 / log_max) + 1
-        while (limit - 1) * log_max > 700.0:
-            limit -= 1
-        while not limit * log_max > 700.0:
-            limit += 1
+        # The first step with k * log|lambda| > 700.
+        limit = math.floor(700.0 / np.log(np.max(growing))) + 1
         if limit <= high:
-            if isinstance(steps, range):  # steps[i] is the first >= limit
-                i = 0 if steps.step < 0 else max(
-                    0, -((steps.start - limit) // steps.step))
-                first = steps[i]
-            else:
+            if not isinstance(steps, range):
                 first = int(steps[np.argmax(steps >= limit)])
+            elif steps[0] >= limit:  # always so when the range descends
+                first = steps[0]
+            else:
+                first = steps[-((steps.start - limit) // steps.step)]
             worst = triple.eigenvalues[int(np.argmax(magnitudes))]
             raise SpectralOverflowError(
                 f"|lambda|^k overflows at k={first} for eigenvalue "
@@ -293,7 +281,7 @@ def _checked_steps(triple: SpectralTriple, x0_index: int, k):
         raise SpectralOverflowError(
             f"prediction overflows: terms of the expansion reach "
             f"{largest:.3g}")
-    return steps
+    return steps, high
 
 
 def prediction_blocks(triple: SpectralTriple, x0_index: int, k):
@@ -301,16 +289,16 @@ def prediction_blocks(triple: SpectralTriple, x0_index: int, k):
     of the predictions as complex ``(rows, h)`` blocks, in the order of
     the steps.
 
-    ``k`` is an int, a 1-D integer array or a range; a range is never
-    expanded into one array. Every check runs before this returns, so a
-    consumer sees an error before the first block. Each block covers at
-    most ``PREDICT_CHUNK_BYTES // (16 N)`` steps, so the memory held does
-    not grow with the number of steps.
+    ``k`` is an int, a 1-D integer array or a range of steps in
+    ``[0, 2**63)``; a range is never expanded into one array. Every check
+    runs before this returns, so a consumer sees an error before the
+    first block. Each block covers at most ``PREDICT_CHUNK_BYTES // (16 N)``
+    steps, so the memory held does not grow with the number of steps.
     """
-    return _blocks(triple, x0_index, _checked_steps(triple, x0_index, k))
+    return _blocks(triple, x0_index, *_checked_steps(triple, x0_index, k))
 
 
-def _blocks(triple: SpectralTriple, x0_index: int, steps):
+def _blocks(triple: SpectralTriple, x0_index: int, steps, high: int):
     # lambda^k is split as lambda^(qR) * lambda^r, k = qR + r with R rows
     # per chunk: the table lambda^r takes ``**`` once per call, and
     # lambda^(qR) once per distinct q in a chunk, with phi folded in. No
@@ -318,7 +306,6 @@ def _blocks(triple: SpectralTriple, x0_index: int, steps):
     eigenvalues = triple.eigenvalues
     phi = triple.eigenfunction_values[x0_index]
     rows = max(1, PREDICT_CHUNK_BYTES // (16 * triple.n_eigenvalues))
-    _, high = _step_bounds(steps)
     table = eigenvalues ** np.arange(min(rows, high + 1))[:, None].astype(
         complex)
     modes = triple.modes.T

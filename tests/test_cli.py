@@ -670,6 +670,32 @@ def test_out_of_memory_exits_2_without_output(workspace, capsys,
     assert not list(workspace.glob("*.tmp"))
 
 
+def test_predict_horizon_past_the_free_space_exits_2(workspace, capsys,
+                                                     monkeypatch):
+    # Rows that cannot fit in the free space are refused before any is
+    # written: 1,001 rows on a file system with 100 bytes free, and 10**15
+    # rows, petabytes, on a real one. A step past int64 is refused for
+    # stdout as well.
+    save_model(SpectralTriple([0.5], [[1.0]], [[1.0]], [[1.0]]),
+               workspace / "model.bin")
+    full = shutil.disk_usage(workspace)._replace(free=100)
+    cases = ((1000, "pred.csv", lambda path: full),
+             (10**15, "pred.csv", shutil.disk_usage),
+             (2**63, None, shutil.disk_usage))
+    for horizon, out, usage in cases:
+        monkeypatch.setattr("koopmodel.cli.shutil.disk_usage", usage)
+        options = {"model": "model.bin", "horizon": horizon}
+        write_json(workspace / "predict.json",
+                   {**options, "out": out} if out else options)
+        capsys.readouterr()
+        assert run(["predict", "--config", workspace / "predict.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("file system has" if out else "past 2**63 - 1") in captured.err
+        assert not (workspace / "pred.csv").exists()
+        assert not list(workspace.glob("*.tmp"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(cut=st.integers(0, 2000), bit=st.integers(0, 7),
        damage=st.sampled_from(["truncate", "flip", "flip and reseal"]))

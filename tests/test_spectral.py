@@ -167,6 +167,10 @@ def test_prediction_is_real_for_real_systems(worked_triple):
     assert table.dtype == np.float64
     assert table.shape == (5, triple.n_outputs)
     assert predict(triple, 0, np.arange(0)).shape == (0, triple.n_outputs)
+    # Narrow integer steps cannot hold a chunk's row count.
+    for dtype in (np.int8, np.uint8):
+        assert np.array_equal(predict(triple, 0, np.arange(5, dtype=dtype)),
+                              table)
 
 
 
@@ -197,7 +201,9 @@ def test_predict_range_checks(worked_triple):
         predict(triple, triple.n_initial_conditions, 0)
     with pytest.raises(InputError):
         predict(triple, 0, -1)
-    for steps in (np.array([0, 3, -1]), 1.5, np.zeros((2, 2), dtype=int)):
+    for steps in (np.array([0, 3, -1]), 1.5, np.zeros((2, 2), dtype=int),
+                  np.array([0, 2**63], dtype=np.uint64),
+                  range(2**63 - 1, 2**63 + 1)):
         with pytest.raises(InputError):
             predict(triple, 0, steps)
 
@@ -277,39 +283,41 @@ def test_batch_prediction_matches_per_step_expansion(case):
     assert values.shape == (len(steps), triple.n_outputs)
     distinct, first, row_step = np.unique(steps, return_index=True,
                                           return_inverse=True)
-    # The powers, against 40 digits, at up to 200 distinct steps, each
-    # with one eigenvalue in turn. numpy's lambda ** complex(m) squares
-    # for m < 100, off by up to about m eps relative, and calls libm's
-    # cpow, exp(m log lambda), from m = 100 on, off by up to about
-    # (m |log lambda| + 1) eps from rounding m log lambda. The split
-    # lambda^(qR) * lambda^r sums both factors' errors and adds one
-    # product, so with k = qR + r it must stay within
+    # The powers of every eigenvalue, against 40 digits, at up to 50
+    # distinct steps spread from the smallest to the largest. numpy's
+    # lambda ** complex(m) squares for m < 100, off by up to about m eps
+    # relative, and calls libm's cpow, exp(m log lambda), from m = 100 on,
+    # off by up to about (m |log lambda| + 1) eps from rounding
+    # m log lambda. The split lambda^(qR) * lambda^r sums both factors'
+    # errors and adds one product, so with k = qR + r it must stay within
     # eps |lambda|^k (2 k |log lambda| + 2 min(k, 200) + 8), a bound
     # numpy's own lambda ** complex(k) meets too; below the normal range
     # it is absolute.
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    real = not np.iscomplexobj(table)
+    picks = np.unique(np.linspace(0, len(distinct) - 1, 50).astype(int))
+    logs = np.abs(np.log(np.where(eigenvalues == 0, 1, eigenvalues)))
     with mpmath.workdps(40):
-        for i, (k, row) in enumerate(zip(distinct.tolist()[:200],
-                                         first.tolist())):
-            lam = eigenvalues[i % n]
-            exact = mpmath.mpc(lam.real, lam.imag) ** k
-            size = float(abs(exact))
-            if not np.iscomplexobj(table):
-                exact = exact.real
-            spread = k * abs(np.log(lam)) if lam != 0 else 0.0
-            bound = eps * size * (2 * spread + 2 * min(k, 200) + 8) + tiny
-            assert float(abs(table[row, i % n] - exact)) <= bound, (k, lam)
-            own = lam ** complex(k)
-            if not np.iscomplexobj(table):
-                own = own.real
-            assert float(abs(own - exact)) <= bound, (k, lam)
+        bases = [mpmath.mpc(lam.real, lam.imag) for lam in eigenvalues]
+        for k, row in zip(distinct[picks].tolist(), first[picks].tolist()):
+            own = eigenvalues ** complex(k)
+            for i, base in enumerate(bases):
+                exact = base ** k
+                bound = eps * float(abs(exact)) * (
+                    2 * k * logs[i] + 2 * min(k, 200) + 8) + tiny
+                if real:
+                    exact = exact.real
+                for value in (table[row, i], own[i].real if real else own[i]):
+                    assert float(abs(value - exact)) <= bound, (k, i)
     # Per distinct step: the weights (lambda^(qR) phi) lambda^r, split as
-    # prediction splits them, and the matvec. Each side sums N rounded
-    # terms; with high probability that errs by under about sqrt(N) eps/2
-    # of the sum of |terms| (Higham and Mary, SIAM J. Sci. Comput. 2019).
-    # A term much larger than the rest, as |lambda| > 1 gives, brings
-    # zgemm near that: 9.2 eps at N = 85. Hence 2 sqrt(N) eps, and at
-    # least the 8 eps that |lambda| <= 1 always met.
+    # prediction splits them, and the matvec, within 8 eps of the sum of
+    # |terms| as before the split when every |lambda| <= 1. Each side sums
+    # N rounded terms; with high probability that errs by under about
+    # sqrt(N) eps/2 of the sum of |terms| (Higham and Mary, SIAM J. Sci.
+    # Comput. 2019). A term much larger than the rest, as |lambda| > 1
+    # gives, brings zgemm near that: 9.2 eps at N = 85. Hence 2 sqrt(N)
+    # eps when some |lambda| > 1.
+    grows = np.any(np.abs(eigenvalues) > 1)
     r = distinct % (PREDICT_CHUNK_BYTES // (16 * n))
     weights = eigenvalues ** r[:, None].astype(complex) * (
         eigenvalues ** (distinct - r)[:, None].astype(complex) * phi)
@@ -318,7 +326,8 @@ def test_batch_prediction_matches_per_step_expansion(case):
     if not np.iscomplexobj(values):
         expected = expected.real
     assert np.all(np.abs(values - expected[row_step])
-                  <= max(8, 2 * np.sqrt(n)) * eps * scale[row_step])
+                  <= (max(8, 2 * np.sqrt(n)) if grows else 8)
+                  * eps * scale[row_step])
 
 
 def test_prediction_blocks_check_everything_before_the_first_block():
@@ -333,9 +342,9 @@ def test_prediction_blocks_check_everything_before_the_first_block():
     blocks = prediction_blocks(make_triple([0.9, 0.5]), 1, range(20000))
     rows = PREDICT_CHUNK_BYTES // 32
     assert [len(block) for block in blocks] == [rows, rows, 20000 - 2 * rows]
-    # A range is never one array: 10**20 steps, as an int64 array too
-    # large for numpy, cost one chunk.
-    blocks = prediction_blocks(make_triple([0.9, 0.5]), 1, range(10**20))
+    # A range is never one array: 2**62 steps, an int64 array too large
+    # for numpy, cost one chunk.
+    blocks = prediction_blocks(make_triple([0.9, 0.5]), 1, range(2**62))
     assert next(blocks).shape == (rows, 1)
 
 
