@@ -7,8 +7,10 @@ spectral expansion, detect on-attractor eigenvalues by harmonic
 averaging, and discover reduced linear/nonlinear representations from
 the fitted operator's zero pattern.
 
-Attribute access is lazy so that the command-line entry point can cap
-BLAS threading before the numerical libraries load.
+Attribute access is lazy, and each command imports only the modules it
+uses: importing all of them adds 25-30 ms to start-up (the five fastest
+of 20 runs on a 2-CPU host: 191-198 ms for the modules ``koop predict``
+imports, 219-222 ms for every module).
 """
 
 import importlib

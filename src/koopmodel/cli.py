@@ -17,10 +17,6 @@ Each command reads a closed set of options (``_OPTIONS``) from its
 ``--config`` JSON object.  A key the command does not read, a value of the
 wrong kind (such as a path that is not a string), and a config or
 dictionary file that is not UTF-8 JSON all exit 2.
-
-``KOOP_THREADS`` caps BLAS/FFT parallelism; it is applied before the
-numerical libraries load, and explicitly set library-specific variables
-(e.g. ``OMP_NUM_THREADS``) still win.
 """
 
 from __future__ import annotations
@@ -30,22 +26,13 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import shutil
 import sys
 from pathlib import Path
 
 from .atomic import write_atomically
-from .errors import InputError, KoopmodelError, NumericalError
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
+from .errors import InputError, KoopmodelError, NumericalError, finite_double
 
 # What each command reads from its --config file, by kind: "input" (a
 # string naming an existing file), "output" (a string path), "positive" (a
@@ -71,17 +58,6 @@ _OVERRIDES = {"--tol": ("svd_tolerance",),
               "--threshold": ("zero_threshold", "peak_threshold")}
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("KOOP_THREADS")
-    if not cap:
-        return
-    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
-        raise InputError(f"KOOP_THREADS must be a positive integer, "
-                         f"got {cap!r}")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, cap)
-
-
 def fmt(value) -> str:
     """Fixed 17-significant-digit rendering; round-trip safe for doubles."""
     return format(float(value), ".17g")
@@ -95,18 +71,6 @@ def _read_json(path: Path, what: str):
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # also an integer too long to convert
         raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
-def _finite_double(value) -> float | None:
-    """``value`` as a finite double, or None if it is not a JSON number or
-    is infinite, NaN or beyond the double range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the double range
-        return None
-    return number if math.isfinite(number) else None
 
 
 def load_options(command: str, args) -> dict:
@@ -143,7 +107,7 @@ def load_options(command: str, args) -> dict:
             raise InputError(f"config option {key!r} references a "
                              f"missing file: {value}")
         if kind == "positive":
-            number = _finite_double(value)
+            number = finite_double(value)
             if number is None or number <= 0:
                 raise InputError(f"config option {key!r} must be a positive "
                                  f"number, got {value!r} (a finite double "
@@ -237,7 +201,16 @@ def _fit_pipeline(options: dict, decode: bool):
     return data, dictionary, fitted
 
 
+def _fit_fields(fitted, dictionary) -> dict:
+    """The report fields ``fit`` and ``reduce`` share: the fitted matrix
+    and each observable's row residual."""
+    return {"matrix": fitted.matrix.tolist(),
+            "row_residuals": dict(zip(dictionary.ids,
+                                      fitted.row_residuals.tolist()))}
+
+
 def cmd_fit(options: dict) -> int:
+    from .edmd import DEFAULT_CLOSURE_TOL
     from .model_io import _encode, complex_pairs, model_json
     from .spectral import ModelMetadata, build_spectral_triple, eigendecompose
 
@@ -253,9 +226,8 @@ def cmd_fit(options: dict) -> int:
     with _stage("building spectral triple"):
         triple = build_spectral_triple(system, fitted, metadata)
 
-    from .representation import DEFAULT_CLOSURE_TOL
-
     closure_tol = options.get("closure_tol", DEFAULT_CLOSURE_TOL)
+    closed = fitted.row_residuals < closure_tol
     report = {
         "command": "fit",
         "n_observables": fitted.dim,
@@ -266,11 +238,8 @@ def cmd_fit(options: dict) -> int:
         "rank_used": fitted.rank_used,
         "fit_residual": fitted.fit_residual,
         "condition_number": fitted.condition_number,
-        "matrix": [[float(x) for x in row] for row in fitted.matrix],
-        "row_residuals": {oid: float(fitted.row_residuals[i])
-                          for i, oid in enumerate(dictionary.ids)},
-        "closed_rows": [oid for i, oid in enumerate(dictionary.ids)
-                        if fitted.row_residuals[i] < closure_tol],
+        **_fit_fields(fitted, dictionary),
+        "closed_rows": [oid for oid, c in zip(dictionary.ids, closed) if c],
         "closure_tol": closure_tol,
         "eigenvalues": complex_pairs(triple.eigenvalues),
         "biorthogonality_error": system.biorthogonality_error,
@@ -288,8 +257,7 @@ def cmd_fit(options: dict) -> int:
                                                  indent=2) + "\n").encode()))
     _publish(pending)
 
-    not_closed = [oid for oid in dictionary.ids
-                  if oid not in report["closed_rows"]]
+    not_closed = [oid for oid, c in zip(dictionary.ids, closed) if not c]
     print(f"fitted {fitted.dim}x{fitted.dim} operator from "
           f"{fitted.n_pairs} snapshot pairs "
           f"({len(data.trajectory_ids)} trajectories)")
@@ -307,25 +275,18 @@ def cmd_fit(options: dict) -> int:
 
 
 def _resolve_x0(triple, selector) -> int:
-    ids = triple.metadata.trajectory_ids
-    if isinstance(selector, bool):
-        raise InputError(f"x0 selector must be an id or index, "
-                         f"got {selector!r}")
-    if isinstance(selector, int):
-        if not 0 <= selector < triple.n_initial_conditions:
-            raise InputError(
-                f"x0 index {selector} out of range "
-                f"(model has {triple.n_initial_conditions} initial "
-                f"conditions)"
-            )
-        return selector
+    """The initial-condition index that ``selector`` names, an id or an
+    index; ``prediction_blocks`` checks the index's range."""
     if isinstance(selector, str):
+        ids = triple.metadata.trajectory_ids
         if selector in ids:
             return ids.index(selector)
         raise InputError(
             f"unknown trajectory id {selector!r}; model knows "
             f"{list(ids)}"
         )
+    if isinstance(selector, int) and not isinstance(selector, bool):
+        return selector
     raise InputError(f"x0 selector must be an id or index, got {selector!r}")
 
 
@@ -434,9 +395,9 @@ def cmd_spectrum(options: dict) -> int:
 
 
 def cmd_reduce(options: dict) -> int:
+    from .edmd import DEFAULT_CLOSURE_TOL
     from .model_io import load_model
-    from .representation import (DEFAULT_CLOSURE_TOL, DEFAULT_ZERO_THRESHOLD,
-                                 analyze_representation)
+    from .representation import DEFAULT_ZERO_THRESHOLD, analyze_representation
 
     _, dictionary, fitted = _fit_pipeline(options, decode=False)
     model_path = options.get("model")
@@ -460,9 +421,7 @@ def cmd_reduce(options: dict) -> int:
         "command": "reduce",
         "zero_threshold": threshold,
         "closure_tol": closure_tol,
-        "matrix": [[float(x) for x in row] for row in fitted.matrix],
-        "row_residuals": {oid: float(fitted.row_residuals[i])
-                          for i, oid in enumerate(dictionary.ids)},
+        **_fit_fields(fitted, dictionary),
     })
     out = options.get("out")
     pending = []
@@ -515,7 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         code = _COMMANDS[args.command](load_options(args.command, args))
         sys.stdout.flush()  # a closed pipe shows here if stdout is buffered

@@ -10,7 +10,6 @@ graph used by representation analysis.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .errors import (
     LiftError,
     ShapeMismatchError,
     UnknownObservableError,
+    finite_double,
 )
 from .trajectories import TrajectorySet
 
@@ -223,11 +223,12 @@ class Dictionary:
             exps = params.get("exponents")
             if (not isinstance(exps, (list, tuple))
                     or len(exps) != n_features
-                    or any(not isinstance(e, int) or isinstance(e, bool)
+                    or any(not isinstance(e, int) or finite_double(e) is None
                            or e < 0 for e in exps)):
                 raise ConfigError(
                     f"observable {oid!r}: monomial needs 'exponents', a list "
-                    f"of {n_features} non-negative integers"
+                    f"of {n_features} non-negative integers within the "
+                    f"double range"
                 )
             feat_deps.update(i for i, e in enumerate(exps) if e > 0)
         elif kind == "delay":
@@ -247,7 +248,7 @@ class Dictionary:
         elif kind == "composition":
             if "fn" in params:
                 fn = params["fn"]
-                if fn not in UNARY_FUNCTIONS:
+                if not isinstance(fn, str) or fn not in UNARY_FUNCTIONS:
                     raise ConfigError(
                         f"observable {oid!r}: unknown function {fn!r}; "
                         f"choose from {sorted(UNARY_FUNCTIONS)}"
@@ -266,15 +267,16 @@ class Dictionary:
                         f"mapping of observable id to coefficient"
                     )
                 for key, w in weights.items():
-                    if not isinstance(w, (int, float)) or isinstance(w, bool):
+                    if finite_double(w) is None:
                         raise ConfigError(
                             f"observable {oid!r}: weight for {key!r} must be "
-                            f"a number"
+                            f"a finite double, got {w!r}"
                         )
                     ref(key, what="weights")
                 bias = params.get("bias", 0.0)
-                if not isinstance(bias, (int, float)) or isinstance(bias, bool):
-                    raise ConfigError(f"observable {oid!r}: 'bias' must be a number")
+                if finite_double(bias) is None:
+                    raise ConfigError(f"observable {oid!r}: 'bias' must be a "
+                                      f"finite double, got {bias!r}")
             else:
                 raise ConfigError(
                     f"observable {oid!r}: composition needs 'fn'/'of' or "
@@ -331,6 +333,10 @@ class Dictionary:
 
     def spec_hash(self) -> bytes:
         """SHA-256 of the canonical specification (32 bytes)."""
+        # Imported here: hashlib loads OpenSSL, 3.7 MB of RSS that a run
+        # which never hashes (``koop reduce`` without a model) need not pay.
+        import hashlib
+
         return hashlib.sha256(self.canonical_json().encode()).digest()
 
     # -- evaluation -------------------------------------------------------
@@ -350,51 +356,45 @@ class Dictionary:
                 f"shape {values.shape}"
             )
         m = values.shape[0]
-        series: dict[str, np.ndarray] = {}
         powers: dict[tuple[int, int], np.ndarray] = {}
         out = np.full((len(self.observables), m), np.nan)
 
-        def feature_or_series(refv) -> np.ndarray:
+        def operand(refv) -> np.ndarray:
+            """An earlier observable's row, or a feature's column."""
             if isinstance(refv, str):
-                return series[refv]
+                return out[self._index[refv]]
             return values[:, refv]
 
-        for row, obs in enumerate(self.observables):
+        for obs, s in zip(self.observables, out):
             p = obs.params
             with np.errstate(all="ignore"):
                 if obs.kind == "coordinate":
-                    s = values[:, p["index"]].copy()
-                elif obs.kind == "sin":
-                    s = np.sin(feature_or_series(p["of"]))
-                elif obs.kind == "cos":
-                    s = np.cos(feature_or_series(p["of"]))
+                    s[:] = values[:, p["index"]]
+                elif obs.kind in ("sin", "cos"):
+                    UNARY_FUNCTIONS[obs.kind](operand(p["of"]), out=s)
                 elif obs.kind == "monomial":
-                    s = np.ones(m)
+                    s[:] = 1.0
                     for i, e in enumerate(p["exponents"]):
                         if e:
                             if (i, e) not in powers:
                                 powers[i, e] = values[:, i] ** e
-                            s = s * powers[i, e]
+                            s *= powers[i, e]
                 elif obs.kind == "delay":
-                    base = series[p["of"]]
-                    d = p["lag"]
-                    s = np.full(m, np.nan)
-                    s[d:] = base[:m - d]
+                    d = p["lag"]  # the first d entries stay NaN
+                    s[d:] = operand(p["of"])[:max(m - d, 0)]
                 else:  # composition
                     if "fn" in p:
-                        s = UNARY_FUNCTIONS[p["fn"]](series[p["of"]])
+                        UNARY_FUNCTIONS[p["fn"]](operand(p["of"]), out=s)
                     else:
-                        s = np.full(m, float(p.get("bias", 0.0)))
+                        s[:] = float(p.get("bias", 0.0))
                         for key, w in p["weights"].items():
-                            s = s + float(w) * feature_or_series(key)
+                            s += float(w) * operand(key)
             if obs.lag < m and not np.all(np.isfinite(s[obs.lag:])):
                 bad = obs.lag + int(np.argmax(~np.isfinite(s[obs.lag:])))
                 raise EvaluationError(
                     f"observable {obs.id!r} produced a non-finite value at "
                     f"window position {bad}"
                 )
-            series[obs.id] = s
-            out[row] = s
         return out
 
 

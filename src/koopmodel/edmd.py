@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 DEFAULT_SVD_TOL = 1e-10
+# A row whose ``row_residuals`` entry is below this is linearly closed.
+DEFAULT_CLOSURE_TOL = 1e-6
 
 # Bytes of lifted data folded into the triangular factor at a time: 390
 # snapshot pairs at d=83, h=2, and never fewer than 2d + h.

@@ -1,9 +1,24 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one rule for a
+JSON number that must be a finite double.
 
 Two broad families matter to callers: ``InputError`` covers malformed data,
 configuration, or model files (CLI exit code 2), ``NumericalError`` covers
 failures of the numerical procedures themselves (CLI exit code 3).
 """
+
+import math
+
+
+def finite_double(value) -> float | None:
+    """``value`` as a finite double, or None if it is not a JSON number or
+    is infinite, NaN or beyond the double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    return number if math.isfinite(number) else None
 
 
 class KoopmodelError(Exception):

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary, generator_features
-from .edmd import KoopmanMatrix, _relative_misfit
+from .edmd import DEFAULT_CLOSURE_TOL, KoopmanMatrix, _relative_misfit
 from .errors import InputError, ShapeMismatchError
 
 DEFAULT_ZERO_THRESHOLD = 0.05
-DEFAULT_CLOSURE_TOL = 1e-6
 
 #: Most classes of closed subsets a search reports.
 _CLASS_CAP = 512

@@ -496,6 +496,26 @@ def test_malformed_dictionary_entry_exits_2(workspace, capsys):
     assert not (workspace / "model.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "reduce"])
+@pytest.mark.parametrize("params", [
+    {"weights": {"x": 1.0}, "bias": 10**400},
+    {"weights": {"x": -10**400}},
+])
+def test_huge_integer_coefficient_exits_2_with_one_line(workspace, capsys,
+                                                        command, params):
+    write_json(workspace / "dict.json", WORKED_DICT_ENTRIES + [
+        {"id": "huge", "kind": "composition", "params": params}])
+    write_json(workspace / "cfg.json", {"data": "data.csv",
+                                        "dictionary": "dict.json",
+                                        "out": "out.bin"})
+    capsys.readouterr()
+    assert run([command, "--config", workspace / "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: reading dictionary: observable 'huge': ")
+    assert "must be a finite double" in err and err.count("\n") == 1
+    assert not (workspace / "out.bin").exists()
+
+
 @pytest.mark.parametrize("content, message", [
     pytest.param(b"\xff\xfe[", "cannot read dictionary file", id="non-utf8"),
     pytest.param(json.dumps({"observables": WORKED_DICT_ENTRIES}).encode(),
@@ -637,6 +657,20 @@ def test_predict_unknown_x0_exits_2(workspace, capsys):
     })
     assert run(["predict", "--config", workspace / "predict.json"]) == 2
     assert "unknown trajectory id" in capsys.readouterr().err
+
+
+def test_predict_out_of_range_x0_index_exits_2(workspace, capsys):
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    for x0 in (20, -1, 10**400):  # the model has 20 initial conditions
+        write_json(workspace / "predict.json", {
+            "model": "model.bin", "x0": x0, "horizon": 3, "out": "pred.csv",
+        })
+        capsys.readouterr()
+        assert run(["predict", "--config", workspace / "predict.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: predicting: x0_index {x0} out of range for "
+                       f"20 initial conditions\n")
+        assert not (workspace / "pred.csv").exists()
 
 
 def test_predict_bad_horizon_exits_2(workspace):
@@ -900,33 +934,126 @@ def test_reduce_without_model_is_allowed(workspace):
     assert (workspace / "reduce_report.json").exists()
 
 
-# -- environment and entry point ---------------------------------------------
+# -- generated config values -------------------------------------------------
 
-def test_thread_cap_applied(monkeypatch):
-    for var in cli._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("KOOP_THREADS", "2")
-    cli._apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["MKL_NUM_THREADS"] == "2"
+# A valid config per command that sets every key it reads, except the
+# reduce model, whose dictionary a fuzzed entry would no longer match.
+FUZZ_CONFIG = {
+    "fit": {"data": "data.csv", "dictionary": "dict.json", "out": "out.bin",
+            "report": "report.json", "svd_tolerance": 1e-10,
+            "closure_tol": 1e-6, "json_sidecar": True},
+    "predict": {"model": "model.bin", "out": "out.csv", "horizon": 5,
+                "x0": 0},
+    "spectrum": {"data": "data.csv", "out": "out.csv", "column": "x",
+                 "trajectory": "traj00", "peak_threshold": 0.1,
+                 "refine": True},
+    "reduce": {"data": "data.csv", "dictionary": "dict.json",
+               "out": "out.json", "text_out": "out.txt",
+               "svd_tolerance": 1e-10, "zero_threshold": 0.05,
+               "closure_tol": 1e-6},
+}
+# One valid entry of each kind, appended to the worked dictionary with one
+# parameter, or one item of a list or object parameter, replaced by a
+# generated value.
+FUZZ_ENTRIES = [
+    ("coordinate", {"index": 1}),
+    ("sin", {"of": "x"}),
+    ("cos", {"of": 0}),
+    ("monomial", {"exponents": [1, 2]}),
+    ("delay", {"of": "sinx", "lag": 2}),
+    ("composition", {"fn": "tanh", "of": "y"}),
+    ("composition", {"weights": {"x": 0.5, "sinx": -1.0}, "bias": 0.25}),
+]
+# Huge and non-finite numbers, names of files and ids, nested lists and
+# objects. Every string is a plain name inside the example's directory;
+# no integer but a huge one sets a horizon past a few rows.
+ODD_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+              st.sampled_from([10**400, -10**400, 2**63, 2**64, 10**15]),
+              st.floats(),
+              st.sampled_from(["a", "x", "y", "exp", "traj00", "data.csv",
+                               "dict.json", "model.bin"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["x", "y", "a"]), inner,
+                        max_size=2)),
+    max_leaves=5)
 
 
-def test_thread_cap_respects_explicit_settings(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "7")
-    monkeypatch.setenv("KOOP_THREADS", "2")
-    cli._apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "7"
+@st.composite
+def fuzzed_runs(draw):
+    """A command, its config with up to two keys set to odd values, and
+    for fit and reduce possibly a dictionary with one odd parameter."""
+    command = draw(st.sampled_from(sorted(FUZZ_CONFIG)))
+    config = dict(FUZZ_CONFIG[command])
+    n_keys = draw(st.sampled_from([0, 1, 2]))
+    for key in draw(st.lists(st.sampled_from(sorted(ACCEPTED_KEYS[command])),
+                             min_size=n_keys, max_size=n_keys, unique=True)):
+        config[key] = draw(ODD_VALUES)
+    entries = WORKED_DICT_ENTRIES
+    if command in ("fit", "reduce") and draw(st.booleans()):
+        kind, params = draw(st.sampled_from(FUZZ_ENTRIES))
+        params = json.loads(json.dumps(params))
+        slots = [(params, key) for key in params] + [
+            (value, inner) for value in params.values()
+            if isinstance(value, (list, dict))
+            for inner in (range(len(value)) if isinstance(value, list)
+                          else value)]
+        holder, key = draw(st.sampled_from(slots))
+        holder[key] = draw(ODD_VALUES)
+        entries = entries + [{"id": "z", "kind": kind, "params": params}]
+    return command, config, entries
 
 
-def test_invalid_thread_cap_exits_2(monkeypatch, workspace):
-    for var in cli._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    # Superscript two and Arabic-Indic three pass str.isdigit.
-    for cap in ("-3", "\u00b2", "\u0663"):
-        monkeypatch.setenv("KOOP_THREADS", cap)
-        assert run(["fit", "--config", workspace / "fit.json"]) == 2
-        assert "OMP_NUM_THREADS" not in os.environ
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The data file and the model fitted from it with the worked
+    dictionary, as bytes."""
+    work = tmp_path_factory.mktemp("fuzz")
+    write_data_csv(work / "data.csv", simulate_worked_example(3, 30))
+    write_json(work / "dict.json", WORKED_DICT_ENTRIES)
+    write_json(work / "fit.json", {"data": "data.csv",
+                                   "dictionary": "dict.json",
+                                   "out": "model.bin"})
+    assert run(["fit", "--config", work / "fit.json"]) == 0
+    return {name: (work / name).read_bytes()
+            for name in ("data.csv", "model.bin")}
 
+
+def _with_entry(kind, params):
+    return WORKED_DICT_ENTRIES + [{"id": "z", "kind": kind, "params": params}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fuzzed_runs())
+@example(case=("fit", FUZZ_CONFIG["fit"], _with_entry(
+    "composition", {"weights": {"x": 1.0}, "bias": 10**400})))
+@example(case=("reduce", FUZZ_CONFIG["reduce"], _with_entry(
+    "composition", {"fn": ["exp"], "of": "x"})))
+@example(case=("fit", FUZZ_CONFIG["fit"], _with_entry(
+    "monomial", {"exponents": [10**400, 1]})))
+@example(case=("predict", {**FUZZ_CONFIG["predict"], "x0": 10**400},
+               WORKED_DICT_ENTRIES))
+@example(case=("reduce", {**FUZZ_CONFIG["reduce"], "model": "model.bin"},
+               WORKED_DICT_ENTRIES))
+def test_generated_config_values_exit_cleanly(fuzz_inputs, case):
+    # Nothing escapes main, and a failed run leaves the directory as it was.
+    command, config, entries = case
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, content in fuzz_inputs.items():
+            (work / name).write_bytes(content)
+        write_json(work / "dict.json", entries)
+        write_json(work / "cfg.json", config)
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        code = run([command, "--config", work / "cfg.json"])
+        assert code in (0, 2, 3)
+        assert not list(work.glob("*.tmp"))
+        if code:
+            assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+# -- entry point -------------------------------------------------------------
 
 def _child_env():
     """Environment whose ``PYTHONPATH`` starts with the package's absolute

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopmodel import (
@@ -21,6 +21,7 @@ from koopmodel import (
     generator_features,
     lift_trajectories,
 )
+from koopmodel.dictionary import UNARY_FUNCTIONS
 from conftest import worked_dictionary
 
 
@@ -68,10 +69,79 @@ def test_kind_grammar_round_trip():
       "depends_on": 5}, "depends_on must be a list"),
     ({"id": "a", "kind": "coordinate", "params": {"index": 0},
       "depends_on": "x"}, "depends_on must be a list"),
+    ("abc", "entry #1 must be an object"),
+    ({"id": "a", "kind": "coordinate", "params": {"index": 0}, "of": "x"},
+     r"unknown keys \['of'\]"),
+    ({"id": "", "kind": "coordinate", "params": {"index": 0}},
+     "non-empty string id"),
+    ({"id": "a", "kind": "coordinate", "params": {"index": 0},
+      "depends_on": ["zz"]}, "'zz', which is not a previously defined id"),
+    ({"id": "a", "kind": "coordinate", "params": {"index": 0},
+      "depends_on": [2]}, "feature index 2 out of range for 2 features"),
+    ({"id": "a", "kind": "coordinate", "params": {"index": 0},
+      "depends_on": [1.0]}, "entries must be observable ids or feature"),
+    ({"id": "a", "kind": "sin", "params": {"of": -1}},
+     "feature index -1 out of range"),
+    ({"id": "a", "kind": "cos", "params": {"of": [0]}},
+     "'of' must be an observable id or a feature index"),
+    ({"id": "a", "kind": "sin", "params": {}}, "sin needs 'of'"),
+    ({"id": "a", "kind": "cos", "params": {"x": 0}}, "cos needs 'of'"),
+    ({"id": "a", "kind": "delay", "params": {"lag": 1}}, "delay needs 'of'"),
+    ({"id": "a", "kind": "delay", "params": {"of": 0, "lag": 1}},
+     "delay needs 'of'"),
+    ({"id": "a", "kind": "delay", "params": {"of": "x"}}, "integer 'lag'"),
+    ({"id": "a", "kind": "delay", "params": {"of": "x", "lag": 0}},
+     "integer 'lag'"),
+    ({"id": "a", "kind": "delay", "params": {"of": "x", "lag": True}},
+     "integer 'lag'"),
+    ({"id": "a", "kind": "composition", "params": {"fn": "exp", "of": 0}},
+     "composition with 'fn' needs 'of'"),
+    ({"id": "a", "kind": "composition", "params": {"weights": {}}},
+     "'weights' must be a non-empty mapping"),
+    ({"id": "a", "kind": "composition", "params": {"weights": ["x"]}},
+     "'weights' must be a non-empty mapping"),
+    ({"id": "a", "kind": "composition", "params": {"weights": {"x": "1"}}},
+     "weight for 'x' must be a finite double, got '1'"),
+    ({"id": "a", "kind": "composition", "params": {"weights": {"x": None}}},
+     "weight for 'x' must be a finite double"),
+    ({"id": "a", "kind": "composition",
+      "params": {"weights": {"x": 10**400}}},
+     "weight for 'x' must be a finite double"),
+    ({"id": "a", "kind": "composition",
+      "params": {"weights": {"x": float("nan")}}},
+     "weight for 'x' must be a finite double, got nan"),
+    ({"id": "a", "kind": "composition",
+      "params": {"weights": {"x": 1.0}, "bias": "0"}},
+     "'bias' must be a finite double, got '0'"),
+    ({"id": "a", "kind": "composition",
+      "params": {"weights": {"x": 1.0}, "bias": False}},
+     "'bias' must be a finite double"),
+    ({"id": "a", "kind": "composition",
+      "params": {"weights": {"x": 1.0}, "bias": -10**400}},
+     "'bias' must be a finite double"),
+    ({"id": "a", "kind": "composition",
+      "params": {"weights": {"x": 1.0}, "bias": float("-inf")}},
+     "'bias' must be a finite double, got -inf"),
+    ({"id": "a", "kind": "composition", "params": {"of": "x"}},
+     "composition needs 'fn'/'of' or 'weights'"),
+    ({"id": "a", "kind": "composition", "params": {"fn": ["exp"], "of": "x"}},
+     "unknown function"),
+    ({"id": "a", "kind": "monomial", "params": {"exponents": [10**400, 1]}},
+     "integers within the double range"),
 ])
 def test_bad_entries_rejected(entry, message):
+    # Each entry follows a valid coordinate ``x`` that it may reference.
+    x = {"id": "x", "kind": "coordinate", "params": {"index": 0}}
     with pytest.raises(ConfigError, match=message):
-        Dictionary.from_spec([entry], 2)
+        Dictionary.from_spec([x, entry], 2)
+
+
+def test_empty_dictionary_and_featureless_data_rejected():
+    x = {"id": "x", "kind": "coordinate", "params": {"index": 0}}
+    with pytest.raises(ConfigError, match="at least one observable"):
+        Dictionary.from_spec([], 2)
+    with pytest.raises(ConfigError, match="n_features must be >= 1"):
+        Dictionary.from_spec([x], 0)
 
 
 def test_forward_references_rejected():
@@ -123,6 +193,22 @@ def test_delay_reads_previous_snapshot():
     assert np.allclose(out, [2.0, 1.0])
 
 
+def test_delay_of_a_block_shorter_than_its_lag():
+    # Until m exceeds the lag, every delayed entry is a placeholder.
+    lag = 5
+    dic = Dictionary.from_spec([
+        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+        {"id": "dx", "kind": "delay", "params": {"of": "x", "lag": lag}},
+    ], 1)
+    for m in range(1, lag + 2):
+        x = np.arange(1.0, m + 1)
+        out = dic.evaluate(x[:, None])
+        assert out.shape == (2, m)
+        assert np.array_equal(out[0], x)
+        assert np.isnan(out[1, :lag]).all()
+        assert np.array_equal(out[1, lag:], x[:max(m - lag, 0)])
+
+
 def test_evaluate_checks_feature_count():
     dic = worked_dictionary()
     with pytest.raises(ShapeMismatchError, match=r"\(m, 2\)"):
@@ -171,6 +257,67 @@ def test_monomials_share_powers_bit_for_bit():
         expected[row] = s
     assert len(exponents) == 83
     assert np.array_equal(dic.evaluate(values), expected)
+
+
+# One observable of each kind and of each unary function, with delays of
+# delays and functions of delayed rows; every value stays finite on
+# features in [0.1, 2].
+EVERY_KIND = [
+    {"id": "c0", "kind": "coordinate", "params": {"index": 0}},
+    {"id": "c1", "kind": "coordinate", "params": {"index": 1}},
+    {"id": "s", "kind": "sin", "params": {"of": "c0"}},
+    {"id": "k", "kind": "cos", "params": {"of": 1}},
+    {"id": "m", "kind": "monomial", "params": {"exponents": [2, 1]}},
+    {"id": "d1", "kind": "delay", "params": {"of": "s", "lag": 1}},
+    {"id": "d3", "kind": "delay", "params": {"of": "d1", "lag": 2}},
+    {"id": "sd", "kind": "sin", "params": {"of": "d3"}},
+    {"id": "w", "kind": "composition",
+     "params": {"weights": {"c1": 0.5, "d1": -1.5, "m": 2}, "bias": 0.25}},
+] + [{"id": f"f{name}", "kind": "composition",
+      "params": {"fn": name, "of": "c0"}} for name in UNARY_FUNCTIONS]
+
+
+def fresh_array_lift(entries, values):
+    """Each observable as a new array computed from earlier ones, the way
+    the lift was built before it wrote into one (d, m) array."""
+    m, series = len(values), {}
+
+    def operand(ref):
+        return series[ref] if isinstance(ref, str) else values[:, ref]
+
+    for entry in entries:
+        p, kind = entry["params"], entry["kind"]
+        with np.errstate(all="ignore"):
+            if kind == "coordinate":
+                s = values[:, p["index"]].copy()
+            elif kind in ("sin", "cos") or "fn" in p:
+                s = UNARY_FUNCTIONS[p.get("fn", kind)](operand(p["of"]))
+            elif kind == "monomial":
+                s = np.ones(m)
+                for i, e in enumerate(p["exponents"]):
+                    if e:
+                        s = s * values[:, i] ** e
+            elif kind == "delay":
+                s = np.full(m, np.nan)
+                s[p["lag"]:] = series[p["of"]][:max(m - p["lag"], 0)]
+            else:
+                s = np.full(m, float(p["bias"]))
+                for key, w in p["weights"].items():
+                    s = s + float(w) * operand(key)
+        series[entry["id"]] = s
+    return np.array(list(series.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 600), start=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=4097, start=3, seed=0)
+def test_lift_matches_fresh_arrays_bit_for_bit(m, start, seed):
+    # ``start`` shifts the feature columns against SIMD alignment.
+    dic = Dictionary.from_spec(EVERY_KIND, 2)
+    values = np.random.default_rng(seed).uniform(0.1, 2.0, (start + m, 2))
+    expected = fresh_array_lift(EVERY_KIND, values[start:])
+    assert dic.evaluate(values[start:]).tobytes() == expected.tobytes()
 
 
 # -- lifting -----------------------------------------------------------------
