@@ -40,7 +40,6 @@ _EXPORTS = {
     "eigenfunction_values": ".spectral",
     "build_spectral_triple": ".spectral",
     "predict": ".spectral",
-    "truncate_spectrum": ".spectral",
     # harmonic
     "FrequencySpectrum": ".harmonic",
     "EigenFrequency": ".harmonic",
@@ -52,13 +51,11 @@ _EXPORTS = {
     "RepresentationSubset": ".representation",
     "RepresentationReport": ".representation",
     "zero_pattern": ".representation",
-    "is_closed_subset": ".representation",
     "closed_subsets": ".representation",
     "analyze_representation": ".representation",
     # model_io
     "save_model": ".model_io",
     "load_model": ".model_io",
-    "export_model_json": ".model_io",
     # errors
     "KoopmodelError": ".errors",
     "InputError": ".errors",

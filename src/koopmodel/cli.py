@@ -87,9 +87,6 @@ def load_options(command: str, args) -> dict:
         if not isinstance(options, dict):
             raise InputError("config file must hold a JSON object")
         for key in options:
-            if key in ("max_seed_size", "full_enumeration"):
-                raise InputError(f"config option {key!r} was removed: the "
-                                 f"closed-subset search is now exact")
             if key not in kinds:
                 raise InputError(f"config option {key!r} is not read by "
                                  f"{command}; it reads {', '.join(kinds)}")

@@ -97,9 +97,6 @@ class Dictionary:
                  canonical_entries: list[dict]):
         if not observables:
             raise ConfigError("a dictionary needs at least one observable")
-        ids = [o.id for o in observables]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("observable ids must be unique")
         self.observables: tuple[Observable, ...] = tuple(observables)
         self.n_features = n_features
         self._canonical_entries = canonical_entries

@@ -192,7 +192,3 @@ def model_json(triple: SpectralTriple) -> str:
                for key in _NAME_KEYS)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-
-def export_model_json(triple: SpectralTriple, path) -> None:
-    """Write :func:`model_json` to ``path``; the write is atomic."""
-    write_atomically([(path, model_json(triple).encode())])

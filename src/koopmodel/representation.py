@@ -95,27 +95,15 @@ def _bits(mask: int) -> list:
 
 def _first_break(dictionary: Dictionary, rows: list, members: int):
     """The first member with neither a closed row supported inside the
-    members' closure nor a place in the closure of the other members."""
+    members' closure nor a place in the closure of the other members. A
+    non-empty set without one is closed; asking the *other* members to
+    generate it keeps the dependence non-circular."""
     closure = dictionary.closure_mask(members)
     for i in _bits(members):
         if (rows[i] is None or rows[i] & ~closure) and not (
                 dictionary.closure_mask(members & ~(1 << i)) >> i & 1):
             return i
     return None
-
-
-def is_closed_subset(pattern: ZeroPattern, dictionary: Dictionary,
-                     subset) -> bool:
-    """Whether a set of observable ids is closed under the dynamics.
-
-    Each member must either (a) have a numerically closed row whose mask
-    support lies inside the dependence closure of the subset, or (b) lie in
-    the dependence closure of the *other* members — requiring the rest of
-    the subset to generate it keeps the dependence non-circular.
-    """
-    members = dictionary.mask_of(subset)
-    rows = _closed_row_supports(pattern, dictionary)
-    return bool(members) and _first_break(dictionary, rows, members) is None
 
 
 def _repairs(dictionary: Dictionary, rows: list, state: int) -> list:

@@ -11,7 +11,7 @@ geometric sum ``sum_j lambda_j^k phi_j(x0) v_j``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -349,76 +349,3 @@ def predict(triple: SpectralTriple, x0_index: int,
         values = values.real.copy()
     return values if isinstance(k, range) or np.ndim(k) else values[0]
 
-
-def _conjugate_units(eigenvalues: np.ndarray) -> list[tuple[int, ...]]:
-    """Group sorted eigenvalue indices into singletons and conjugate pairs."""
-    n = len(eigenvalues)
-    used = np.zeros(n, dtype=bool)
-    units: list[tuple[int, ...]] = []
-    for i in range(n):
-        if used[i]:
-            continue
-        used[i] = True
-        partner = None
-        if eigenvalues[i].imag != 0.0:
-            target = np.conj(eigenvalues[i])
-            for j in range(i + 1, n):
-                if used[j]:
-                    continue
-                if abs(eigenvalues[j] - target) <= 1e-12 * (1.0 + abs(target)):
-                    partner = j
-                    break
-        if partner is None:
-            units.append((i,))
-        else:
-            used[partner] = True
-            units.append((i, partner))
-    return units
-
-
-def _exact_fill_possible(capacity: int, singles: int, pairs: int) -> bool:
-    if capacity < 0:
-        return False
-    if capacity > singles + 2 * pairs:
-        return False
-    return capacity % 2 == 0 or singles >= 1
-
-
-def truncate_spectrum(triple: SpectralTriple, n_keep: int) -> SpectralTriple:
-    """Keep the n_keep largest-|lambda| eigen-triples without splitting
-    conjugate pairs.
-
-    When pair preservation makes an exact-size selection impossible at the
-    cut, the largest selection of that size skipping the unsplittable pair
-    is chosen (so a boundary pair may displace a larger lone eigenvalue).
-    If no exact-size selection exists at all, the result keeps one extra
-    eigenvalue instead.
-    """
-    n = triple.n_eigenvalues
-    if not 1 <= n_keep <= n:
-        raise InputError(f"n_keep must be in [1, {n}], got {n_keep}")
-    units = _conjugate_units(triple.eigenvalues)
-    singles = sum(1 for u in units if len(u) == 1)
-    pairs = len(units) - singles
-    capacity = n_keep
-    if not _exact_fill_possible(capacity, singles, pairs):
-        capacity = n_keep + 1
-    selected: list[int] = []
-    remaining_singles, remaining_pairs = singles, pairs
-    budget = capacity
-    for unit in units:
-        if len(unit) == 1:
-            remaining_singles -= 1
-        else:
-            remaining_pairs -= 1
-        if len(unit) <= budget and _exact_fill_possible(
-                budget - len(unit), remaining_singles, remaining_pairs):
-            selected.extend(unit)
-            budget -= len(unit)
-    keep = sorted(selected)
-    return replace(
-        triple,
-        eigenvalues=triple.eigenvalues[keep],
-        eigenfunction_values=triple.eigenfunction_values[:, keep],
-        modes=triple.modes[:, keep],
-    )

@@ -260,6 +260,21 @@ def test_malformed_config_json_exits_2(tmp_path):
     assert run(["fit", "--config", tmp_path / "cfg.json"]) == 2
 
 
+@pytest.mark.parametrize("document, message", [
+    (None, "config file not found"),
+    (["data.csv", "dict.json", "model.bin"],
+     "config file must hold a JSON object"),
+])
+def test_unusable_config_file_exits_2_without_output(tmp_path, capsys,
+                                                     document, message):
+    if document is not None:
+        write_json(tmp_path / "cfg.json", document)
+    before = sorted(tmp_path.iterdir())
+    assert run(["fit", "--config", tmp_path / "cfg.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_non_utf8_config_exits_2(workspace, capsys):
     (workspace / "fit.json").write_bytes(b"\xff\xfe[")
     assert run(["fit", "--config", workspace / "fit.json"]) == 2
@@ -356,6 +371,8 @@ MALFORMED_CSV = {
                            "snapshots"),
     "blank_lines": ("trajectory_id,t,x\n\na,0,1.0\na,1,2.0\n\na,2,oops\n",
                     "{path}:6: column 'x' is not a number: 'oops'"),
+    "no_t_column": ("trajectory_id,x\na,1.0\na,2.0\n",
+                    "data file {path} lacks required column 't'"),
 }
 
 
@@ -429,30 +446,25 @@ def test_infinite_tol_flag_and_overlong_integer_exit_2(workspace, capsys):
 @pytest.mark.parametrize("command,key", [
     ("spectrum", "refine"),
     ("fit", "json_sidecar"),
-    ("reduce", "full_enumeration"),
 ])
 @pytest.mark.parametrize("value", ["false", 1, None])
 def test_non_boolean_flag_exits_2(workspace, capsys, command, key, value):
     write_json(workspace / "cfg.json", {**VALID_CONFIG[command], key: value})
     assert run([command, "--config", workspace / "cfg.json"]) == 2
-    # full_enumeration is gone: any value is rejected as a removed option.
-    expected = (f"{key!r} was removed" if key == "full_enumeration"
-                else f"{key!r} must be true or false, got {value!r}")
-    assert expected in capsys.readouterr().err
+    assert f"{key!r} must be true or false, got {value!r}" in (
+        capsys.readouterr().err)
     assert not (workspace / "out.bin").exists()
 
 
 @pytest.mark.parametrize("key,value", [("max_seed_size", 3),
                                        ("full_enumeration", True)])
 def test_removed_search_option_exits_2(workspace, capsys, key, value):
-    write_json(workspace / "cfg.json", {
-        "data": "data.csv", "dictionary": "dict.json",
-        "out": "reduce_report.json", key: value,
-    })
+    # The seed-search options of the old capped search are unknown keys.
+    write_json(workspace / "cfg.json", {**VALID_CONFIG["reduce"], key: value})
     assert run(["reduce", "--config", workspace / "cfg.json"]) == 2
-    err = capsys.readouterr().err
-    assert f"{key!r} was removed" in err and "search is now exact" in err
-    assert not (workspace / "reduce_report.json").exists()
+    assert f"config option {key!r} is not read by reduce; it reads " in (
+        capsys.readouterr().err)
+    assert not (workspace / "out.bin").exists()
 
 
 def test_threshold_flag_sets_only_the_zero_threshold(workspace):
@@ -932,6 +944,25 @@ def test_reduce_without_model_is_allowed(workspace):
     })
     assert run(["reduce", "--config", workspace / "reduce.json"]) == 0
     assert (workspace / "reduce_report.json").exists()
+
+
+def test_reduce_of_a_chaotic_map_finds_no_representation(tmp_path, capsys):
+    # The logistic map x <- 3.9 x (1 - x) is not linear in x, so the row of
+    # the one-coordinate dictionary {x} has no closure.
+    x = [0.3]
+    for _ in range(199):
+        x.append(3.9 * x[-1] * (1.0 - x[-1]))
+    (tmp_path / "data.csv").write_text("trajectory_id,t,x\n" + "".join(
+        f"a,{t},{value!r}\n" for t, value in enumerate(x)))
+    write_json(tmp_path / "dict.json", [
+        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+    ])
+    write_json(tmp_path / "reduce.json", {
+        "data": "data.csv", "dictionary": "dict.json", "out": "report.json",
+    })
+    assert run(["reduce", "--config", tmp_path / "reduce.json"]) == 0
+    assert "No closed representations found." in capsys.readouterr().out
+    assert json.loads((tmp_path / "report.json").read_text())["subsets"] == []
 
 
 # -- generated config values -------------------------------------------------

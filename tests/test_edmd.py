@@ -67,6 +67,10 @@ def test_pinv_zero_and_empty():
     assert np.array_equal(pseudoinverse(np.zeros((3, 2))), np.zeros((2, 3)))
     with pytest.raises(InputError):
         pseudoinverse(np.zeros((0, 2)))
+    with pytest.raises(ShapeMismatchError, match="finite"):
+        pseudoinverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ShapeMismatchError, match="cutoff"):
+        pseudoinverse(np.eye(2), tol=-1e-10)
 
 
 def test_pinv_square_invertible_matches_inverse():

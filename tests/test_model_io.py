@@ -14,7 +14,6 @@ from koopmodel import (
     ModelTruncatedError,
     ModelVersionError,
     ShapeMismatchError,
-    export_model_json,
     load_model,
     save_model,
 )
@@ -219,18 +218,10 @@ def test_chunk_stream_is_written_in_order(tmp_path):
     assert target.read_bytes() == b"0\n1\n2\n3\n4\n"
 
 
-def test_json_export_writes_rendered_text(tmp_path, triple):
-    export_model_json(triple, tmp_path / "model.json")
-    assert (tmp_path / "model.json").read_text() == model_json(triple)
-
-
-def test_json_export_is_deterministic_and_faithful(tmp_path, triple):
-    first = tmp_path / "model1.json"
-    second = tmp_path / "model2.json"
-    export_model_json(triple, first)
-    export_model_json(triple, second)
-    assert first.read_bytes() == second.read_bytes()
-    doc = json.loads(first.read_text())
+def test_json_export_is_deterministic_and_faithful(triple):
+    text = model_json(triple)
+    assert model_json(triple) == text
+    doc = json.loads(text)
     assert doc["N"] == triple.n_eigenvalues
     assert doc["dict_hash"] == triple.metadata.dict_hash.hex()
     eigen = [complex(re, im) for re, im in doc["eigenvalues"]]

@@ -17,7 +17,6 @@ from koopmodel import (
     closed_subsets,
     dependence_closure,
     fit_koopman_matrix,
-    is_closed_subset,
     zero_pattern,
 )
 from koopmodel.representation import _subset_is_linear
@@ -75,6 +74,13 @@ def test_pattern_validation():
         zero_pattern(as_koopman(np.eye(2), np.zeros(2)), threshold=0.0)
     with pytest.raises(ShapeMismatchError):
         zero_pattern(as_koopman(np.eye(2), np.zeros(3)))
+    with pytest.raises(ShapeMismatchError, match="square"):
+        ZeroPattern(mask=np.ones((2, 3), dtype=bool), threshold=0.05,
+                    closed_rows=frozenset())
+    for row in (2, -1):
+        with pytest.raises(InputError, match="out of range"):
+            ZeroPattern(mask=np.eye(2, dtype=bool), threshold=0.05,
+                        closed_rows=frozenset({0, row}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -93,10 +99,6 @@ def test_mask_monotone_in_threshold(seed, t_low, t_high):
 def test_worked_example_closed_subsets(worked_fit, worked_dict):
     fitted = worked_fit
     pattern = zero_pattern(fitted)
-    assert is_closed_subset(pattern, worked_dict, {"x"})
-    assert is_closed_subset(pattern, worked_dict, {"x", "y"})
-    assert not is_closed_subset(pattern, worked_dict, {"y"})
-    assert not is_closed_subset(pattern, worked_dict, {"sinx"})
     found = closed_subsets(pattern, worked_dict)
     assert found.subsets == (("x",), ("x", "y"))
     assert not found.truncated
@@ -125,7 +127,7 @@ def test_union_of_reported_subsets_is_closed(worked_fit, worked_dict):
     found = closed_subsets(pattern, worked_dict)
     for a in found.subsets:
         for b in found.subsets:
-            assert is_closed_subset(pattern, worked_dict, set(a) | set(b))
+            assert is_closed(pattern, worked_dict, set(a) | set(b))
 
 
 def test_nine_independent_coordinates_are_reported_in_full():
@@ -247,22 +249,29 @@ def fixpoint_closure(dic, seed):
         closed |= new
 
 
+def is_closed(pattern, dic, subset):
+    """Closedness by its definition: each member has a closed row whose
+    support lies in the subset's dependence closure, or lies in the
+    dependence closure of the other members."""
+    subset = set(subset)
+    closure = dependence_closure(dic, subset)
+    return all(
+        (dic.index_of(i) in pattern.closed_rows
+         and {dic.ids[j] for j in np.flatnonzero(
+             pattern.mask[dic.index_of(i)])} <= closure)
+        or i in dependence_closure(dic, subset - {i})
+        for i in subset)
+
+
 def brute_force_closed_subsets(pattern, dic):
     """Every non-empty closed subset, grouped by dependence closure, keeping
     the minimal-cardinality generator sets of each group."""
     classes = {}
     for size in range(1, len(dic.ids) + 1):
         for subset in itertools.combinations(dic.ids, size):
-            closure = dependence_closure(dic, set(subset))
-            closed = all(
-                (dic.index_of(i) in pattern.closed_rows
-                 and {dic.ids[j] for j in np.flatnonzero(
-                     pattern.mask[dic.index_of(i)])} <= closure)
-                or i in dependence_closure(dic, set(subset) - {i})
-                for i in subset)
-            assert is_closed_subset(pattern, dic, set(subset)) == closed
-            if closed:
-                classes.setdefault(closure, []).append(subset)
+            if is_closed(pattern, dic, subset):
+                classes.setdefault(dependence_closure(dic, set(subset)),
+                                   []).append(subset)
     kept = [s for group in classes.values() for s in group
             if len(s) == min(map(len, group))]
     return tuple(sorted(kept, key=lambda s: (len(s), list(map(dic.index_of,
@@ -286,12 +295,6 @@ def test_closed_subsets_match_brute_force(case):
     found = closed_subsets(pattern, dic)
     assert found.subsets == brute_force_closed_subsets(pattern, dic)
     assert not found.truncated
-
-
-def test_empty_subset_is_not_closed(worked_fit, worked_dict):
-    fitted = worked_fit
-    pattern = zero_pattern(fitted)
-    assert not is_closed_subset(pattern, worked_dict, set())
 
 
 def test_analysis_needs_a_fitted_factor(worked_dict):

@@ -1,4 +1,4 @@
-"""Eigensystem extraction, the spectral triple, prediction, truncation."""
+"""Eigensystem extraction, the spectral triple and prediction."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from koopmodel import (
     fit_koopman_matrix,
     lift_trajectories,
     predict,
-    truncate_spectrum,
 )
 from koopmodel.spectral import PREDICT_CHUNK_BYTES, prediction_blocks
 from conftest import (
@@ -461,57 +460,3 @@ def test_metadata_recorded(worked_triple, worked_dict):
     assert triple.metadata.feature_names == ("x", "y")
     assert len(triple.metadata.trajectory_ids) == 20
 
-
-# -- truncation --------------------------------------------------------------
-
-def test_truncation_never_splits_conjugate_pairs():
-    pair = 0.5 * np.exp(1j * np.pi / 3)
-    triple = make_triple([0.9, pair, np.conj(pair)])
-    reduced = truncate_spectrum(triple, 2)
-    assert np.allclose(sorted(reduced.eigenvalues.imag),
-                       sorted([pair.imag, -pair.imag]))
-    assert 0.9 not in reduced.eigenvalues
-
-
-def test_truncation_keeps_largest_single_when_it_fits():
-    pair = 0.5 * np.exp(1j * np.pi / 3)
-    triple = make_triple([0.9, pair, np.conj(pair)])
-    reduced = truncate_spectrum(triple, 1)
-    assert np.allclose(reduced.eigenvalues, [0.9])
-
-
-def test_truncation_full_keep_is_identity():
-    pair = 0.5 * np.exp(1j * np.pi / 3)
-    triple = make_triple([0.9, pair, np.conj(pair)])
-    reduced = truncate_spectrum(triple, 3)
-    assert np.array_equal(reduced.eigenvalues, triple.eigenvalues)
-    assert np.array_equal(reduced.modes, triple.modes)
-
-
-def test_truncation_overflows_by_one_when_exact_fill_impossible():
-    p1 = 0.9 * np.exp(0.3j)
-    p2 = 0.4 * np.exp(1.1j)
-    triple = make_triple([p1, np.conj(p1), p2, np.conj(p2)])
-    reduced = truncate_spectrum(triple, 1)
-    assert reduced.n_eigenvalues == 2
-    assert np.allclose(np.abs(reduced.eigenvalues), [0.9, 0.9])
-
-
-def test_truncation_slices_table_and_modes_consistently():
-    pair = 0.5 * np.exp(1j * np.pi / 3)
-    triple = make_triple([0.9, pair, np.conj(pair)], n_outputs=2)
-    reduced = truncate_spectrum(triple, 2)
-    keep = [1, 2]
-    assert np.array_equal(reduced.eigenfunction_values,
-                          triple.eigenfunction_values[:, keep])
-    assert np.array_equal(reduced.modes, triple.modes[:, keep])
-    assert np.array_equal(reduced.decode, triple.decode)
-    assert reduced.metadata == triple.metadata
-
-
-def test_truncation_range_check():
-    triple = make_triple([0.9, 0.5])
-    with pytest.raises(InputError):
-        truncate_spectrum(triple, 0)
-    with pytest.raises(InputError):
-        truncate_spectrum(triple, 3)
