@@ -129,11 +129,18 @@ def _require(options: dict, key: str, what: str):
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Prefix any package error raised inside with the pipeline stage."""
+    """Prefix any package error raised inside with the pipeline stage; a
+    float operation that overflows, is invalid or divides by zero there is
+    a numerical failure."""
+    import numpy as np
+
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except KoopmodelError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+    except FloatingPointError as exc:
+        raise NumericalError(f"{name}: {exc}") from exc
 
 
 def read_trajectories(path):

@@ -99,8 +99,11 @@ def read_exact(path: Path):
     Python's ``int`` and ``float``; InputError if it is malformed.
 
     Cells are parsed column by column straight into per-trajectory arrays.
-    A malformed row is reported as ``file:line`` with its physical line
-    number; of several, the first in the file is reported.
+    A fault is reported as ``file:line`` with its physical line number. Of
+    several, the first row-level one in file order (column count, ``t``,
+    feature cells, contiguity) is reported, else the first time gap, else
+    the first trajectory one row long, starting at a negative ``t`` or
+    holding a NaN or an infinity.
     """
     rows, lines = [], []
     try:

@@ -93,13 +93,11 @@ class Dictionary:
     so the dependence graph is acyclic by construction.
     """
 
-    def __init__(self, observables: list[Observable], n_features: int,
-                 canonical_entries: list[dict]):
+    def __init__(self, observables: list[Observable], n_features: int):
         if not observables:
             raise ConfigError("a dictionary needs at least one observable")
         self.observables: tuple[Observable, ...] = tuple(observables)
         self.n_features = n_features
-        self._canonical_entries = canonical_entries
         self._index = {o.id: i for i, o in enumerate(self.observables)}
         # Dependence graph as bitmasks: the observables and features each
         # observable needs, and the feature each coordinate reads.
@@ -123,7 +121,6 @@ class Dictionary:
             raise ConfigError("n_features must be >= 1")
         seen: dict[str, Observable] = {}
         observables: list[Observable] = []
-        canonical: list[dict] = []
         for index, raw in enumerate(entries):
             entry = _normalize_entry(raw, index)
             oid = entry["id"]
@@ -162,13 +159,7 @@ class Dictionary:
             )
             seen[oid] = obs
             observables.append(obs)
-            canonical.append({
-                "id": oid,
-                "kind": obs.kind,
-                "params": entry["params"],
-                "depends_on": sorted(obs_deps) + sorted(feat_deps),
-            })
-        return cls(observables, n_features, canonical)
+        return cls(observables, n_features)
 
     @staticmethod
     def _structural_deps(entry: dict, seen: dict[str, Observable],
@@ -325,7 +316,11 @@ class Dictionary:
     def canonical_json(self) -> str:
         """Canonical serialization of the dictionary specification."""
         doc = {"n_features": self.n_features,
-               "observables": self._canonical_entries}
+               "observables": [{"id": o.id, "kind": o.kind,
+                                "params": o.params,
+                                "depends_on": sorted(o.depends_on)
+                                + sorted(o.feature_depends)}
+                               for o in self.observables]}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def spec_hash(self) -> bytes:

@@ -19,6 +19,7 @@ are atomic (temp file + rename) and loads are all-or-nothing.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -40,17 +41,28 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<5I")
 # The metadata JSON object: each key, where present, holds a list of names.
 _NAME_KEYS = ("feature_names", "output_names", "trajectory_ids")
+_C16, _F8 = np.dtype("<c16"), np.dtype("<f8")
+
+
+def _arrays(n: int, m: int, h: int, d: int) -> tuple:
+    """Name in messages, SpectralTriple attribute, file dtype and shape of
+    each stored array, in file order."""
+    return (("eigenvalues", "eigenvalues", _C16, (n,)),
+            ("eigenfunction table", "eigenfunction_values", _C16, (m, n)),
+            ("modes", "modes", _C16, (h, n)),
+            ("decode matrix", "decode", _F8, (h, d)))
 
 
 def file_layout(n: int, m: int, h: int, d: int, metadata_bytes: int) -> dict:
     """Byte offsets and sizes for a model file with the given dimensions."""
-    triple_entries = (1 + m + h) * n
+    *triple, decode = [dtype.itemsize * math.prod(shape)
+                       for *_, dtype, shape in _arrays(n, m, h, d)]
     sizes = {
         "magic": len(MAGIC),
         "header": _HEADER.size,
         "dict_hash": 32,
-        "triple": 16 * triple_entries,
-        "decode": 8 * h * d,
+        "triple": sum(triple),
+        "decode": decode,
         "metadata": 4 + metadata_bytes,
         "crc": 4,
     }
@@ -58,25 +70,25 @@ def file_layout(n: int, m: int, h: int, d: int, metadata_bytes: int) -> dict:
     return sizes
 
 
+def _dims(triple: SpectralTriple) -> tuple:
+    return (triple.n_eigenvalues, triple.n_initial_conditions,
+            triple.n_outputs, triple.lifted_dim)
+
+
 def _encode(triple: SpectralTriple) -> bytes:
     meta = triple.metadata
     meta_doc = {key: list(getattr(meta, key)) for key in _NAME_KEYS}
     meta_bytes = json.dumps(meta_doc, sort_keys=True,
                             separators=(",", ":")).encode()
-    parts = [
+    body = b"".join([
         MAGIC,
-        _HEADER.pack(FORMAT_VERSION, triple.n_eigenvalues,
-                     triple.n_initial_conditions, triple.n_outputs,
-                     triple.lifted_dim),
+        _HEADER.pack(FORMAT_VERSION, *_dims(triple)),
         meta.dict_hash,
-        np.ascontiguousarray(triple.eigenvalues, dtype="<c16").tobytes(),
-        np.ascontiguousarray(triple.eigenfunction_values, dtype="<c16").tobytes(),
-        np.ascontiguousarray(triple.modes, dtype="<c16").tobytes(),
-        np.ascontiguousarray(triple.decode, dtype="<f8").tobytes(),
+        *(np.ascontiguousarray(getattr(triple, attr), dtype=dtype).tobytes()
+          for _, attr, dtype, _ in _arrays(*_dims(triple))),
         struct.pack("<I", len(meta_bytes)),
         meta_bytes,
-    ]
-    body = b"".join(parts)
+    ])
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -85,52 +97,44 @@ def save_model(triple: SpectralTriple, path) -> None:
     write_atomically([(path, _encode(triple))])
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.data):
-            raise ModelTruncatedError(
-                f"model file ends inside {what}: needed {count} bytes at "
-                f"offset {self.pos}, file has {len(self.data)}"
-            )
-        chunk = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
-
 def load_model(path) -> SpectralTriple:
     """Load a model file; raises a distinct error for each failure mode."""
     data = Path(path).read_bytes()
-    reader = _Reader(data)
-    magic = reader.take(len(MAGIC), "magic bytes")
+    pos = 0
+
+    def take(count: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + count > len(data):
+            raise ModelTruncatedError(
+                f"model file ends inside {what}: needed {count} bytes at "
+                f"offset {pos}, file has {len(data)}"
+            )
+        pos += count
+        return data[pos - count:pos]
+
+    magic = take(len(MAGIC), "magic bytes")
     if magic != MAGIC:
         raise ModelVersionError(
             f"not a model file: bad magic {magic!r}"
         )
-    version, n, m, h, d = _HEADER.unpack(reader.take(_HEADER.size, "header"))
+    version, n, m, h, d = _HEADER.unpack(take(_HEADER.size, "header"))
     if version != FORMAT_VERSION:
         raise ModelVersionError(
             f"unsupported model format version {version} "
             f"(supported: {FORMAT_VERSION})"
         )
-    dict_hash = reader.take(32, "dictionary hash")
-    eigenvalues = np.frombuffer(reader.take(16 * n, "eigenvalues"),
-                                dtype="<c16").astype(complex)
-    phi = np.frombuffer(reader.take(16 * m * n, "eigenfunction table"),
-                        dtype="<c16").astype(complex).reshape(m, n)
-    modes = np.frombuffer(reader.take(16 * h * n, "modes"),
-                          dtype="<c16").astype(complex).reshape(h, n)
-    decode = np.frombuffer(reader.take(8 * h * d, "decode matrix"),
-                           dtype="<f8").astype(float).reshape(h, d)
-    (meta_len,) = struct.unpack("<I", reader.take(4, "metadata length"))
-    meta_bytes = reader.take(meta_len, "metadata")
-    (crc_stored,) = struct.unpack("<I", reader.take(4, "checksum"))
-    if reader.pos != len(data):
+    dict_hash = take(32, "dictionary hash")
+    table = _arrays(n, m, h, d)
+    arrays = {}
+    for what, attr, dtype, shape in table:  # writable copies of the bytes
+        chunk = take(dtype.itemsize * math.prod(shape), what)
+        arrays[attr] = np.frombuffer(chunk, dtype).reshape(shape).copy()
+    (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
+    meta_bytes = take(meta_len, "metadata")
+    (crc_stored,) = struct.unpack("<I", take(4, "checksum"))
+    if pos != len(data):
         raise ModelFormatError(
-            f"{len(data) - reader.pos} unexpected trailing bytes"
+            f"{len(data) - pos} unexpected trailing bytes"
         )
     crc_actual = zlib.crc32(data[:len(data) - 4])
     if crc_stored != crc_actual:
@@ -150,44 +154,31 @@ def load_model(path) -> SpectralTriple:
                 and all(isinstance(name, str) for name in value)):
             raise ModelFormatError(f"metadata {key!r} must be a list of "
                                    f"strings, got {value!r}")
-    arrays = {"eigenvalues": eigenvalues, "eigenfunction table": phi,
-              "modes": modes, "decode matrix": decode}
-    for what, array in arrays.items():
-        if not np.all(np.isfinite(array)):  # a fit never writes one
+    for what, attr, _, _ in table:
+        if not np.all(np.isfinite(arrays[attr])):  # a fit never writes one
             raise ModelFormatError(f"{what} hold a non-finite value")
     metadata = ModelMetadata(dict_hash=dict_hash,
                              **{key: tuple(v) for key, v in names.items()})
-    return SpectralTriple(
-        eigenvalues=eigenvalues,
-        eigenfunction_values=phi,
-        modes=modes,
-        decode=decode,
-        metadata=metadata,
-    )
+    return SpectralTriple(metadata=metadata, **arrays)
 
 
 def complex_pairs(array: np.ndarray):
-    """Nested ``[real, imag]`` lists of a 1-D or 2-D complex array."""
-    if array.ndim == 1:
-        return [[z.real, z.imag] for z in array]
-    return [[[z.real, z.imag] for z in row] for row in array]
+    """Nested ``[real, imag]`` lists of a complex array."""
+    return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
 def model_json(triple: SpectralTriple) -> str:
     """Human-inspectable JSON mirror of the binary model; not read back."""
+    dims = _dims(triple)
     doc = {
         "format": "koopman-model",
         "version": FORMAT_VERSION,
-        "N": triple.n_eigenvalues,
-        "M": triple.n_initial_conditions,
-        "h": triple.n_outputs,
-        "d": triple.lifted_dim,
+        **dict(zip(("N", "M", "h", "d"), dims)),
         "dict_hash": triple.metadata.dict_hash.hex(),
-        "eigenvalues": complex_pairs(triple.eigenvalues),
-        "eigenfunction_values": complex_pairs(triple.eigenfunction_values),
-        "modes": complex_pairs(triple.modes),
-        "decode": [[float(x) for x in row] for row in triple.decode],
     }
+    for _, attr, dtype, _ in _arrays(*dims):
+        array = getattr(triple, attr)
+        doc[attr] = complex_pairs(array) if dtype == _C16 else array.tolist()
     doc.update((key, list(getattr(triple.metadata, key)))
                for key in _NAME_KEYS)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -106,14 +106,11 @@ def _first_break(dictionary: Dictionary, rows: list, members: int):
     return None
 
 
-def _repairs(dictionary: Dictionary, rows: list, state: int) -> list:
-    """Closures of ``state`` plus what fixes its first failing member i:
-    the support of i's closed row, or i's observable dependencies and a
+def _repairs(dictionary: Dictionary, rows: list, state: int, i: int) -> list:
+    """Closures of ``state`` plus what fixes its failing member i: the
+    support of i's closed row, or i's observable dependencies and a
     coordinate reading each feature i needs (i itself adds nothing).
-    Empty if ``state`` is closed."""
-    i = _first_break(dictionary, rows, state)
-    if i is None:
-        return []
+    Empty when nothing can fix i."""
     options = [rows[i]] if rows[i] is not None else []
     obs, feats = dictionary.needs[i]
     readers = [[1 << c for c, r in enumerate(dictionary.reads) if r == 1 << f]
@@ -157,15 +154,18 @@ def closed_subsets(pattern: ZeroPattern,
     ``truncated`` means more than ``_CLASS_CAP`` classes exist.
     """
     rows = _closed_row_supports(pattern, dictionary)
-    seen, pending = set(), [dictionary.closure_mask(1 << i)
-                            for i in range(len(rows))]
+    seen, classes = set(), []
+    pending = [dictionary.closure_mask(1 << i) for i in range(len(rows))]
     while pending:
         state = pending.pop()
         if state not in seen:
             seen.add(state)
-            pending += _repairs(dictionary, rows, state)
-    classes = sorted(s for s in seen
-                     if _first_break(dictionary, rows, s) is None)
+            i = _first_break(dictionary, rows, state)
+            if i is None:
+                classes.append(state)
+            else:
+                pending += _repairs(dictionary, rows, state, i)
+    classes.sort()
     atoms, known = tuple(classes), set(classes)
     for cls in classes:  # grows while it is walked
         if len(classes) > _CLASS_CAP:

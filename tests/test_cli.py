@@ -1084,6 +1084,82 @@ def test_generated_config_values_exit_cleanly(fuzz_inputs, case):
             assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
+# -- mutated data files ------------------------------------------------------
+
+ODD_CELLS = ["1e309", "-1e309", "nan", "inf", "\x00", '"', '"1.0"', "",
+             "1e308", "-0", "x"]
+
+
+@st.composite
+def mutated_csvs(draw, data: bytes):
+    """The fuzz data file with one to three lines truncated, bytes flipped,
+    cells replaced by huge or non-finite numbers, a NUL or a quote, or
+    lines duplicated or reordered."""
+    lines = data.split(b"\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        kind = draw(st.sampled_from(["truncate", "flip", "cell", "insert",
+                                     "duplicate", "swap"]))
+        if kind == "truncate":
+            lines[i] = line[:draw(st.integers(0, len(line)))]
+        elif kind == "flip" and line:
+            at = draw(st.integers(0, len(line) - 1))
+            flipped = line[at] ^ 1 << draw(st.integers(0, 7))
+            lines[i] = line[:at] + bytes([flipped]) + line[at + 1:]
+        elif kind == "cell":
+            cells = line.split(b",")
+            cells[draw(st.integers(0, len(cells) - 1))] = \
+                draw(st.sampled_from(ODD_CELLS)).encode()
+            lines[i] = b",".join(cells)
+        elif kind == "insert":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + draw(st.sampled_from([b"\0", b'"'])) \
+                + line[at:]
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["fit", "spectrum", "reduce"]),
+       data=st.data())
+def test_mutated_data_files_exit_cleanly(fuzz_inputs, command, data):
+    # Nothing escapes main, and a failed run leaves the directory as it was.
+    csv_bytes = data.draw(mutated_csvs(fuzz_inputs["data.csv"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "data.csv").write_bytes(csv_bytes)
+        write_json(work / "dict.json", WORKED_DICT_ENTRIES)
+        write_json(work / "cfg.json", FUZZ_CONFIG[command])
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        code = run([command, "--config", work / "cfg.json"])
+        assert code in (0, 2, 3)
+        assert not list(work.glob("*.tmp"))
+        if code:
+            assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["fit", "spectrum", "reduce"])
+def test_a_value_whose_square_overflows_exits_3(fuzz_inputs, tmp_path,
+                                                 capsys, command):
+    # A finite double near the largest one overflows the fit's norms and
+    # the spectrum's refinement sums: a numerical failure, not a warning.
+    lines = fuzz_inputs["data.csv"].split(b"\n")
+    assert lines[3].startswith(b"traj00,2,")
+    lines[3] = b"traj00,2,1e308,1e308"
+    (tmp_path / "data.csv").write_bytes(b"\n".join(lines))
+    write_json(tmp_path / "dict.json", WORKED_DICT_ENTRIES)
+    write_json(tmp_path / "cfg.json", FUZZ_CONFIG[command])
+    before = sorted(tmp_path.iterdir())
+    assert run([command, "--config", tmp_path / "cfg.json"]) == 3
+    assert "numerical error" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 # -- entry point -------------------------------------------------------------
 
 def _child_env():

@@ -170,6 +170,42 @@ def test_spec_hash_is_stable_and_distinguishes():
     assert a.spec_hash() != other.spec_hash()
 
 
+def test_spec_hash_of_every_kind_is_pinned():
+    # Model files store this hash, so a refactor must not move it: declared
+    # id and feature dependences, weights with a bias, fn and delay.
+    spec = [
+        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+        {"id": "y", "kind": "coordinate", "params": {"index": 1}},
+        {"id": "sx", "kind": "sin", "params": {"of": "x"},
+         "depends_on": ["y", 1]},
+        {"id": "cy", "kind": "cos", "params": {"of": 1}},
+        {"id": "m", "kind": "monomial", "params": {"exponents": [2, 1]}},
+        {"id": "dx", "kind": "delay", "params": {"of": "x", "lag": 2}},
+        {"id": "w", "kind": "composition",
+         "params": {"weights": {"x": 0.5, "m": -1.25}, "bias": 0.75}},
+        {"id": "tx", "kind": "composition",
+         "params": {"fn": "tanh", "of": "dx"}},
+    ]
+    dictionary = Dictionary.from_spec(spec, 2)
+    assert dictionary.canonical_json() == (
+        '{"n_features":2,"observables":['
+        '{"depends_on":[0],"id":"x","kind":"coordinate","params":{"index":0}},'
+        '{"depends_on":[1],"id":"y","kind":"coordinate","params":{"index":1}},'
+        '{"depends_on":["x","y",1],"id":"sx","kind":"sin",'
+        '"params":{"of":"x"}},'
+        '{"depends_on":[1],"id":"cy","kind":"cos","params":{"of":1}},'
+        '{"depends_on":[0,1],"id":"m","kind":"monomial",'
+        '"params":{"exponents":[2,1]}},'
+        '{"depends_on":["x"],"id":"dx","kind":"delay",'
+        '"params":{"lag":2,"of":"x"}},'
+        '{"depends_on":["m","x"],"id":"w","kind":"composition",'
+        '"params":{"bias":0.75,"weights":{"m":-1.25,"x":0.5}}},'
+        '{"depends_on":["dx"],"id":"tx","kind":"composition",'
+        '"params":{"fn":"tanh","of":"dx"}}]}')
+    assert dictionary.spec_hash().hex() == (
+        "a2b8b84a43a4dee94e946af3842d2f5dddeddad8641b5d62566299d70ed5e567")
+
+
 # -- evaluation --------------------------------------------------------------
 
 def test_worked_dict_at_origin():

@@ -85,6 +85,27 @@ def test_truncation_fails_cleanly_at_any_boundary(tmp_path, triple):
             load_model(clipped)
 
 
+def test_truncation_names_the_section_it_ends_inside(tmp_path, triple):
+    path, data = saved_bytes(tmp_path, triple)
+    n, m, h, d = (triple.n_eigenvalues, triple.n_initial_conditions,
+                  triple.n_outputs, triple.lifted_dim)
+    meta_len = len(data) - file_layout(n, m, h, d, 0)["total"]
+    sections = [("magic bytes", 8), ("header", 20), ("dictionary hash", 32),
+                ("eigenvalues", 16 * n), ("eigenfunction table", 16 * m * n),
+                ("modes", 16 * h * n), ("decode matrix", 8 * h * d),
+                ("metadata length", 4), ("metadata", meta_len),
+                ("checksum", 4)]
+    assert sum(size for _, size in sections) == len(data)
+    end = 0
+    for name, size in sections:
+        end += size
+        clipped = tmp_path / "cut.bin"
+        clipped.write_bytes(data[:end - 1])
+        with pytest.raises(ModelTruncatedError,
+                           match=f"^model file ends inside {name}: "):
+            load_model(clipped)
+
+
 def test_bad_magic_and_version(tmp_path, triple):
     path, data = saved_bytes(tmp_path, triple)
     wrong_magic = tmp_path / "magic.bin"

@@ -175,3 +175,20 @@ def test_reader_memory_is_a_small_multiple_of_the_values(tmp_path):
     nbytes = data.trajectories[0].values.base.nbytes
     assert nbytes == 50_000 * 2 * 8
     assert peak < 4 * nbytes, f"peak {peak} B for {nbytes} B of values"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # A bad cell outranks an earlier time gap.
+    ("trajectory_id,t,x\na,0,1.0\na,2,2.0\na,3,abc\n", 4,
+     "column 'x' is not a number: 'abc'"),
+    # A time gap outranks an earlier NaN.
+    ("trajectory_id,t,x\na,0,nan\na,1,2.0\na,3,1.0\n", 4,
+     "trajectory 'a': time indices must increase by 1 (got 1 -> 3)"),
+], ids=["cell over gap", "gap over nan"])
+def test_fault_precedence_is_rows_then_gaps_then_trajectories(
+        data_path, text, line, message):
+    data_path.write_text(text)
+    for reader in (data_io.read_exact, cli.read_trajectories):
+        with pytest.raises(InputError) as caught:
+            reader(data_path)
+        assert str(caught.value) == f"{data_path}:{line}: {message}"
