@@ -62,9 +62,16 @@ def _as_series(series) -> np.ndarray:
     return values
 
 
+def _terms(values: np.ndarray, k: np.ndarray, omega: float) -> np.ndarray:
+    """``exp(-2 pi i omega k) x_k``, built in one array of n complex."""
+    terms = k * (-2j * np.pi * omega)
+    np.exp(terms, out=terms)
+    terms *= values
+    return terms
+
+
 def _average(values: np.ndarray, omega: float) -> complex:
-    k = np.arange(values.size)
-    return complex(np.mean(np.exp(-2j * np.pi * omega * k) * values))
+    return complex(np.mean(_terms(values, np.arange(values.size), omega)))
 
 
 def harmonic_average(series, omega: float) -> complex:
@@ -124,10 +131,55 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-def _refine_omega(values: np.ndarray, fine: np.ndarray, b: int) -> float:
-    """Maximize |harmonic average| within one bin of peak bin ``b``, given
-    the magnitudes ``fine`` of the transform zero-padded to L >= 16n."""
-    n, size = values.size, fine.size
+def _chirp_z(values: np.ndarray, size: int, count: int):
+    """The function of ``first`` that gives the ``count`` magnitudes
+    ``|sum_k x_k exp(-2 pi i (first + j) k / size)|``, j < count: points
+    ``first`` onward of ``|fft(values, size)|`` in memory linear in n.
+
+    By Bluestein's identity ``jk = (j^2 + k^2 - (j - k)^2) / 2`` the sum is
+    the chirp ``exp(-pi i j^2 / size)``, of modulus 1 and dropped here,
+    times a convolution of ``x_k exp(-2 pi i first k / size)
+    exp(-pi i k^2 / size)`` with ``exp(pi i m^2 / size)``, taken by FFT at
+    the 5-smooth length >= n + count - 1 (Rabiner, Schafer & Rader 1969).
+    The chirp and the transform of its conjugate are taken here, once per
+    series.  Phase indices are reduced exactly in int64, ``m^2 mod 2 size``
+    and ``first k mod size``, which stay below 2^63 while ``n * size / 2``
+    does: up to n of about 10^9 at size ~ 16n.
+    """
+    n = values.size
+    chirp = np.arange(max(n, count))
+    chirp *= chirp
+    chirp %= 2 * size
+    chirp = np.exp(chirp * (1j * np.pi / size))
+    length = _smooth_length(n + count - 1)
+    kernel = np.zeros(length, complex)
+    kernel[:count] = chirp[:count]
+    kernel[length - n + 1:] = chirp[n - 1:0:-1]
+    np.fft.fft(kernel, out=kernel)
+    chirped = np.conj(chirp[:n], out=chirp[:n])
+    chirped *= values
+
+    def magnitudes(first: int) -> np.ndarray:
+        phase = np.arange(n) * first
+        phase %= size
+        buffer = np.zeros(length, complex)
+        head = buffer[:n]
+        np.multiply(phase, -2j * np.pi / size, out=head)
+        np.exp(head, out=head)
+        head *= chirped
+        np.fft.fft(buffer, out=buffer)
+        buffer *= kernel
+        np.fft.ifft(buffer, out=buffer)
+        return np.abs(buffer[:count])
+
+    return magnitudes
+
+
+def _refine_omega(values: np.ndarray, zoom, size: int, b: int):
+    """``(omega, average)`` maximizing |harmonic average| within one bin of
+    peak bin ``b``, where ``zoom`` is the `_chirp_z` of ``values`` on the
+    grid of step 1/``size``."""
+    n = values.size
     omega = b / n
     lo, hi = max(0.0, omega - 1.0 / n), min(0.5, omega + 1.0 / n)
     # Coarse scan of the 1/L grid (index L // 2 is the last up to 0.5) first:
@@ -135,14 +187,14 @@ def _refine_omega(values: np.ndarray, fine: np.ndarray, b: int) -> float:
     first = max(0, -(-(b - 1) * size // n))
     last = min((b + 1) * size // n, size // 2)
     step = 1.0 / size
-    w = (first + int(np.argmax(fine[first:last + 1]))) * step
+    w = (first + int(np.argmax(zoom(first)[:last - first + 1]))) * step
     left, right = max(lo, w - step), min(hi, w + step)
     # Newton steps on f = |H|^2, H(w) = mean(exp(-2*pi*i*w*k) * x_k).  With
     # S_j = sum(k^j exp(-2*pi*i*w*k) x_k), f' = 4*pi Im(conj(S0) S1) / n^2
     # and f'' = 8*pi^2 (|S1|^2 - Re(conj(S0) S2)) / n^2.
     k = np.arange(n, dtype=float)
     for _ in range(8):
-        terms = np.exp(-2j * np.pi * w * k) * values
+        terms = _terms(values, k, w)
         s0, s1, s2 = terms.sum(), k @ terms, (k * k) @ terms
         curve = abs(s1) ** 2 - (s0.conjugate() * s2).real
         if curve >= 0:
@@ -154,11 +206,10 @@ def _refine_omega(values: np.ndarray, fine: np.ndarray, b: int) -> float:
     # A boundary or exact-bin maximum beats the interior polish.  Ties
     # within rounding noise resolve toward the bin center, so exactly
     # resonant frequencies are reported exactly.
-    candidates = [omega, w, lo, hi]
-    magnitudes = [abs(_average(values, c)) for c in candidates]
-    top = max(magnitudes)
-    return next(c for c, m in zip(candidates, magnitudes)
-                if m >= top - 1e-12 * (1.0 + top))
+    candidates = [(c, _average(values, c)) for c in (omega, w, lo, hi)]
+    top = max(abs(average) for _, average in candidates)
+    return next(pair for pair in candidates
+                if abs(pair[1]) >= top - 1e-12 * (1.0 + top))
 
 
 def find_eigenfrequencies(series, peak_threshold: float = 0.1,
@@ -169,29 +220,33 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     compare against their single neighbor) that reach ``peak_threshold``
     times the maximum amplitude.  With ``refine`` the frequency of each
     peak is polished within one bin: the maximum of the harmonic-average
-    magnitude on a grid of at most 1/16 bin, read from one FFT zero-padded
-    to the smallest 2-3-5-smooth length L >= 16n, seeds Newton steps on
-    the squared magnitude.  Returns `EigenFrequency` records ordered by
-    increasing frequency; no peaks above threshold yields an empty list.
+    magnitude on a grid of at most 1/16 bin, step 1/L for the smallest
+    2-3-5-smooth L >= 16n, seeds Newton steps on the squared magnitude.
+    The grid points within one bin of a peak are evaluated by a chirp-z
+    transform (`_chirp_z`), peak by peak, in memory linear in n.  Returns
+    `EigenFrequency` records ordered by increasing frequency; no peaks
+    above threshold yields an empty list.
     """
     if not 0 < peak_threshold <= 1:
         raise InputError(
             f"peak_threshold must be in (0, 1], got {peak_threshold}"
         )
     values = _as_series(series)
-    spectrum = fft_amplitude_spectrum(values)
-    n = spectrum.series_length
-    bins = _peak_bins(spectrum.amplitudes, peak_threshold)
-    found = [float(spectrum.frequencies[b]) for b in bins]
-    if refine and bins.size:
-        fine = np.abs(np.fft.fft(values, _smooth_length(16 * n)))
-        found = [_refine_omega(values, fine, int(b)) for b in bins]
+    n = values.size
+    bins = _peak_bins(fft_amplitude_spectrum(values).amplitudes,
+                      peak_threshold).tolist()
+    if refine and bins:
+        size = _smooth_length(16 * n)
+        zoom = _chirp_z(values, size, 2 * size // n + 1)
+        found = [_refine_omega(values, zoom, size, b) for b in bins]
+    else:
+        found = [(b / n, _average(values, b / n)) for b in bins]
 
     merged = []
-    for omega in sorted(found):
+    for omega, average in sorted(found, key=lambda pair: pair[0]):
         candidate = EigenFrequency(
             omega=omega,
-            average=_average(values, omega),
+            average=average,
             eigenvalue=complex(np.exp(2j * np.pi * omega)),
         )
         if merged and abs(merged[-1].omega - omega) < _MERGE_FRACTION / n:

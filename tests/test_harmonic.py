@@ -1,5 +1,6 @@
 """Harmonic averaging and FFT-based eigenfrequency detection."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -225,6 +226,53 @@ def test_smooth_padding_agrees_with_the_16n_grid(n, seed):
         assert abs(got.omega - want.omega) <= 1e-12
         # d average / d omega is at most 2 pi n times the series' amplitude.
         assert abs(got.average - want.average) <= 2 * np.pi * n * 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(16, 20_000), st.floats(0, 1), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(16, 0.0, True, 0)
+@example(20_000, 1.0, True, 1)
+@example(17, 1.0, False, 2)
+@example(4_099, 0.0, False, 3)
+def test_chirp_z_matches_the_padded_transform(n, where, smooth, seed):
+    # The grid the refinement scans: points first..last of |fft(x, L)|,
+    # within one bin of peak bin b and clipped to [0, 1/2].  Without
+    # smoothing, L = 16n and the convolution length n + count - 1 can both
+    # hold large primes.
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b = int(where * (n // 2))
+    padding = _smooth_length if smooth else (lambda m: m)
+    with mock.patch.object(harmonic, "_smooth_length", padding):
+        size = harmonic._smooth_length(16 * n)
+        zoom = harmonic._chirp_z(values, size, 2 * size // n + 1)
+    first = max(0, -(-(b - 1) * size // n))
+    last = min((b + 1) * size // n, size // 2)
+    got = zoom(first)[:last - first + 1]
+    want = np.abs(np.fft.fft(values, size))[first:last + 1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+    assert np.argmax(got) == np.argmax(want)
+
+
+def test_refinement_memory_is_linear_in_the_series_length():
+    # The benchmark's six tones at n = 32,769.  A transform zero-padded to
+    # L >= 16n peaks at about 25 * 16n bytes; the per-peak zoom at about 6.5.
+    n = 32_769
+    rng = np.random.default_rng(8)
+    omega = 0.04 + 0.07 * np.arange(6) + rng.uniform(0.0, 0.03, 6)
+    amp, phase = rng.uniform(0.5, 1.0, 6), rng.uniform(0.0, 2 * np.pi, 6)
+    series = np.sum(amp * np.cos(2 * np.pi * omega * np.arange(n)[:, None]
+                                 + phase), axis=1)
+    tracemalloc.start()
+    try:
+        found = find_eigenfrequencies(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 6
+    assert peak <= 8 * 16 * n
+
 
 def test_exact_bin_rotation_detected():
     series = rotation_series(32 / 256, 256)
