@@ -17,6 +17,9 @@ Each command reads a closed set of options (``_OPTIONS``) from its
 ``--config`` JSON object.  A key the command does not read, a value of the
 wrong kind (such as a path that is not a string), and a config or
 dictionary file that is not UTF-8 JSON all exit 2.
+
+``koop`` runs BLAS on one thread unless a BLAS thread variable, such as
+``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS``, is set.
 """
 
 from __future__ import annotations
@@ -501,6 +504,14 @@ def main(argv=None) -> int:
 
 
 def console_entry() -> None:
+    # BLAS runs on one thread unless the user set a count.  The fit folds
+    # its data by many small QR factorizations, and a second OpenBLAS
+    # thread slows them down: on a 2-CPU host one 556x169 fold took 6.1 ms
+    # on 2 threads and about 3 ms on one, and one 8,200x8 fold 24 against
+    # 1 ms while the other CPU was busy.  numpy is not loaded yet, so its
+    # BLAS reads the value when it loads; OPENBLAS_NUM_THREADS,
+    # GOTO_NUM_THREADS, MKL_NUM_THREADS and BLIS_NUM_THREADS outrank it.
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -125,9 +125,13 @@ def _fold(segments):
     """Triangular factor of the segments' columns stacked as rows, folded
     from row blocks of about FIT_BLOCK_BYTES so no array spans the data
     length; with the row counts of a segment's arrays, each segment's
-    first current column and the number of columns."""
+    first current column and the number of columns.
+
+    One buffer holds the factor so far in its top ``top`` rows and the
+    next block below them; each segment's arrays are written straight
+    into their column ranges of the block."""
     heights = r = buffer = None
-    fill = n_pairs = 0
+    top = fill = n_pairs = 0
     initial = []
     for index, segment in enumerate(segments):
         arrays = _segment_arrays(index, segment, heights)
@@ -135,24 +139,27 @@ def _fold(segments):
             heights = [len(a) for a in arrays]
             width = sum(heights)
             step = max(width, FIT_BLOCK_BYTES // (8 * width))
-            r, buffer = np.empty((0, width)), np.empty((step, width))
+            buffer = np.empty((width + step, width))
+            columns = np.cumsum([0] + heights)
         initial.append(arrays[0][:, 0].copy())  # a view would pin the lift
         n = arrays[0].shape[1]
         n_pairs += n
         done = 0
         while done < n:
             take = min(n - done, step - fill)
-            buffer[fill:fill + take] = np.concatenate(
-                [a[:, done:done + take] for a in arrays]).T
+            rows = buffer[top + fill:top + fill + take]
+            for a, lo, hi in zip(arrays, columns, columns[1:]):
+                rows[:, lo:hi] = a[:, done:done + take].T
             fill += take
             done += take
             if fill == step:
-                r = np.linalg.qr(np.concatenate([r, buffer]), mode="r")
-                fill = 0
+                r = np.linalg.qr(buffer[:top + fill], mode="r")
+                top, fill = len(r), 0
+                buffer[:top] = r
     if heights is None:
         raise ShapeMismatchError("the fit needs at least one segment")
     if fill:
-        r = np.linalg.qr(np.concatenate([r, buffer[:fill]]), mode="r")
+        r = np.linalg.qr(buffer[:top + fill], mode="r")
     return r, heights, np.stack(initial, axis=1), n_pairs
 
 

@@ -1268,6 +1268,47 @@ def test_importing_cli_does_not_load_numpy():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def _entry_point_threads(**variables) -> int:
+    """Threads of a ``koop`` process, run through ``cli.console_entry``
+    with only the given BLAS thread variables set, once numpy has loaded
+    (OpenBLAS starts its threads as it loads)."""
+    code = textwrap.dedent("""
+        import os
+        from koopmodel import cli
+        def main(argv=None):
+            import numpy
+            print(len(os.listdir("/proc/self/task")))
+            return 0
+        cli.main = main
+        cli.console_entry()
+    """)
+    env = {k: v for k, v in _child_env().items()
+           if not k.endswith("_NUM_THREADS")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**env, **variables})
+    assert result.returncode == 0, result.stdout + result.stderr
+    return int(result.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc on 2 or more CPUs")
+@pytest.mark.parametrize("variables, threads", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+])
+def test_koop_runs_blas_on_one_thread_unless_a_count_is_set(variables,
+                                                            threads):
+    assert _entry_point_threads(**variables) == threads
+
+
+def test_main_leaves_the_environment_alone(workspace):
+    before = dict(os.environ)
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    assert dict(os.environ) == before
+
+
 def test_package_runs_on_numpy_alone():
     # Every import outside the standard library, numpy and the package
     # raises, as it would where nothing else is installed.
