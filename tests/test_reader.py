@@ -21,7 +21,10 @@ VALUE_SPELLINGS = PADS + ["{}1", "{}e3", "-0.0", "0", "nan", "-nan", "inf",
                           "Infinity", "-inf", "1_000", "１", "١",
                           "1E-3", "+.5", "5.", ".", "", "abc", "0x10",
                           "1.5\x00", "1e400", "1e-400"]
-IDS = ["a", "b", "c", " a", "a ", "\xa0b", "rün", "", "a\x00", "1"]
+# The fast reader's first id field holds 8 bytes: the ids of 7 to 40 bytes
+# fit it, fill it or outgrow it, and "ξ" is outside Latin-1.
+IDS = ["a", "b", "c", " a", "a ", "\xa0b", "rün", "", "a\x00", "1", "ξ",
+       "abcdefg", "abcdefgh", "abcdefgh ", "abcdefgh" * 5]
 BLANKS = ["", "  ", ",,", "\t", "\xa0", " , ", "\x0b"]
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 LONG_MANTISSAS = st.builds("{}.{}e{}".format, st.integers(0, 9),
@@ -133,7 +136,7 @@ def test_fast_reader_agrees_with_exact_reader(data_path, text):
 
 
 def benchmark_shaped_csv(path, n_trajectories, steps, n_features=2,
-                         seed=0):
+                         seed=0, ids="T{:03d}"):
     """Rows like the benchmark's: ids ``T000``..., ``t`` from 0, and each
     value as ``repr`` writes it."""
     rng = np.random.default_rng(seed)
@@ -142,14 +145,13 @@ def benchmark_shaped_csv(path, n_trajectories, steps, n_features=2,
     lines = [",".join(["trajectory_id", "t", *names])]
     for i in range(n_trajectories):
         for t, row in enumerate(values[i].tolist()):
-            lines.append(f"T{i:03d},{t}," + ",".join(map(repr, row)))
+            lines.append(f"{ids.format(i)},{t}," + ",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n")
     return values
 
 
-def test_fast_path_serves_a_well_formed_file(tmp_path, monkeypatch):
-    path = tmp_path / "data.csv"
-    values = benchmark_shaped_csv(path, 20, 50)
+def _assert_fast_path_serves(path, monkeypatch, **shape):
+    values = benchmark_shaped_csv(path, 20, 50, **shape)
     want = data_io.read_exact(path)
 
     def refuse(path):
@@ -159,6 +161,36 @@ def test_fast_path_serves_a_well_formed_file(tmp_path, monkeypatch):
     got = cli.read_trajectories(str(path))
     assert_same_sets(got, want)
     assert np.array_equal(got.trajectories[3].values, values[3])
+
+
+def test_fast_path_serves_a_well_formed_file(tmp_path, monkeypatch):
+    _assert_fast_path_serves(tmp_path / "data.csv", monkeypatch)
+
+
+# 8 bytes fill the first id field; 33 outgrow the second.
+@pytest.mark.parametrize("ids", ["run{:05d}", "é{:03d}",
+                                 "trajectory {:05d} of a long series"])
+def test_fast_path_serves_ids_of_any_length(tmp_path, monkeypatch, ids):
+    _assert_fast_path_serves(tmp_path / "data.csv", monkeypatch, ids=ids)
+
+
+def test_fast_path_serves_many_features(tmp_path, monkeypatch):
+    # Each record holds 62 doubles, of which 60 move to the front.
+    _assert_fast_path_serves(tmp_path / "data.csv", monkeypatch,
+                             n_features=60)
+
+
+@pytest.mark.parametrize("text", [
+    "trajectory_id,t,x\na,0,1\na,1,2",
+    "trajectory_id,t,x\ra,0,1\ra,1,2\r",
+    "trajectory_id,t,x\r\na,0,1\r\na,1,2\r\n",
+    "\ntrajectory_id,t,x\n\na,0,1\n\n\na,1,2\n\n",
+], ids=["no final line end", "cr", "crlf", "blank lines"])
+def test_fast_path_serves_any_line_ends(data_path, monkeypatch, text):
+    data_path.write_text(text, newline="")
+    want = data_io.read_exact(data_path)
+    monkeypatch.setattr(data_io, "read_exact", None)  # a fallback raises
+    assert_same_sets(cli.read_trajectories(data_path), want)
 
 
 def test_reader_memory_is_a_small_multiple_of_the_values(tmp_path):
