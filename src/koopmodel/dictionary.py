@@ -26,6 +26,9 @@ from .errors import (
 from .trajectories import TrajectorySet
 
 KINDS = ("coordinate", "sin", "cos", "monomial", "delay", "composition")
+# The params keys each kind reads; a composition's depend on its form.
+_READS = {"coordinate": {"index"}, "sin": {"of"}, "cos": {"of"},
+          "monomial": {"exponents"}, "delay": {"of", "lag"}}
 
 # Closed set of named unary maps usable in composition observables.
 UNARY_FUNCTIONS = {
@@ -56,34 +59,87 @@ class Observable:
     lag: int
 
 
-def _normalize_entry(entry: dict, index: int) -> dict:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"dictionary entry #{index} must be an object")
-    unknown = set(entry) - {"id", "kind", "params", "depends_on"}
-    if unknown:
+def _kind_delay(oid: str, kind: str, params: dict, ref,
+                n_features: int) -> int:
+    """Check an entry's params for its kind, pass each reference they make
+    to ``ref``, and return the delay the kind itself adds."""
+    if kind == "coordinate":
+        i = params.get("index")
+        if not isinstance(i, int) or isinstance(i, bool) \
+                or not 0 <= i < n_features:
+            raise ConfigError(
+                f"observable {oid!r}: coordinate needs an 'index' in "
+                f"[0, {n_features})"
+            )
+        ref(i)
+    elif kind in ("sin", "cos"):
+        if "of" not in params:
+            raise ConfigError(f"observable {oid!r}: {kind} needs 'of'")
+        ref(params["of"])
+    elif kind == "monomial":
+        exps = params.get("exponents")
+        if (not isinstance(exps, (list, tuple))
+                or len(exps) != n_features
+                or any(not isinstance(e, int) or finite_double(e) is None
+                       or e < 0 for e in exps)):
+            raise ConfigError(
+                f"observable {oid!r}: monomial needs 'exponents', a list "
+                f"of {n_features} non-negative integers within the "
+                f"double range"
+            )
+        for i, e in enumerate(exps):
+            if e > 0:
+                ref(i)
+    elif kind == "delay":
+        base, d = params.get("of"), params.get("lag")
+        if not isinstance(base, str):
+            raise ConfigError(
+                f"observable {oid!r}: delay needs 'of', a previously "
+                f"defined observable id"
+            )
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise ConfigError(
+                f"observable {oid!r}: delay needs integer 'lag' >= 1"
+            )
+        ref(base)
+        return d
+    elif "fn" in params:  # a composition of a named function
+        fn = params["fn"]
+        if not isinstance(fn, str) or fn not in UNARY_FUNCTIONS:
+            raise ConfigError(
+                f"observable {oid!r}: unknown function {fn!r}; "
+                f"choose from {sorted(UNARY_FUNCTIONS)}"
+            )
+        if not isinstance(params.get("of"), str):
+            raise ConfigError(
+                f"observable {oid!r}: composition with 'fn' needs "
+                f"'of', an observable id"
+            )
+        ref(params["of"])
+    elif "weights" in params:  # a weighted sum
+        weights = params["weights"]
+        if not isinstance(weights, dict) or not weights:
+            raise ConfigError(
+                f"observable {oid!r}: 'weights' must be a non-empty "
+                f"mapping of observable id to coefficient"
+            )
+        for key, w in weights.items():
+            if finite_double(w) is None:
+                raise ConfigError(
+                    f"observable {oid!r}: weight for {key!r} must be "
+                    f"a finite double, got {w!r}"
+                )
+            ref(key, what="weights")
+        bias = params.get("bias", 0.0)
+        if finite_double(bias) is None:
+            raise ConfigError(f"observable {oid!r}: 'bias' must be a "
+                              f"finite double, got {bias!r}")
+    else:
         raise ConfigError(
-            f"dictionary entry #{index}: unknown keys {sorted(unknown)}"
+            f"observable {oid!r}: composition needs 'fn'/'of' or "
+            f"'weights'"
         )
-    if "id" not in entry or not isinstance(entry["id"], str) or not entry["id"]:
-        raise ConfigError(f"dictionary entry #{index} needs a non-empty string id")
-    if entry.get("kind") not in KINDS:
-        raise ConfigError(
-            f"observable {entry.get('id')!r}: kind must be one of {KINDS}"
-        )
-    params = entry.get("params", {})
-    depends_on = entry.get("depends_on", [])
-    if not isinstance(params, dict):
-        raise ConfigError(f"observable {entry['id']!r}: params must be an "
-                          f"object, got {params!r}")
-    if not isinstance(depends_on, list):
-        raise ConfigError(f"observable {entry['id']!r}: depends_on must be "
-                          f"a list, got {depends_on!r}")
-    return {
-        "id": entry["id"],
-        "kind": entry["kind"],
-        "params": dict(params),
-        "depends_on": list(depends_on),
-    }
+    return 0
 
 
 class Dictionary:
@@ -113,164 +169,77 @@ class Dictionary:
     def from_spec(cls, entries: list[dict], n_features: int) -> "Dictionary":
         """Build from a declarative list of ``{id, kind, params, depends_on}``.
 
-        ``depends_on`` may add extra declared dependence edges (ids of earlier
-        observables or feature indices) on top of the structural ones implied
-        by the kind.
+        Every reference an entry makes, structural or declared in
+        ``depends_on``, is the id of an earlier observable or a feature
+        index. ``depends_on`` adds dependence edges but no delay depth.
         """
         if n_features < 1:
             raise ConfigError("n_features must be >= 1")
         seen: dict[str, Observable] = {}
-        observables: list[Observable] = []
-        for index, raw in enumerate(entries):
-            entry = _normalize_entry(raw, index)
-            oid = entry["id"]
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"dictionary entry #{index} must be an "
+                                  f"object")
+            unknown = set(entry) - {"id", "kind", "params", "depends_on"}
+            if unknown:
+                raise ConfigError(
+                    f"dictionary entry #{index}: unknown keys {sorted(unknown)}"
+                )
+            oid, kind = entry.get("id"), entry.get("kind")
+            if not isinstance(oid, str) or not oid:
+                raise ConfigError(f"dictionary entry #{index} needs a "
+                                  f"non-empty string id")
+            if kind not in KINDS:
+                raise ConfigError(
+                    f"observable {oid!r}: kind must be one of {KINDS}"
+                )
+            params = entry.get("params", {})
+            declared = entry.get("depends_on", [])
+            if not isinstance(params, dict):
+                raise ConfigError(f"observable {oid!r}: params must be an "
+                                  f"object, got {params!r}")
+            if not isinstance(declared, list):
+                raise ConfigError(f"observable {oid!r}: depends_on must be "
+                                  f"a list, got {declared!r}")
             if oid in seen:
                 raise ConfigError(f"duplicate observable id {oid!r}")
-            obs_deps, feat_deps, lag = cls._structural_deps(
-                entry, seen, n_features
-            )
-            for dep in entry["depends_on"]:
-                if isinstance(dep, str):
-                    if dep not in seen:
+            obs_deps: set[str] = set()
+            feat_deps: set[int] = set()
+
+            def ref(value, what="of"):
+                """Record a reference to an earlier id or a feature."""
+                if isinstance(value, str):
+                    if value not in seen:
                         raise ConfigError(
-                            f"observable {oid!r}: declared dependence on "
-                            f"{dep!r}, which is not a previously defined id"
+                            f"observable {oid!r}: {what!r} references "
+                            f"{value!r}, which is not a previously defined id"
                         )
-                    obs_deps.add(dep)
-                elif isinstance(dep, int) and not isinstance(dep, bool):
-                    if not 0 <= dep < n_features:
+                    obs_deps.add(value)
+                elif isinstance(value, int) and not isinstance(value, bool):
+                    if not 0 <= value < n_features:
                         raise ConfigError(
-                            f"observable {oid!r}: feature index {dep} out of "
-                            f"range for {n_features} features"
+                            f"observable {oid!r}: feature index {value} out "
+                            f"of range for {n_features} features"
                         )
-                    feat_deps.add(dep)
+                    feat_deps.add(value)
                 else:
                     raise ConfigError(
-                        f"observable {oid!r}: depends_on entries must be "
-                        f"observable ids or feature indices"
+                        f"observable {oid!r}: {what!r} must be an observable "
+                        f"id or a feature index"
                     )
-            obs = Observable(
-                id=oid,
-                kind=entry["kind"],
-                params=entry["params"],
-                depends_on=frozenset(obs_deps),
-                feature_depends=frozenset(feat_deps),
-                lag=lag,
-            )
-            seen[oid] = obs
-            observables.append(obs)
-        return cls(observables, n_features)
 
-    @staticmethod
-    def _structural_deps(entry: dict, seen: dict[str, Observable],
-                         n_features: int):
-        """Dependencies and delay depth implied by the kind itself."""
-        oid, kind, params = entry["id"], entry["kind"], entry["params"]
-        obs_deps: set[str] = set()
-        feat_deps: set[int] = set()
-        lag = 0
-
-        def ref(value, what="of"):
-            """Resolve an id-or-feature reference, tracking deps and lag."""
-            nonlocal lag
-            if isinstance(value, str):
-                if value not in seen:
-                    raise ConfigError(
-                        f"observable {oid!r}: {what!r} references {value!r}, "
-                        f"which is not a previously defined id"
-                    )
-                obs_deps.add(value)
-                lag = max(lag, seen[value].lag)
-            elif isinstance(value, int) and not isinstance(value, bool):
-                if not 0 <= value < n_features:
-                    raise ConfigError(
-                        f"observable {oid!r}: feature index {value} out of "
-                        f"range for {n_features} features"
-                    )
-                feat_deps.add(value)
-            else:
-                raise ConfigError(
-                    f"observable {oid!r}: {what!r} must be an observable id "
-                    f"or a feature index"
-                )
-
-        if kind == "coordinate":
-            i = params.get("index")
-            if not isinstance(i, int) or isinstance(i, bool) \
-                    or not 0 <= i < n_features:
-                raise ConfigError(
-                    f"observable {oid!r}: coordinate needs an 'index' in "
-                    f"[0, {n_features})"
-                )
-            feat_deps.add(i)
-        elif kind in ("sin", "cos"):
-            if "of" not in params:
-                raise ConfigError(f"observable {oid!r}: {kind} needs 'of'")
-            ref(params["of"])
-        elif kind == "monomial":
-            exps = params.get("exponents")
-            if (not isinstance(exps, (list, tuple))
-                    or len(exps) != n_features
-                    or any(not isinstance(e, int) or finite_double(e) is None
-                           or e < 0 for e in exps)):
-                raise ConfigError(
-                    f"observable {oid!r}: monomial needs 'exponents', a list "
-                    f"of {n_features} non-negative integers within the "
-                    f"double range"
-                )
-            feat_deps.update(i for i, e in enumerate(exps) if e > 0)
-        elif kind == "delay":
-            base = params.get("of")
-            d = params.get("lag")
-            if not isinstance(base, str):
-                raise ConfigError(
-                    f"observable {oid!r}: delay needs 'of', a previously "
-                    f"defined observable id"
-                )
-            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-                raise ConfigError(
-                    f"observable {oid!r}: delay needs integer 'lag' >= 1"
-                )
-            ref(base)
-            lag += d
-        elif kind == "composition":
-            if "fn" in params:
-                fn = params["fn"]
-                if not isinstance(fn, str) or fn not in UNARY_FUNCTIONS:
-                    raise ConfigError(
-                        f"observable {oid!r}: unknown function {fn!r}; "
-                        f"choose from {sorted(UNARY_FUNCTIONS)}"
-                    )
-                if not isinstance(params.get("of"), str):
-                    raise ConfigError(
-                        f"observable {oid!r}: composition with 'fn' needs "
-                        f"'of', an observable id"
-                    )
-                ref(params["of"])
-            elif "weights" in params:
-                weights = params["weights"]
-                if not isinstance(weights, dict) or not weights:
-                    raise ConfigError(
-                        f"observable {oid!r}: 'weights' must be a non-empty "
-                        f"mapping of observable id to coefficient"
-                    )
-                for key, w in weights.items():
-                    if finite_double(w) is None:
-                        raise ConfigError(
-                            f"observable {oid!r}: weight for {key!r} must be "
-                            f"a finite double, got {w!r}"
-                        )
-                    ref(key, what="weights")
-                bias = params.get("bias", 0.0)
-                if finite_double(bias) is None:
-                    raise ConfigError(f"observable {oid!r}: 'bias' must be a "
-                                      f"finite double, got {bias!r}")
-            else:
-                raise ConfigError(
-                    f"observable {oid!r}: composition needs 'fn'/'of' or "
-                    f"'weights'"
-                )
-        return obs_deps, feat_deps, lag
+            delay = _kind_delay(oid, kind, params, ref, n_features)
+            unread = set(params) - _READS.get(
+                kind, {"fn", "of"} if "fn" in params else {"weights", "bias"})
+            if unread:
+                raise ConfigError(f"observable {oid!r}: {kind} does not read "
+                                  f"params {sorted(unread, key=str)}")
+            lag = delay + max((seen[o].lag for o in obs_deps), default=0)
+            for dep in declared:
+                ref(dep, what="depends_on")
+            seen[oid] = Observable(oid, kind, dict(params), frozenset(obs_deps),
+                                   frozenset(feat_deps), lag)
+        return cls(list(seen.values()), n_features)
 
     # -- basic queries ----------------------------------------------------
 

@@ -621,6 +621,21 @@ def test_predict_reports_dropped_imaginary_parts(tmp_path, capsys):
     assert "dropped imaginary parts up to 0.5 (k=1, y0), 1 of" in captured.err
 
 
+def test_predict_into_missing_directory_exits_2_without_output(tmp_path,
+                                                               capsys):
+    save_model(SpectralTriple([0.5], [[1.0]], [[1.0]], [[1.0]]),
+               tmp_path / "model.bin")
+    write_json(tmp_path / "predict.json", {"model": "model.bin",
+                                           "horizon": 2,
+                                           "out": "gone/pred.csv"})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(["predict", "--config", tmp_path / "predict.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: writing outputs: " in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_predict_warning_names_the_first_largest_drop(tmp_path, capsys):
     # lambda = 1j predicts 1, 1j, -1, -1j, ...: |imag| = 1 at every odd k,
     # in both chunks of 16384 steps (N = 1); the warning names k = 1.

@@ -79,7 +79,9 @@ def test_kind_grammar_round_trip():
     ({"id": "a", "kind": "coordinate", "params": {"index": 0},
       "depends_on": [2]}, "feature index 2 out of range for 2 features"),
     ({"id": "a", "kind": "coordinate", "params": {"index": 0},
-      "depends_on": [1.0]}, "entries must be observable ids or feature"),
+      "depends_on": [1.0]},
+     "observable 'a': 'depends_on' must be an observable id or a feature "
+     "index"),
     ({"id": "a", "kind": "sin", "params": {"of": -1}},
      "feature index -1 out of range"),
     ({"id": "a", "kind": "cos", "params": {"of": [0]}},
@@ -128,12 +130,47 @@ def test_kind_grammar_round_trip():
      "unknown function"),
     ({"id": "a", "kind": "monomial", "params": {"exponents": [10**400, 1]}},
      "integers within the double range"),
+    ({"id": "a", "kind": "composition",
+      "params": {"weights": {"x": 1.0}, "bais": 0.5}},
+     r"composition does not read params \['bais'\]"),
+    ({"id": "a", "kind": "composition",
+      "params": {"fn": "exp", "of": "x", "weights": {"x": 1.0}}},
+     r"composition does not read params \['weights'\]"),
+    ({"id": "a", "kind": "sin", "params": {"of": "x", "fn": "exp"}},
+     r"sin does not read params \['fn'\]"),
 ])
 def test_bad_entries_rejected(entry, message):
     # Each entry follows a valid coordinate ``x`` that it may reference.
     x = {"id": "x", "kind": "coordinate", "params": {"index": 0}}
     with pytest.raises(ConfigError, match=message):
         Dictionary.from_spec([x, entry], 2)
+
+
+def test_references_and_delay_depth():
+    # A reference is an earlier id or a feature index, whether a kind makes
+    # it or ``depends_on`` declares it; only the kind's own references add
+    # delay depth, so ``p`` lags 1 although it declares the 2-lag ``dx``.
+    entries = [
+        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+        {"id": "dx", "kind": "delay", "params": {"of": "x", "lag": 2}},
+        {"id": "p", "kind": "delay", "params": {"of": "x", "lag": 1},
+         "depends_on": ["dx", 1]},
+        {"id": "sdx", "kind": "sin", "params": {"of": "dx"}},
+        {"id": "w", "kind": "composition",
+         "params": {"weights": {"dx": 0.5, "x": -1.0}, "bias": 1.0}},
+    ]
+    dic = Dictionary.from_spec(entries, 2)
+    assert [(o.id, o.lag, o.depends_on, o.feature_depends)
+            for o in dic.observables] == [
+        ("x", 0, frozenset(), {0}),
+        ("dx", 2, {"x"}, frozenset()),
+        ("p", 1, {"x", "dx"}, {1}),
+        ("sdx", 2, {"dx"}, frozenset()),
+        ("w", 2, {"x", "dx"}, frozenset()),
+    ]
+    assert dic.needs == ((0, 0b01), (0b1, 0), (0b11, 0b10), (0b10, 0),
+                         (0b11, 0))
+    assert dic.max_lag == 2
 
 
 def test_empty_dictionary_and_featureless_data_rejected():

@@ -233,6 +233,25 @@ def test_failed_chunk_stream_leaves_every_target_as_it_was(tmp_path):
     assert first.read_bytes() == b"old model"
 
 
+@pytest.mark.parametrize("first_existed", [True, False])
+def test_failed_rename_undoes_the_renames_before_it(tmp_path, first_existed):
+    # Both payloads stage; renaming onto the directory ``second`` fails
+    # after ``first`` is already in place.
+    first = tmp_path / "first.bin"
+    second = tmp_path / "second.csv"
+    second.mkdir()
+    if first_existed:
+        first.write_bytes(b"old model")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(OSError):
+        write_atomically([(first, b"new model"), (second, b"k,y0\n")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert first.exists() == first_existed
+    if first_existed:
+        assert first.read_bytes() == b"old model"
+    assert not any(second.iterdir())
+
+
 def test_chunk_stream_is_written_in_order(tmp_path):
     target = tmp_path / "out.csv"
     write_atomically([(target, (f"{i}\n".encode() for i in range(5)))])

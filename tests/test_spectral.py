@@ -373,6 +373,26 @@ def test_range_steps_predict_as_their_array(steps):
     assert f"at k={array[array >= 1010][0]} for" in errors[0]
 
 
+@pytest.mark.parametrize("eigenvalues,phi,modes,decode,message", [
+    ([], [[]], [[]], [[1.0]], "needs >= 1 eigenvalue"),
+    ([0.5], [[1.0, 2.0]], [[1.0]], [[1.0]], "one column per eigenvalue"),
+    ([0.5], [[1.0]], [[1.0, 2.0]], [[1.0]], "one column per eigenvalue"),
+    ([0.5], [[1.0]], [[1.0]], [[1.0], [2.0]], "one row per output"),
+])
+def test_triple_shapes_are_checked(eigenvalues, phi, modes, decode, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        SpectralTriple(eigenvalues, phi, modes, decode)
+
+
+def test_triple_needs_a_fit_with_a_decode_map():
+    data = simulate_linear(0.5 * np.eye(2), np.eye(2), 10)
+    fitted = fit_koopman_matrix(lift_trajectories(identity_dictionary(2),
+                                                  data))
+    assert fitted.decode is None
+    with pytest.raises(ShapeMismatchError, match="no decode map"):
+        build_spectral_triple(eigendecompose(fitted), fitted)
+
+
 def test_mode_projection_needs_full_rank():
     # One trajectory of a repeated eigenvalue gives proportional
     # eigenfunction series: the projection must refuse, not alias.

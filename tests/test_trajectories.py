@@ -78,6 +78,11 @@ def test_from_array_rejects_3d():
         Trajectory(np.zeros((2, 2, 2)), id="cube")
 
 
+def test_set_requires_a_trajectory():
+    with pytest.raises(InputError, match="at least one trajectory"):
+        TrajectorySet(trajectories=(), feature_names=("u",))
+
+
 def test_set_requires_matching_feature_count():
     t0 = make_trajectory([[1.0, 2.0], [3.0, 4.0]], id="a")
     t1 = make_trajectory([1.0, 2.0], id="b")
