@@ -107,7 +107,12 @@ def read_fast(path: Path):
     n, m = len(table), len(feature_cols)
     table.dtype = np.float64  # itemsize / 8 doubles a record, values first
     _move_values_to_front(table, n, m)
-    table.resize(n * m)  # raises if a view of the table is still alive
+    try:
+        table.resize(n * m)  # raises if a view of the table is still alive
+    except ValueError:
+        # A trace or profile hook holds one more reference to the table
+        # for the method call, so resize refuses; a copy is always safe.
+        table = table[:n * m].copy()
     table.flags.writeable = False  # trajectories share it instead of copying
     values = table.reshape(n, m)
     return TrajectorySet(

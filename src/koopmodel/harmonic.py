@@ -10,6 +10,7 @@ recovered by maximizing the harmonic average instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -52,26 +53,61 @@ class EigenFrequency:
         return abs(self.average)
 
 
-def _as_series(series) -> np.ndarray:
+def _as_table(series) -> tuple[np.ndarray, int]:
+    """The series ``x`` and its length n, as a complex ``(rows, B)`` matrix
+    zero-padded at the end: sample ``k = B a + c`` sits at ``[a, c]``.  The
+    width B is the power of two ``2^floor(bits(n) / 2)``, within a factor
+    sqrt(2) of sqrt(n).  This is the series' one complex copy."""
     values = np.asarray(series)
     if values.ndim != 1:
         raise InputError(f"expected a 1-D series, got shape {values.shape}")
-    values = values.astype(complex)
-    if not np.isfinite(values).all():
+    n = values.size
+    width = 1 << n.bit_length() // 2
+    table = np.zeros((-(-n // width), width), complex)
+    head = table.reshape(-1)[:n]
+    head[:] = values
+    if not np.isfinite(head).all():
         raise InputError("series contains NaN or infinite entries")
-    return values
+    return table, n
 
 
-def _terms(values: np.ndarray, k: np.ndarray, omega: float) -> np.ndarray:
-    """``exp(-2 pi i omega k) x_k``, built in one array of n complex."""
-    terms = k * (-2j * np.pi * omega)
-    np.exp(terms, out=terms)
-    terms *= values
-    return terms
+def _phases(k: np.ndarray, numerators: np.ndarray, size) -> np.ndarray:
+    """``exp(-2 pi i k w)`` for each ``k`` (rows) and ``w = numerator /
+    size`` (columns).  ``k w`` is reduced mod 1 first, exactly in int64 for
+    integer numerators: ``numerator * k`` stays below 2^63 while
+    ``8 n^2`` does, up to n of about 10^9 on the 1/(16n) grid."""
+    turns = np.multiply.outer(k, numerators) % size
+    return np.exp(turns * (-2j * np.pi / size))
 
 
-def _average(values: np.ndarray, omega: float) -> complex:
-    return complex(np.mean(_terms(values, np.arange(values.size), omega)))
+def _sums(table: np.ndarray, numerators, size=1, order: int = 0):
+    """``S_j(w) = sum_k k^j exp(-2 pi i w k) x_k`` for j = 0..``order`` at
+    each ``w = numerator / size``, as an ``(order + 1, len(w))`` array.
+
+    With ``k = B a + c`` the phase splits as ``A_a C_c``, ``A_a =
+    exp(-2 pi i w B a)`` and ``C_c = exp(-2 pi i w c)``: rows + B
+    exponentials per frequency instead of n.  The sums over c are one
+    matrix product ``P_i = X @ (c^i C)``, and then ``S_j = sum_i
+    binom(j, i) sum_a (B a)^(j - i) A_a P_i,a`` (so ``S1 = B (a A) P0 + A
+    P1``).  `spectral._blocks` splits the powers of an eigenvalue alike.
+    """
+    rows, width = table.shape
+    numerators = np.atleast_1d(numerators)
+    c = np.arange(width)
+    starts = np.arange(0, rows * width, width)
+    inner = np.empty((width, order + 1, numerators.size), complex)
+    inner[:, 0] = _phases(c, numerators, size)
+    for i in range(order):
+        inner[:, i + 1] = inner[:, i] * c[:, None]
+    parts = (table @ inner.reshape(width, -1)).reshape(rows, order + 1, -1)
+    parts *= _phases(starts, numerators, size)[:, None, :]
+    # moments[p][i] = sum_a (B a)^p A_a P_i,a
+    moments = [parts.sum(axis=0)]
+    for _ in range(order):
+        parts *= starts[:, None, None]
+        moments.append(parts.sum(axis=0))
+    return np.array([sum(comb(j, i) * moments[j - i][i] for i in range(j + 1))
+                     for j in range(order + 1)])
 
 
 def harmonic_average(series, omega: float) -> complex:
@@ -81,10 +117,10 @@ def harmonic_average(series, omega: float) -> complex:
     the sampled dynamics; the value itself projects the observable onto the
     corresponding eigenfunction.
     """
-    values = _as_series(series)
-    if values.size < 1:
+    table, n = _as_table(series)
+    if n < 1:
         raise InputError("harmonic average needs at least one sample")
-    return _average(values, omega)
+    return complex(_sums(table, float(omega))[0, 0]) / n
 
 
 def fft_amplitude_spectrum(series) -> FrequencySpectrum:
@@ -95,11 +131,13 @@ def fft_amplitude_spectrum(series) -> FrequencySpectrum:
     an exact-bin unit rotation shows amplitude 1 and an exact-bin unit
     cosine shows amplitude 0.5 split across the two mirrored bins.
     """
-    values = _as_series(series)
-    n = values.size
+    return _spectrum(*_as_table(series))
+
+
+def _spectrum(table: np.ndarray, n: int) -> FrequencySpectrum:
     if n < 4:
         raise InputError(f"need at least 4 samples for a spectrum, got {n}")
-    transform = np.fft.fft(values)
+    transform = np.fft.fft(table.reshape(-1)[:n])
     n_bins = n // 2 + 1
     return FrequencySpectrum(
         frequencies=np.arange(n_bins) / n,
@@ -116,86 +154,23 @@ def _peak_bins(amplitudes: np.ndarray, threshold: float) -> np.ndarray:
                           & (amplitudes >= floor) & (amplitudes != 0.0))
 
 
-def _smooth_length(m: int) -> int:
-    """The smallest integer >= ``m`` with no prime factor above 5: an FFT
-    of that length is fast, unlike one of a length with a large prime."""
-    best, p5 = 2 * m, 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < m:
-                p *= 2
-            best, p35 = min(best, p), p35 * 3
-        p5 *= 5
-    return best
-
-
-def _chirp_z(values: np.ndarray, size: int, count: int):
-    """The function of ``first`` that gives the ``count`` magnitudes
-    ``|sum_k x_k exp(-2 pi i (first + j) k / size)|``, j < count: points
-    ``first`` onward of ``|fft(values, size)|`` in memory linear in n.
-
-    By Bluestein's identity ``jk = (j^2 + k^2 - (j - k)^2) / 2`` the sum is
-    the chirp ``exp(-pi i j^2 / size)``, of modulus 1 and dropped here,
-    times a convolution of ``x_k exp(-2 pi i first k / size)
-    exp(-pi i k^2 / size)`` with ``exp(pi i m^2 / size)``, taken by FFT at
-    the 5-smooth length >= n + count - 1 (Rabiner, Schafer & Rader 1969).
-    The chirp and the transform of its conjugate are taken here, once per
-    series.  Phase indices are reduced exactly in int64, ``m^2 mod 2 size``
-    and ``first k mod size``, which stay below 2^63 while ``n * size / 2``
-    does: up to n of about 10^9 at size ~ 16n.
-    """
-    n = values.size
-    chirp = np.arange(max(n, count))
-    chirp *= chirp
-    chirp %= 2 * size
-    chirp = np.exp(chirp * (1j * np.pi / size))
-    length = _smooth_length(n + count - 1)
-    kernel = np.zeros(length, complex)
-    kernel[:count] = chirp[:count]
-    kernel[length - n + 1:] = chirp[n - 1:0:-1]
-    np.fft.fft(kernel, out=kernel)
-    chirped = np.conj(chirp[:n], out=chirp[:n])
-    chirped *= values
-
-    def magnitudes(first: int) -> np.ndarray:
-        phase = np.arange(n) * first
-        phase %= size
-        buffer = np.zeros(length, complex)
-        head = buffer[:n]
-        np.multiply(phase, -2j * np.pi / size, out=head)
-        np.exp(head, out=head)
-        head *= chirped
-        np.fft.fft(buffer, out=buffer)
-        buffer *= kernel
-        np.fft.ifft(buffer, out=buffer)
-        return np.abs(buffer[:count])
-
-    return magnitudes
-
-
-def _refine_omega(values: np.ndarray, zoom, size: int, b: int):
+def _refine_omega(table: np.ndarray, n: int, b: int):
     """``(omega, average)`` maximizing |harmonic average| within one bin of
-    peak bin ``b``, where ``zoom`` is the `_chirp_z` of ``values`` on the
-    grid of step 1/``size``."""
-    n = values.size
+    peak bin ``b``."""
     omega = b / n
     lo, hi = max(0.0, omega - 1.0 / n), min(0.5, omega + 1.0 / n)
-    # Coarse scan of the 1/L grid (index L // 2 is the last up to 0.5) first:
-    # sidelobes within +-1 bin could pull a local search onto the wrong lobe.
-    first = max(0, -(-(b - 1) * size // n))
-    last = min((b + 1) * size // n, size // 2)
-    step = 1.0 / size
-    w = (first + int(np.argmax(zoom(first)[:last - first + 1]))) * step
+    # Coarse scan of the points p / (16n) of [lo, hi] first: sidelobes
+    # within +-1 bin could pull a local search onto the wrong lobe.
+    points = np.arange(max(0, 16 * (b - 1)), min(16 * (b + 1), 8 * n) + 1)
+    scan = np.abs(_sums(table, points, 16 * n)[0])
+    step = 1.0 / (16 * n)
+    w = int(points[np.argmax(scan)]) * step
     left, right = max(lo, w - step), min(hi, w + step)
     # Newton steps on f = |H|^2, H(w) = mean(exp(-2*pi*i*w*k) * x_k).  With
     # S_j = sum(k^j exp(-2*pi*i*w*k) x_k), f' = 4*pi Im(conj(S0) S1) / n^2
     # and f'' = 8*pi^2 (|S1|^2 - Re(conj(S0) S2)) / n^2.
-    k = np.arange(n, dtype=float)
     for _ in range(8):
-        terms = _terms(values, k, w)
-        s0, s1, s2 = terms.sum(), k @ terms, (k * k) @ terms
+        s0, s1, s2 = _sums(table, w, order=2)[:, 0]
         curve = abs(s1) ** 2 - (s0.conjugate() * s2).real
         if curve >= 0:
             break
@@ -206,10 +181,12 @@ def _refine_omega(values: np.ndarray, zoom, size: int, b: int):
     # A boundary or exact-bin maximum beats the interior polish.  Ties
     # within rounding noise resolve toward the bin center, so exactly
     # resonant frequencies are reported exactly.
-    candidates = [(c, _average(values, c)) for c in (omega, w, lo, hi)]
-    top = max(abs(average) for _, average in candidates)
-    return next(pair for pair in candidates
-                if abs(pair[1]) >= top - 1e-12 * (1.0 + top))
+    candidates = (omega, w, lo, hi)
+    averages = _sums(table, np.array(candidates))[0] / n
+    top = np.max(np.abs(averages))
+    return next((c, complex(average))
+                for c, average in zip(candidates, averages)
+                if abs(average) >= top - 1e-12 * (1.0 + top))
 
 
 def find_eigenfrequencies(series, peak_threshold: float = 0.1,
@@ -220,27 +197,24 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     compare against their single neighbor) that reach ``peak_threshold``
     times the maximum amplitude.  With ``refine`` the frequency of each
     peak is polished within one bin: the maximum of the harmonic-average
-    magnitude on a grid of at most 1/16 bin, step 1/L for the smallest
-    2-3-5-smooth L >= 16n, seeds Newton steps on the squared magnitude.
-    The grid points within one bin of a peak are evaluated by a chirp-z
-    transform (`_chirp_z`), peak by peak, in memory linear in n.  Returns
-    `EigenFrequency` records ordered by increasing frequency; no peaks
-    above threshold yields an empty list.
+    magnitude on the exact grid of step 1/(16n) seeds Newton steps on the
+    squared magnitude.  Every harmonic sum comes from one phase table
+    (`_sums`): the series as a (rows x B) matrix with B a power of two near
+    sqrt(n), so a frequency costs rows + B exponentials and a product with
+    the matrix; the grid points of a peak are one such product.  Returns `EigenFrequency` records ordered by
+    increasing frequency; no peaks above threshold yields an empty list.
     """
     if not 0 < peak_threshold <= 1:
         raise InputError(
             f"peak_threshold must be in (0, 1], got {peak_threshold}"
         )
-    values = _as_series(series)
-    n = values.size
-    bins = _peak_bins(fft_amplitude_spectrum(values).amplitudes,
-                      peak_threshold).tolist()
+    table, n = _as_table(series)
+    bins = _peak_bins(_spectrum(table, n).amplitudes, peak_threshold).tolist()
     if refine and bins:
-        size = _smooth_length(16 * n)
-        zoom = _chirp_z(values, size, 2 * size // n + 1)
-        found = [_refine_omega(values, zoom, size, b) for b in bins]
+        found = [_refine_omega(table, n, b) for b in bins]
     else:
-        found = [(b / n, _average(values, b / n)) for b in bins]
+        omegas = [b / n for b in bins]
+        found = zip(omegas, (_sums(table, omegas)[0] / n).tolist())
 
     merged = []
     for omega, average in sorted(found, key=lambda pair: pair[0]):

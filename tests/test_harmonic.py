@@ -15,7 +15,7 @@ from koopmodel import (
     harmonic_average,
 )
 from koopmodel import harmonic
-from koopmodel.harmonic import _peak_bins, _smooth_length
+from koopmodel.harmonic import _peak_bins
 
 
 def rotation_series(omega, n, phase=0.0):
@@ -191,35 +191,79 @@ def test_refinement_keeps_on_bin_rotation_exact(n, where, phase):
 
 
 
-def test_smooth_length_is_the_next_2_3_5_smooth_integer():
-    def smooth(m):
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        return m == 1
+def direct_sums(table, numerators, size=1, order=0):
+    """``harmonic._sums`` with one exponential per term: ``S_j(w) = sum_k
+    k^j exp(-2 pi i w k) x_k`` over the table's entries, zero padding
+    included, at ``w = numerator / size``."""
+    x = table.reshape(-1)
+    k = np.arange(x.size)
+    w = np.atleast_1d(numerators) / size
+    terms = np.exp(np.multiply.outer(k, w) * (-2j * np.pi)) * x[:, None]
+    return np.array([(k.astype(float) ** j) @ terms
+                     for j in range(order + 1)])
 
-    for m in range(1, 3000):
-        want = next(k for k in range(m, 2 * m + 1) if smooth(k))
-        assert _smooth_length(m) == want, m
-    # A smooth 16n is kept: the benchmark's 500- and 1000-sample series
-    # are refined on the same grid as before.
-    assert _smooth_length(16 * 500) == 16 * 500
-    assert _smooth_length(16 * 1000) == 16 * 1000
-    assert _smooth_length(16 * 32_769) == 524_880  # 2^4 3^8 5, not 331
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20_000), st.floats(0, 1), st.floats(0, 0.5),
+       st.integers(0, 2**32 - 1))
+@example(1, 0.0, 0.0, 0)        # one sample, one column
+@example(2, 1.0, 0.5, 1)        # n == B: one full row
+@example(3, 0.5, 0.25, 2)       # a partly filled last row
+@example(16_384, 0.3, 0.1, 3)   # 128 full rows of 128
+@example(20_000, 1.0, 0.37, 4)  # not a multiple of B = 128
+def test_sums_match_direct_sums(n, where, w, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    table, length = harmonic._as_table(values)
+    rows, width = table.shape
+    assert length == n and rows == -(-n // width)
+    assert width & (width - 1) == 0 and width ** 2 <= 2 * n <= 4 * width ** 2
+    assert np.array_equal(table.reshape(-1)[:n], values)
+    assert not table.reshape(-1)[n:].any()
+    b = int(where * (n // 2))
+    omegas = np.array([0.0, b / n, w])
+    got = harmonic._sums(table, omegas, order=2)
+    want = direct_sums(table, omegas, order=2)
+    k = np.arange(n, dtype=float)
+    for j in range(3):
+        # Both sides round k w before the exponential: a phase error of up
+        # to about eps n radians a term.
+        scale = (k ** j) @ np.abs(values)
+        assert np.max(np.abs(got[j] - want[j])) <= 2e-15 * (n + 10) * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(16, 20_000), st.floats(0, 1), st.integers(0, 2**32 - 1))
+@example(16, 0.0, 0)
+@example(20_000, 1.0, 1)
+@example(17, 1.0, 2)
+@example(4_099, 0.0, 3)
+def test_grid_matches_the_padded_transform(n, where, seed):
+    # The grid the refinement scans: points first..last of |fft(x, 16n)|,
+    # within one bin of peak bin b and clipped to [0, 1/2].
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b = int(where * (n // 2))
+    first, last = max(0, 16 * (b - 1)), min(16 * (b + 1), 8 * n)
+    table, _ = harmonic._as_table(values)
+    got = np.abs(harmonic._sums(table, np.arange(first, last + 1), 16 * n)[0])
+    want = np.abs(np.fft.fft(values, 16 * n))[first:last + 1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+    assert np.argmax(got) == np.argmax(want)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1_000, 8_000), st.integers(0, 2**32 - 1))
-def test_smooth_padding_agrees_with_the_16n_grid(n, seed):
+def test_refinement_matches_an_exp_per_term_reference(n, seed):
     # Six real tones at separated off-bin frequencies, as in the benchmark's
-    # harmonic analysis; the 16n-padded transform is the earlier grid.
+    # harmonic analysis.
     rng = np.random.default_rng(seed)
     omega = 0.04 + 0.07 * np.arange(6) + rng.uniform(0.0, 0.03, 6)
     amp, phase = rng.uniform(0.5, 1.0, 6), rng.uniform(0.0, 2 * np.pi, 6)
     k = np.arange(n)[:, None]
     series = np.sum(amp * np.cos(2 * np.pi * omega * k + phase), axis=1)
     found = find_eigenfrequencies(series)
-    with mock.patch.object(harmonic, "_smooth_length", lambda m: m):
+    with mock.patch.object(harmonic, "_sums", direct_sums):
         reference = find_eigenfrequencies(series)
     assert len(found) == len(reference) >= 6
     for got, want in zip(found, reference):
@@ -228,36 +272,25 @@ def test_smooth_padding_agrees_with_the_16n_grid(n, seed):
         assert abs(got.average - want.average) <= 2 * np.pi * n * 1e-12
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(16, 20_000), st.floats(0, 1), st.booleans(),
-       st.integers(0, 2**32 - 1))
-@example(16, 0.0, True, 0)
-@example(20_000, 1.0, True, 1)
-@example(17, 1.0, False, 2)
-@example(4_099, 0.0, False, 3)
-def test_chirp_z_matches_the_padded_transform(n, where, smooth, seed):
-    # The grid the refinement scans: points first..last of |fft(x, L)|,
-    # within one bin of peak bin b and clipped to [0, 1/2].  Without
-    # smoothing, L = 16n and the convolution length n + count - 1 can both
-    # hold large primes.
-    rng = np.random.default_rng(seed)
-    values = rng.normal(size=n) + 1j * rng.normal(size=n)
-    b = int(where * (n // 2))
-    padding = _smooth_length if smooth else (lambda m: m)
-    with mock.patch.object(harmonic, "_smooth_length", padding):
-        size = harmonic._smooth_length(16 * n)
-        zoom = harmonic._chirp_z(values, size, 2 * size // n + 1)
-    first = max(0, -(-(b - 1) * size // n))
-    last = min((b + 1) * size // n, size // 2)
-    got = zoom(first)[:last - first + 1]
-    want = np.abs(np.fft.fft(values, size))[first:last + 1]
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
-    assert np.argmax(got) == np.argmax(want)
+@pytest.mark.parametrize("n, rate, start", [
+    (500, 0.9, 0.7), (1000, 0.5, -0.3), (4_099, 0.999, 1.0),
+    (32_769, 0.9999, -0.2)])
+def test_geometric_decay_peaks_exactly_at_zero(n, rate, start):
+    # The benchmark's decay oracle: a^k x0 has one peak, at 0, whose
+    # average is the series mean, with no imaginary part.
+    series = start * rate ** np.arange(n)
+    found = find_eigenfrequencies(series)
+    assert len(found) == 1
+    assert found[0].omega == 0.0
+    assert found[0].average.imag == 0.0
+    mean = np.mean(series)
+    assert abs(found[0].average.real - mean) <= 1e-12 * abs(mean)
 
 
 def test_refinement_memory_is_linear_in_the_series_length():
     # The benchmark's six tones at n = 32,769.  A transform zero-padded to
-    # L >= 16n peaks at about 25 * 16n bytes; the per-peak zoom at about 6.5.
+    # 16n peaks at about 25 * 16n bytes; the phase table at about 5.5 (most
+    # of it the length-n FFT).
     n = 32_769
     rng = np.random.default_rng(8)
     omega = 0.04 + 0.07 * np.arange(6) + rng.uniform(0.0, 0.03, 6)

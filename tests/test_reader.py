@@ -1,6 +1,7 @@
 """The trajectory CSV reader: numpy's parser on well-formed files, and the
 exact reader on every other file, with the same results and messages."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,23 @@ def test_fast_path_serves_any_line_ends(data_path, monkeypatch, text):
     want = data_io.read_exact(data_path)
     monkeypatch.setattr(data_io, "read_exact", None)  # a fallback raises
     assert_same_sets(cli.read_trajectories(data_path), want)
+
+
+@pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+def test_fast_reader_reads_under_a_trace_or_profile_hook(tmp_path, hook):
+    # A profiler, coverage tool or debugger holds one more reference to
+    # the table, which makes the in-place shrink refuse.
+    path = tmp_path / "data.csv"
+    benchmark_shaped_csv(path, 20, 50)
+    want = data_io.read_exact(path)
+    install = getattr(sys, hook)
+    previous = (sys.getprofile if hook == "setprofile" else sys.gettrace)()
+    install(lambda *args: None)
+    try:
+        got = data_io.read_fast(path)
+    finally:
+        install(previous)
+    assert_same_sets(got, want)
 
 
 def test_reader_memory_is_a_small_multiple_of_the_values(tmp_path):
