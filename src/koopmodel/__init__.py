@@ -41,9 +41,7 @@ _EXPORTS = {
     "build_spectral_triple": ".spectral",
     "predict": ".spectral",
     # harmonic
-    "FrequencySpectrum": ".harmonic",
     "EigenFrequency": ".harmonic",
-    "fft_amplitude_spectrum": ".harmonic",
     "harmonic_average": ".harmonic",
     "find_eigenfrequencies": ".harmonic",
     # representation

@@ -378,11 +378,10 @@ def cmd_spectrum(options: dict) -> int:
         trajectory = data.trajectory(traj_id)
         series = trajectory.feature_series(data.feature_index(column))
 
-    threshold = options.get("peak_threshold", 0.1)
-    refine = options.get("refine", True)
+    settings = {key: options[key] for key in ("peak_threshold", "refine")
+                if key in options}  # the defaults are the signature's
     with _stage("analyzing spectrum"):
-        peaks = find_eigenfrequencies(series, peak_threshold=threshold,
-                                      refine=refine)
+        peaks = find_eigenfrequencies(series, **settings)
 
     rows = [[fmt(p.omega), fmt(p.amplitude),
              fmt(p.eigenvalue.real), fmt(p.eigenvalue.imag),

@@ -21,32 +21,21 @@ _MERGE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
-class FrequencySpectrum:
-    """Amplitudes of a series at the non-negative FFT bins.
-
-    ``amplitudes[i]`` is ``|DFT(series)[b]| / series_length`` at frequency
-    ``frequencies[i] = b / series_length``; bins run from 0 through
-    ``floor(series_length / 2)`` so frequencies stay within [0, 0.5].
-    """
-
-    frequencies: np.ndarray
-    amplitudes: np.ndarray
-    series_length: int
-
-
-@dataclass(frozen=True)
 class EigenFrequency:
     """A detected unit-circle eigenvalue candidate.
 
     ``average`` is the harmonic average of the series at ``omega``; its
     magnitude is near 1 for a pure rotation observed through a unimodular
     observable, and its value is the eigenfunction-weighted projection at
-    the start of the series.
+    the start of the series.  ``eigenvalue`` is ``exp(2 pi i omega)``.
     """
 
     omega: float
     average: complex
-    eigenvalue: complex
+
+    @property
+    def eigenvalue(self) -> complex:
+        return complex(np.exp(2j * np.pi * self.omega))
 
     @property
     def amplitude(self) -> float:
@@ -123,29 +112,6 @@ def harmonic_average(series, omega: float) -> complex:
     return complex(_sums(table, float(omega))[0, 0]) / n
 
 
-def fft_amplitude_spectrum(series) -> FrequencySpectrum:
-    """Normalized DFT amplitudes at the non-negative frequency bins.
-
-    Any series length is accepted (the transform is a plain mixed-radix
-    DFT, not restricted to powers of two).  Amplitudes are ``|F_b| / N`` so
-    an exact-bin unit rotation shows amplitude 1 and an exact-bin unit
-    cosine shows amplitude 0.5 split across the two mirrored bins.
-    """
-    return _spectrum(*_as_table(series))
-
-
-def _spectrum(table: np.ndarray, n: int) -> FrequencySpectrum:
-    if n < 4:
-        raise InputError(f"need at least 4 samples for a spectrum, got {n}")
-    transform = np.fft.fft(table.reshape(-1)[:n])
-    n_bins = n // 2 + 1
-    return FrequencySpectrum(
-        frequencies=np.arange(n_bins) / n,
-        amplitudes=np.abs(transform[:n_bins]) / n,
-        series_length=n,
-    )
-
-
 def _peak_bins(amplitudes: np.ndarray, threshold: float) -> np.ndarray:
     floor = threshold * np.max(amplitudes)
     padded = np.concatenate(([-np.inf], amplitudes, [-np.inf]))
@@ -193,23 +159,31 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
                           refine: bool = True) -> list:
     """Detect unit-circle eigenvalue candidates from spectral peaks.
 
-    Peaks are strict local maxima of the amplitude spectrum (boundary bins
-    compare against their single neighbor) that reach ``peak_threshold``
-    times the maximum amplitude.  With ``refine`` the frequency of each
-    peak is polished within one bin: the maximum of the harmonic-average
-    magnitude on the exact grid of step 1/(16n) seeds Newton steps on the
-    squared magnitude.  Every harmonic sum comes from one phase table
-    (`_sums`): the series as a (rows x B) matrix with B a power of two near
-    sqrt(n), so a frequency costs rows + B exponentials and a product with
-    the matrix; the grid points of a peak are one such product.  Returns `EigenFrequency` records ordered by
-    increasing frequency; no peaks above threshold yields an empty list.
+    The amplitude spectrum is ``|DFT(series)[b]| / n`` at the bins b = 0
+    .. n // 2 (frequencies b / n), for any length n >= 4: an exact-bin unit
+    rotation shows amplitude 1, an exact-bin unit cosine 0.5.  Peaks are
+    strict local maxima of it (boundary bins compare against their single
+    neighbor) that reach ``peak_threshold`` times the maximum amplitude.
+    With ``refine`` the frequency of each peak is polished within one bin:
+    the maximum of the harmonic-average magnitude on the exact grid of step
+    1/(16n) seeds Newton steps on the squared magnitude.  Every harmonic
+    sum comes from one phase table (`_sums`): the series as a (rows x B)
+    matrix with B a power of two near sqrt(n), so a frequency costs rows +
+    B exponentials and a product with the matrix; the grid points of a
+    peak are one such product.
+
+    Returns `EigenFrequency` records ordered by increasing frequency; no
+    peaks above threshold yields an empty list.
     """
     if not 0 < peak_threshold <= 1:
         raise InputError(
             f"peak_threshold must be in (0, 1], got {peak_threshold}"
         )
     table, n = _as_table(series)
-    bins = _peak_bins(_spectrum(table, n).amplitudes, peak_threshold).tolist()
+    if n < 4:
+        raise InputError(f"need at least 4 samples for a spectrum, got {n}")
+    amplitudes = np.abs(np.fft.fft(table.reshape(-1)[:n])[:n // 2 + 1]) / n
+    bins = _peak_bins(amplitudes, peak_threshold).tolist()
     if refine and bins:
         found = [_refine_omega(table, n, b) for b in bins]
     else:
@@ -218,11 +192,7 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
 
     merged = []
     for omega, average in sorted(found, key=lambda pair: pair[0]):
-        candidate = EigenFrequency(
-            omega=omega,
-            average=average,
-            eigenvalue=complex(np.exp(2j * np.pi * omega)),
-        )
+        candidate = EigenFrequency(omega=omega, average=average)
         if merged and abs(merged[-1].omega - omega) < _MERGE_FRACTION / n:
             if candidate.amplitude > merged[-1].amplitude:
                 merged[-1] = candidate

@@ -100,9 +100,10 @@ def save_model(triple: SpectralTriple, path) -> None:
 def load_model(path) -> SpectralTriple:
     """Load a model file; raises a distinct error for each failure mode."""
     data = Path(path).read_bytes()
+    view = memoryview(data)  # sections are views, not copies, of the bytes
     pos = 0
 
-    def take(count: int, what: str) -> bytes:
+    def take(count: int, what: str) -> memoryview:
         nonlocal pos
         if pos + count > len(data):
             raise ModelTruncatedError(
@@ -110,9 +111,9 @@ def load_model(path) -> SpectralTriple:
                 f"offset {pos}, file has {len(data)}"
             )
         pos += count
-        return data[pos - count:pos]
+        return view[pos - count:pos]
 
-    magic = take(len(MAGIC), "magic bytes")
+    magic = bytes(take(len(MAGIC), "magic bytes"))
     if magic != MAGIC:
         raise ModelVersionError(
             f"not a model file: bad magic {magic!r}"
@@ -123,20 +124,20 @@ def load_model(path) -> SpectralTriple:
             f"unsupported model format version {version} "
             f"(supported: {FORMAT_VERSION})"
         )
-    dict_hash = take(32, "dictionary hash")
+    dict_hash = bytes(take(32, "dictionary hash"))
     table = _arrays(n, m, h, d)
     arrays = {}
     for what, attr, dtype, shape in table:  # writable copies of the bytes
         chunk = take(dtype.itemsize * math.prod(shape), what)
         arrays[attr] = np.frombuffer(chunk, dtype).reshape(shape).copy()
     (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
-    meta_bytes = take(meta_len, "metadata")
+    meta_bytes = bytes(take(meta_len, "metadata"))
     (crc_stored,) = struct.unpack("<I", take(4, "checksum"))
     if pos != len(data):
         raise ModelFormatError(
             f"{len(data) - pos} unexpected trailing bytes"
         )
-    crc_actual = zlib.crc32(data[:len(data) - 4])
+    crc_actual = zlib.crc32(view[:len(data) - 4])
     if crc_stored != crc_actual:
         raise ModelChecksumError(
             f"checksum mismatch: stored {crc_stored:#010x}, computed "

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koopmodel import (
-    InputError,
-    fft_amplitude_spectrum,
-    find_eigenfrequencies,
-    harmonic_average,
-)
+from koopmodel import InputError, find_eigenfrequencies, harmonic_average
 from koopmodel import harmonic
 from koopmodel.harmonic import _peak_bins
 
@@ -21,18 +16,6 @@ from koopmodel.harmonic import _peak_bins
 def rotation_series(omega, n, phase=0.0):
     k = np.arange(n)
     return np.exp(2j * np.pi * (omega * k + phase))
-
-
-def half_spectrum_energy(spectrum):
-    """Total signal energy reconstructed from the half spectrum (real input)."""
-    amps = spectrum.amplitudes
-    n = spectrum.series_length
-    total = amps[0] ** 2
-    interior = amps[1:-1] if len(amps) > 2 else amps[1:0]
-    total += 2.0 * np.sum(interior ** 2)
-    if len(amps) > 1:
-        total += amps[-1] ** 2 if n % 2 == 0 else 2.0 * amps[-1] ** 2
-    return total
 
 
 # -- harmonic average --------------------------------------------------------
@@ -83,59 +66,38 @@ def test_average_is_linear(seed):
 
 def test_exact_bin_cosine_peak():
     k = np.arange(256)
-    spectrum = fft_amplitude_spectrum(np.cos(2 * np.pi * (32 / 256) * k))
-    peak_bin = 32
-    assert spectrum.frequencies[peak_bin] == pytest.approx(0.125)
-    assert spectrum.amplitudes[peak_bin] == pytest.approx(0.5, abs=1e-12)
-    others = np.delete(spectrum.amplitudes, peak_bin)
-    assert np.max(others) < 1e-10
+    found = find_eigenfrequencies(np.cos(2 * np.pi * (32 / 256) * k),
+                                  refine=False)
+    assert [p.omega for p in found] == [0.125]
+    assert found[0].amplitude == pytest.approx(0.5, abs=1e-12)
 
 
 def test_constant_series_spectrum_is_dc_only():
-    spectrum = fft_amplitude_spectrum(np.full(128, 2.0))
-    assert spectrum.amplitudes[0] == pytest.approx(2.0)
-    assert np.max(spectrum.amplitudes[1:]) < 1e-12
+    # Every other bin is rounding noise, below 1e-12 of the DC amplitude.
+    found = find_eigenfrequencies(np.full(128, 2.0), peak_threshold=1e-12,
+                                  refine=False)
+    assert [p.omega for p in found] == [0.0]
+    assert found[0].amplitude == pytest.approx(2.0)
 
 
 def test_two_cosines_two_peaks():
     k = np.arange(256)
     series = (np.cos(2 * np.pi * (16 / 256) * k)
               + 0.5 * np.cos(2 * np.pi * (48 / 256) * k))
-    spectrum = fft_amplitude_spectrum(series)
-    assert spectrum.amplitudes[16] == pytest.approx(0.5, abs=1e-12)
-    assert spectrum.amplitudes[48] == pytest.approx(0.25, abs=1e-12)
-    others = np.delete(spectrum.amplitudes, [16, 48])
-    assert np.max(others) < 1e-10
-
-
-def test_spectrum_frequency_range_and_monotonicity():
-    for n in (8, 9, 100, 101):
-        spectrum = fft_amplitude_spectrum(np.random.default_rng(n).normal(size=n))
-        assert spectrum.frequencies[0] == 0.0
-        assert spectrum.frequencies[-1] <= 0.5
-        assert np.all(np.diff(spectrum.frequencies) > 0)
-        assert spectrum.series_length == n
+    found = find_eigenfrequencies(series, refine=False)
+    assert [p.omega for p in found] == [0.0625, 0.1875]
+    assert found[0].amplitude == pytest.approx(0.5, abs=1e-12)
+    assert found[1].amplitude == pytest.approx(0.25, abs=1e-12)
 
 
 def test_spectrum_rejects_short_nan_and_2d():
-    with pytest.raises(InputError):
-        fft_amplitude_spectrum([1.0, 2.0, 3.0])
-    with pytest.raises(InputError):
-        fft_amplitude_spectrum([1.0, np.nan, 2.0, 3.0])
-    with pytest.raises(InputError):
-        fft_amplitude_spectrum(np.zeros((4, 4)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_parseval_normalization(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 200))
-    series = rng.normal(size=n)
-    spectrum = fft_amplitude_spectrum(series)
-    assert half_spectrum_energy(spectrum) == pytest.approx(
-        np.mean(series ** 2), abs=1e-10, rel=1e-10
-    )
+    for series, message in [
+            ([1.0, 2.0, 3.0], "need at least 4 samples for a spectrum, got 3"),
+            ([1.0, np.nan, 2.0, 3.0], "series contains NaN or infinite "
+                                      "entries"),
+            (np.zeros((4, 4)), r"expected a 1-D series, got shape \(4, 4\)")]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            find_eigenfrequencies(series)
 
 
 # -- eigenfrequency detection ------------------------------------------------
@@ -270,6 +232,32 @@ def test_refinement_matches_an_exp_per_term_reference(n, seed):
         assert abs(got.omega - want.omega) <= 1e-12
         # d average / d omega is at most 2 pi n times the series' amplitude.
         assert abs(got.average - want.average) <= 2 * np.pi * n * 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(16, 14), (17, 5), (32, 5)])
+def test_newton_stops_where_the_magnitude_is_not_concave(n, seed):
+    # Complex noise at a low threshold has peaks where a Newton step lands
+    # on f'' >= 0, so refinement stops there and takes the best candidate.
+    rng = np.random.default_rng(seed)
+    series = rng.normal(size=n) + 1j * rng.normal(size=n)
+    sums, curves = harmonic._sums, []
+
+    def spy(table, numerators, size=1, order=0):
+        result = sums(table, numerators, size, order)
+        if order == 2:
+            s0, s1, s2 = result[:, 0]
+            curves.append(abs(s1) ** 2 - (s0.conjugate() * s2).real)
+        return result
+
+    with mock.patch.object(harmonic, "_sums", spy):
+        found = find_eigenfrequencies(series, peak_threshold=0.01)
+    assert any(curve >= 0 for curve in curves)
+    with mock.patch.object(harmonic, "_sums", direct_sums):
+        reference = find_eigenfrequencies(series, peak_threshold=0.01)
+    assert len(found) == len(reference) > 0
+    for got, want in zip(found, reference):
+        assert abs(got.omega - want.omega) <= 1e-15
+        assert abs(got.average - want.average) <= 1e-13
 
 
 @pytest.mark.parametrize("n, rate, start", [

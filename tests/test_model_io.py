@@ -1,6 +1,7 @@
 """Binary model container: round trips, corruption handling, JSON export."""
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import replace
@@ -42,6 +43,10 @@ def test_round_trip_preserves_everything(tmp_path, triple):
     assert np.array_equal(loaded.modes, triple.modes)
     assert np.array_equal(loaded.decode, triple.decode)
     assert loaded.metadata == triple.metadata
+    assert type(loaded.metadata.dict_hash) is bytes
+    for array in (loaded.eigenvalues, loaded.eigenfunction_values,
+                  loaded.modes, loaded.decode):  # copies, not file views
+        assert array.flags.writeable
     # Re-serializing the loaded model reproduces the file bit for bit.
     save_model(loaded, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == original
@@ -110,7 +115,8 @@ def test_bad_magic_and_version(tmp_path, triple):
     path, data = saved_bytes(tmp_path, triple)
     wrong_magic = tmp_path / "magic.bin"
     wrong_magic.write_bytes(b"NOTMODEL" + data[8:])
-    with pytest.raises(ModelVersionError, match="magic"):
+    with pytest.raises(ModelVersionError,
+                       match="^not a model file: bad magic b'NOTMODEL'$"):
         load_model(wrong_magic)
 
     body = bytearray(data[:-4])
@@ -233,10 +239,20 @@ def test_failed_chunk_stream_leaves_every_target_as_it_was(tmp_path):
     assert first.read_bytes() == b"old model"
 
 
-@pytest.mark.parametrize("first_existed", [True, False])
-def test_failed_rename_undoes_the_renames_before_it(tmp_path, first_existed):
+@pytest.mark.parametrize("first_existed, no_hard_links", [
+    pytest.param(True, False, id="True"),
+    pytest.param(False, False, id="False"),
+    pytest.param(True, True, id="True-no-hard-links")])
+def test_failed_rename_undoes_the_renames_before_it(tmp_path, monkeypatch,
+                                                    first_existed,
+                                                    no_hard_links):
     # Both payloads stage; renaming onto the directory ``second`` fails
-    # after ``first`` is already in place.
+    # after ``first`` is already in place.  Without hard links the old
+    # ``first`` is backed up by a copy instead.
+    if no_hard_links:
+        def link(*args):
+            raise OSError("hard links not supported")
+        monkeypatch.setattr(os, "link", link)
     first = tmp_path / "first.bin"
     second = tmp_path / "second.csv"
     second.mkdir()

@@ -480,3 +480,8 @@ def test_metadata_recorded(worked_triple, worked_dict):
     assert triple.metadata.feature_names == ("x", "y")
     assert len(triple.metadata.trajectory_ids) == 20
 
+
+def test_metadata_hash_must_be_32_bytes():
+    with pytest.raises(InputError, match="^dict_hash must be exactly 32 "
+                                         "bytes$"):
+        ModelMetadata(dict_hash=bytes(31))
