@@ -15,8 +15,9 @@ dictionary.
 
 Each command reads a closed set of options (``_OPTIONS``) from its
 ``--config`` JSON object.  A key the command does not read, a value of the
-wrong kind (such as a path that is not a string), and a config or
-dictionary file that is not UTF-8 JSON all exit 2.
+wrong kind (such as a path that is not a string), two outputs on one
+file or an output on an input file, and a config or dictionary file that
+is not UTF-8 JSON all exit 2.
 
 ``koop`` runs BLAS on one thread unless a BLAS thread variable, such as
 ``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS``, is set.
@@ -89,11 +90,10 @@ def load_options(command: str, args) -> dict:
         options = _read_json(path, "config file")
         if not isinstance(options, dict):
             raise InputError("config file must hold a JSON object")
-        for key in options:
+        for key, value in options.items():
             if key not in kinds:
                 raise InputError(f"config option {key!r} is not read by "
                                  f"{command}; it reads {', '.join(kinds)}")
-        for key, value in options.items():
             if kinds[key] in ("input", "output") and isinstance(value, str):
                 options[key] = str(path.parent / value)
     options.update((key, value) for key in kinds
@@ -120,6 +120,19 @@ def load_options(command: str, args) -> dict:
                                 or not isinstance(value, int) or value < 0):
             raise InputError(f"{key} must be a non-negative integer, "
                              f"got {value!r}")
+    # An output on the file of an input or of another output would destroy
+    # it; ``json_sidecar`` writes ``out`` + ".json".
+    files = {os.path.realpath(value): key for key, value in options.items()
+             if kinds[key] == "input"}
+    outputs = [(key, value) for key, value in options.items()
+               if kinds[key] == "output" and value]
+    if options.get("json_sidecar") and options.get("out"):
+        outputs.append(("json_sidecar", options["out"] + ".json"))
+    for key, value in outputs:
+        other = files.setdefault(os.path.realpath(value), key)
+        if other != key:
+            raise InputError(f"config options {other!r} and {key!r} name "
+                             f"one file: {value}")
     return options
 
 
@@ -364,10 +377,7 @@ def cmd_spectrum(options: dict) -> int:
 
     with _stage("reading data"):
         data = read_trajectories(_require(options, "data", "input"))
-    column = _require(options, "column", "series selector")
-    if column not in data.feature_names:
-        raise InputError(f"column {column!r} not in data "
-                         f"(features: {list(data.feature_names)})")
+    column = data.feature_index(_require(options, "column", "series selector"))
     traj_id = options.get("trajectory")
     if traj_id is None:
         if len(data.trajectory_ids) > 1:
@@ -375,8 +385,7 @@ def cmd_spectrum(options: dict) -> int:
                              "with the 'trajectory' option")
         traj_id = data.trajectory_ids[0]
     with _stage("selecting series"):
-        trajectory = data.trajectory(traj_id)
-        series = trajectory.feature_series(data.feature_index(column))
+        series = data.trajectory(traj_id).feature_series(column)
 
     settings = {key: options[key] for key in ("peak_threshold", "refine")
                 if key in options}  # the defaults are the signature's
@@ -496,7 +505,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # such as a horizon too long to allocate
+    except MemoryError as exc:  # such as a dictionary too large to lift
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 2

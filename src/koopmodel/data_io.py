@@ -38,8 +38,8 @@ def read_fast(path: Path):
     a byte of ``_UNMODELLED_BYTES``, a row without one cell per header
     column, a cell of half csv's field size limit or more, a cell numpy
     rejects (it takes a subset of what Python's ``int`` and ``float``
-    take, to the same values), an id outside Latin-1, an id repeated
-    after stripping, and every fault.
+    take, to the same values), an id outside Latin-1, and every fault;
+    an id repeated after stripping fails in the TrajectorySet.
 
     The file is parsed in one ``np.loadtxt`` pass into a record per row,
     and the trajectories share the records' feature values, compacted in
@@ -87,11 +87,9 @@ def read_fast(path: Path):
     ids, t = fields["id"], fields["t"]
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     bounds = [0, *starts.tolist(), len(t)]
-    # Latin-1 is how numpy stored each id; an id the exact reader would
-    # join to another by stripping starts a second run here.
+    # Latin-1 is how numpy stored each id; a name repeated after stripping
+    # fails in the TrajectorySet, and the exact reader then reports it.
     names = [ids[a].decode("latin-1").strip() for a in bounds[:-1]]
-    if len(set(names)) != len(names):
-        raise ValueError("rows of a trajectory are not contiguous")
     steps = np.diff(t) != 1
     steps[starts - 1] = False
     if steps.any():

@@ -331,8 +331,9 @@ class Dictionary:
             with np.errstate(all="ignore"):
                 if obs.kind == "coordinate":
                     s[:] = values[:, p["index"]]
-                elif obs.kind in ("sin", "cos"):
-                    UNARY_FUNCTIONS[obs.kind](operand(p["of"]), out=s)
+                elif obs.kind in ("sin", "cos") or "fn" in p:
+                    fn = UNARY_FUNCTIONS[p.get("fn", obs.kind)]
+                    fn(operand(p["of"]), out=s)
                 elif obs.kind == "monomial":
                     s[:] = 1.0
                     for i, e in enumerate(p["exponents"]):
@@ -343,13 +344,10 @@ class Dictionary:
                 elif obs.kind == "delay":
                     d = p["lag"]  # the first d entries stay NaN
                     s[d:] = operand(p["of"])[:max(m - d, 0)]
-                else:  # composition
-                    if "fn" in p:
-                        UNARY_FUNCTIONS[p["fn"]](operand(p["of"]), out=s)
-                    else:
-                        s[:] = float(p.get("bias", 0.0))
-                        for key, w in p["weights"].items():
-                            s += float(w) * operand(key)
+                else:  # a weighted sum
+                    s[:] = float(p.get("bias", 0.0))
+                    for key, w in p["weights"].items():
+                        s += float(w) * operand(key)
             if obs.lag < m and not np.all(np.isfinite(s[obs.lag:])):
                 bad = obs.lag + int(np.argmax(~np.isfinite(s[obs.lag:])))
                 raise EvaluationError(

@@ -143,6 +143,7 @@ def load_model(path) -> SpectralTriple:
             f"checksum mismatch: stored {crc_stored:#010x}, computed "
             f"{crc_actual:#010x}"
         )
+    del take, data, view, chunk  # the arrays are copies: free the file bytes
     try:
         meta_doc = json.loads(meta_bytes.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -91,7 +91,8 @@ class TrajectorySet:
         try:
             return self.feature_names.index(name)
         except ValueError:
-            raise InputError(f"unknown feature {name!r}") from None
+            raise InputError(f"column {name!r} not in data (features: "
+                             f"{list(self.feature_names)})") from None
 
     def trajectory(self, id: str) -> Trajectory:
         for traj in self.trajectories:

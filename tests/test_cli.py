@@ -109,6 +109,28 @@ def test_fit_publishing_error_exits_2_and_changes_no_output(workspace, capsys,
     assert not any((workspace / "model.bin.json").iterdir())
 
 
+@pytest.mark.parametrize("command, config, clash, path", [
+    ("fit", {"out": "m.koop", "report": "m.koop"}, "'out' and 'report'",
+     "m.koop"),
+    ("fit", {"out": "data.csv"}, "'data' and 'out'", "data.csv"),
+    ("fit", {"out": "m2.koop", "json_sidecar": True,
+             "report": "./m2.koop.json"}, "'report' and 'json_sidecar'",
+     "m2.koop.json"),
+    ("reduce", {"out": "r.json", "text_out": "r.json"},
+     "'out' and 'text_out'", "r.json"),
+], ids=["out-report", "out-data", "sidecar-report", "out-text_out"])
+def test_outputs_on_one_file_exit_2_before_any_write(workspace, capsys,
+                                                     command, config, clash,
+                                                     path):
+    write_json(workspace / "clash.json",
+               {"data": "data.csv", "dictionary": "dict.json", **config})
+    before = {p.name: p.read_bytes() for p in workspace.iterdir()}
+    assert run([command, "--config", workspace / "clash.json"]) == 2
+    assert capsys.readouterr().err == (f"error: config options {clash} name "
+                                       f"one file: {workspace / path}\n")
+    assert {p.name: p.read_bytes() for p in workspace.iterdir()} == before
+
+
 def test_fit_factorizes_the_lifted_data_once(workspace, monkeypatch):
     # The lifted data is folded into one triangular factor: each QR call
     # takes the factor so far plus fresh data rows, every data row enters
@@ -872,7 +894,13 @@ def test_spectrum_missing_column_exits_2(tmp_path, capsys):
     spectrum_csv(tmp_path, np.zeros(16))
     write_json(tmp_path / "spec.json", {"data": "wave.csv", "column": "nope"})
     assert run(["spectrum", "--config", tmp_path / "spec.json"]) == 2
-    assert "nope" in capsys.readouterr().err
+    message = "error: column 'nope' not in data (features: ['s'])\n"
+    assert capsys.readouterr().err == message
+    # An unknown column outranks a missing trajectory selector.
+    with open(tmp_path / "wave.csv", "a") as fh:
+        fh.write("v,0,1.0\nv,1,2.0\n")
+    assert run(["spectrum", "--config", tmp_path / "spec.json"]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_spectrum_trajectory_selector_required_when_ambiguous(

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from koopmodel import (
 )
 from koopmodel.atomic import write_atomically
 from koopmodel.model_io import FORMAT_VERSION, MAGIC, file_layout, model_json
+from koopmodel.spectral import ModelMetadata, SpectralTriple
 from conftest import random_triple, with_metadata
 
 
@@ -196,6 +198,28 @@ def test_invalid_metadata_json_rejected(tmp_path, triple):
         bad.write_bytes(with_metadata(data, json.dumps(doc).encode()))
         with pytest.raises(error, match=message):
             load_model(bad)
+
+
+@pytest.mark.parametrize("ids", [True, False], ids=["ids", "no ids"])
+def test_load_peak_is_the_bytes_and_the_arrays(tmp_path, ids):
+    # 100,000 initial conditions of 8 eigenvalues: a 12.8 MB table, and
+    # 0.9 MB of metadata with the ids.  The file's bytes are freed before
+    # the metadata parse, so the peak is the bytes and the copied arrays.
+    m, n = 100_000, 8
+    triple = SpectralTriple(
+        eigenvalues=np.ones(n, complex),
+        eigenfunction_values=np.ones((m, n), complex),
+        modes=np.ones((1, n), complex), decode=np.ones((1, n)),
+        metadata=ModelMetadata(trajectory_ids=tuple(
+            f"t{i}" for i in range(m)) if ids else ()))
+    path, data = saved_bytes(tmp_path, triple)
+    tracemalloc.start()
+    try:
+        load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * len(data), f"peak {peak} B for a {len(data)} B file"
 
 
 def test_save_overwrites_atomically(tmp_path, triple):

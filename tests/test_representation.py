@@ -1,6 +1,9 @@
 """Zero patterns, closed subsets, and representation classification."""
 
+import functools
 import itertools
+import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from koopmodel import (
     fit_koopman_matrix,
     zero_pattern,
 )
+from koopmodel import representation
 from koopmodel.representation import _subset_is_linear
 from conftest import (
     fit_pipeline,
@@ -295,6 +299,47 @@ def test_closed_subsets_match_brute_force(case):
     found = closed_subsets(pattern, dic)
     assert found.subsets == brute_force_closed_subsets(pattern, dic)
     assert not found.truncated
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionaries_and_patterns())
+def test_the_walk_reaches_every_join_irreducible_class(case):
+    # The classes the repair walk finds closed, before any generators are
+    # sought, are the ones the search joins.  A join-irreducible class is
+    # no join of smaller ones, so the walk itself must reach it.
+    dic, pattern = case
+    reached, walking = set(), [True]
+    first_break = representation._first_break
+    smallest_generators = representation._smallest_generators
+
+    def spy(dictionary, rows, members):
+        i = first_break(dictionary, rows, members)
+        if walking[0] and i is None:
+            reached.add(members)
+        return i
+
+    def stop_walking(*args):
+        walking[0] = False
+        return smallest_generators(*args)
+
+    with mock.patch.object(representation, "_first_break", spy), \
+            mock.patch.object(representation, "_smallest_generators",
+                              stop_walking):
+        found = closed_subsets(pattern, dic)
+
+    def join(classes):
+        return dic.closure_mask(functools.reduce(operator.or_, classes, 0))
+
+    lattice = {dic.closure_mask(dic.mask_of(s))
+               for s in brute_force_closed_subsets(pattern, dic)}
+    assert reached <= lattice
+    for cls in lattice:
+        below = [x for x in lattice if x != cls and not x & ~cls]
+        if not below or join(below) != cls:
+            assert cls in reached
+    for ids in found.subsets:
+        cls = dic.closure_mask(dic.mask_of(ids))
+        assert join(r for r in reached if not r & ~cls) == cls
 
 
 def test_analysis_needs_a_fitted_factor(worked_dict):
