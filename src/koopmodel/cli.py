@@ -314,7 +314,8 @@ def cmd_predict(options: dict) -> int:
     import numpy as np
 
     from .model_io import load_model
-    from .spectral import REAL_REPORT_TOL, prediction_blocks
+    from .spectral import (PREDICT_CHUNK_BYTES, REAL_REPORT_TOL,
+                           prediction_blocks)
 
     with _stage("loading model"):
         triple = load_model(_require(options, "model", "input"))
@@ -331,6 +332,10 @@ def cmd_predict(options: dict) -> int:
     dropped = [0.0, 0, 0, 0.0]
     # "%.17g" renders a float exactly as fmt() does.
     row = "%d" + ",%.17g" * triple.n_outputs + "\n"
+    # A formatted value takes about 128 bytes of Python objects (its float,
+    # list slot, digits and share of the joined text), so each block is
+    # formatted in slices that hold about one block's bytes.
+    rows = max(1, PREDICT_CHUNK_BYTES // (128 * max(1, triple.n_outputs)))
 
     def chunks():
         yield _csv_text(["k", *names], ())
@@ -341,8 +346,9 @@ def cmd_predict(options: dict) -> int:
                 k, i = np.unravel_index(np.argmax(imag), imag.shape)
                 dropped[:] = (imag[k, i], start + k, i,
                               imag[k, i] / np.max(np.abs(block[k])))
-            yield "".join(row % (j, *v) for j, v in
-                          enumerate(block.real.tolist(), start))
+            for lo in range(0, len(block), rows):
+                yield "".join(row % (j, *v) for j, v in enumerate(
+                    block[lo:lo + rows].real.tolist(), start + lo))
             start += len(block)
 
     out = options.get("out")

@@ -2,10 +2,10 @@
 
 A dictionary is an ordered list of closed-form observables over the raw
 features. Lifting a trajectory evaluates every observable at every usable
-time index and pairs each column with its one-step-ahead partner, one
-segment per trajectory, which the operator fit folds into its triangular
-factor as it goes. The dictionary also keeps the functional-dependence
-graph used by representation analysis.
+time index and pairs each column with its one-step-ahead partner, window
+by window along each trajectory, and the operator fit folds each window
+into its triangular factor as it goes. The dictionary also keeps the
+functional-dependence graph used by representation analysis.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import edmd
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -294,11 +295,17 @@ class Dictionary:
 
     def spec_hash(self) -> bytes:
         """SHA-256 of the canonical specification (32 bytes)."""
-        # Imported here: hashlib loads OpenSSL, 3.7 MB of RSS that a run
-        # which never hashes (``koop reduce`` without a model) need not pay.
-        import hashlib
+        # CPython's built-in SHA-256 first, as its ``random`` does for
+        # SHA-512: hashlib loads OpenSSL, 3.7 MB of RSS for a few kB here.
+        try:
+            from _sha2 import sha256  # CPython 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256  # CPython 3.10-3.11
+            except ImportError:
+                from hashlib import sha256
 
-        return hashlib.sha256(self.canonical_json().encode()).digest()
+        return sha256(self.canonical_json().encode()).digest()
 
     # -- evaluation -------------------------------------------------------
 
@@ -326,9 +333,11 @@ class Dictionary:
                 return out[self._index[refv]]
             return values[:, refv]
 
-        for obs, s in zip(self.observables, out):
-            p = obs.params
-            with np.errstate(all="ignore"):
+        # One errstate for the loop: entering it per observable costs more
+        # than a short window's arithmetic.
+        with np.errstate(all="ignore"):
+            for obs, s in zip(self.observables, out):
+                p = obs.params
                 if obs.kind == "coordinate":
                     s[:] = values[:, p["index"]]
                 elif obs.kind in ("sin", "cos") or "fn" in p:
@@ -348,26 +357,29 @@ class Dictionary:
                     s[:] = float(p.get("bias", 0.0))
                     for key, w in p["weights"].items():
                         s += float(w) * operand(key)
-            if obs.lag < m and not np.all(np.isfinite(s[obs.lag:])):
-                bad = obs.lag + int(np.argmax(~np.isfinite(s[obs.lag:])))
-                raise EvaluationError(
-                    f"observable {obs.id!r} produced a non-finite value at "
-                    f"window position {bad}"
-                )
+                if obs.lag < m and not np.isfinite(s[obs.lag:]).all():
+                    bad = obs.lag + int(np.argmax(~np.isfinite(s[obs.lag:])))
+                    raise EvaluationError(
+                        f"observable {obs.id!r} produced a non-finite value "
+                        f"at window position {bad}"
+                    )
         return out
 
 
 def lift_trajectories(dictionary: Dictionary, data: TrajectorySet,
                       outputs: bool = False):
-    """Yield one segment per trajectory, in order, for the operator fit:
-    ``(current, shifted)``, views of the trajectory's (d, m) lift one time
-    step apart, plus with ``outputs`` the (n, n_i) raw features of the
-    snapshots lifted into ``current``.
+    """Yield segments for the operator fit, trajectory by trajectory and in
+    time order: ``(current, shifted)``, views of a window's lift one time
+    step apart, plus with ``outputs`` the raw features of the snapshots
+    lifted into ``current``.
 
-    Columns are time ordered within each trajectory; the last snapshot of
-    one trajectory is never paired with the first of the next. Trajectories
-    too short to produce a single column pair are an error, raised before
-    the first segment.
+    A window lifts at most ``max(FIT_BLOCK_BYTES // (8 d), max_lag + 2)``
+    snapshots, so a long trajectory is never lifted whole. A trajectory's
+    windows overlap by ``max_lag + 1`` rows, and each after its first is
+    :class:`~koopmodel.edmd.Continued`; a trajectory that fits one window
+    yields one plain tuple. The last snapshot of one trajectory is never
+    paired with the first of the next. Trajectories too short to produce
+    a single column pair are an error, raised before the first segment.
     """
     if data.n_features != dictionary.n_features:
         raise ShapeMismatchError(
@@ -381,11 +393,24 @@ def lift_trajectories(dictionary: Dictionary, data: TrajectorySet,
             f"trajectories too short to lift with delay depth {lag}: "
             f"{too_short}"
         )
+    # Pairs per window, which also lifts lag rows of history and the last
+    # pair's successor.
+    span = max(1, edmd.FIT_BLOCK_BYTES // (8 * len(dictionary)) - lag - 1)
     for traj in data.trajectories:
-        lifted = dictionary.evaluate(traj.values)[:, lag:]
-        segment = (lifted[:, :-1], lifted[:, 1:])
+        values, window = traj.values, tuple
         # Every row with a successor and enough history for the deepest delay.
-        yield segment + (traj.values[lag:-1].T,) if outputs else segment
+        for start in range(lag, len(values) - 1, span):
+            stop = min(start + span, len(values) - 1)
+            try:
+                lifted = dictionary.evaluate(values[start - lag:stop + 1])
+            except EvaluationError as exc:
+                raise EvaluationError(f"{exc} (the window starts at row "
+                                      f"{start - lag} of trajectory "
+                                      f"{traj.id!r})") from exc
+            segment = (lifted[:, lag:-1], lifted[:, lag + 1:])
+            yield window(segment + (values[start:stop].T,) if outputs
+                         else segment)
+            window = edmd.Continued
 
 
 def dependence_closure(dictionary: Dictionary,

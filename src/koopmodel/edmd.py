@@ -2,10 +2,11 @@
 
 The fitted matrix is the minimal-Frobenius-norm minimizer of
 ``||shifted - B @ current||`` over the lifted snapshot pairs.  The fit takes
-them as segments, one per trajectory, and folds each segment's columns, as
-rows ``[current; shifted; outputs]^T`` of 2d + h entries, into their
-triangular QR factor ``R`` block by block (TSQR), so its memory grows with
-the block size, d and the largest segment, not with the number of pairs K.
+them as segments, one or more per trajectory, and folds each segment's
+columns, as rows ``[current; shifted; outputs]^T`` of 2d + h entries, into
+their triangular QR factor ``R`` block by block (TSQR), so its memory grows
+with the block size, d and the largest segment, not with the number of
+pairs K.
 With ``Rc``, ``Rs``, ``Ro`` the column blocks of ``R``, the orthonormal
 factor drops out of every quantity: ``current`` and ``Rc`` share their
 singular values (hence the rank and the condition number),
@@ -31,13 +32,19 @@ DEFAULT_CLOSURE_TOL = 1e-6
 FIT_BLOCK_BYTES = 512 * 1024
 
 
+class Continued(tuple):
+    """A segment that continues the previous segment's trajectory: the fit
+    takes no initial lift from it."""
+
+
 @dataclass(frozen=True)
 class KoopmanMatrix:
     """Fitted operator matrix with fit diagnostics; ``decode`` maps lifted
     vectors to outputs when the fit was given them.
 
-    ``initial_lifts`` holds each segment's first ``current`` column, (d, M),
-    and ``n_pairs`` the K snapshot pairs fitted (None and 0 for a matrix
+    ``initial_lifts`` holds each trajectory's first ``current`` column,
+    (d, M), taken from every segment that is not :class:`Continued`, and
+    ``n_pairs`` the K snapshot pairs fitted (None and 0 for a matrix
     that was not fitted from data).
 
     ``row_residuals`` holds the per-row relative misfit
@@ -124,8 +131,9 @@ def _segment_arrays(index: int, segment, heights) -> list[np.ndarray]:
 def _fold(segments):
     """Triangular factor of the segments' columns stacked as rows, folded
     from row blocks of about FIT_BLOCK_BYTES so no array spans the data
-    length; with the row counts of a segment's arrays, each segment's
-    first current column and the number of columns.
+    length; with the row counts of a segment's arrays, the first current
+    column of each segment that is not :class:`Continued` and the number
+    of columns.
 
     One buffer holds the factor so far in its top ``top`` rows and the
     next block below them; each segment's arrays are written straight
@@ -141,7 +149,8 @@ def _fold(segments):
             step = max(width, FIT_BLOCK_BYTES // (8 * width))
             buffer = np.empty((width + step, width))
             columns = np.cumsum([0] + heights)
-        initial.append(arrays[0][:, 0].copy())  # a view would pin the lift
+        if not isinstance(segment, Continued):
+            initial.append(arrays[0][:, 0].copy())  # a view would pin the lift
         n = arrays[0].shape[1]
         n_pairs += n
         done = 0
@@ -167,7 +176,8 @@ def fit_koopman_matrix(segments, tol: float = DEFAULT_SVD_TOL
                        ) -> KoopmanMatrix:
     """Fit ``matrix = shifted @ pinv(current)`` over an iterable of segments
     ``(current, shifted)`` or ``(current, shifted, outputs)`` (d, d and h
-    rows, each segment's columns in time order) and report the residual;
+    rows, each segment's columns in time order, a :class:`Continued` one
+    after the columns of the segment before it) and report the residual;
     segments with (h, n_i) outputs give the decode map
     ``outputs @ pinv(current)`` from the same pseudoinverse.  Everything
     comes from the triangular factor of the stacked data (see the module

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows, exit codes, and output hygiene."""
 
 import csv
+import importlib.util
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import koopmodel
 from koopmodel import SpectralTriple, cli
 from koopmodel.model_io import _encode as model_bytes
 from koopmodel.model_io import load_model, model_json, save_model
+from koopmodel.spectral import PREDICT_CHUNK_BYTES
 from conftest import (
     WORKED_DICT_ENTRIES,
     random_triple,
@@ -1298,6 +1301,27 @@ def test_predict_memory_is_flat_in_the_horizon(tmp_path, out):
     assert peaks[1] - peaks[0] < 4 * 1024, peaks
 
 
+def test_predict_formats_a_block_in_bounded_slices(tmp_path, capsys):
+    # N = 3 makes a block 5,461 rows; its rows are turned into Python
+    # floats and strings a slice at a time, not all at once, so the traced
+    # peak stays a few blocks' bytes (about 3 MB with whole blocks).
+    angle = np.exp(0.3j)
+    save_model(SpectralTriple(
+        [1.0, 0.95 * angle, 0.95 / angle], np.ones((1, 3)),
+        np.random.default_rng(5).normal(size=(3, 3)), np.zeros((3, 1))),
+        tmp_path / "model.bin")
+    write_json(tmp_path / "predict.json", {
+        "model": "model.bin", "horizon": 50_000, "out": "pred.csv"})
+    tracemalloc.start()
+    try:
+        assert run(["predict", "--config", tmp_path / "predict.json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "wrote 50001 prediction rows" in capsys.readouterr().out
+    assert peak < 8 * PREDICT_CHUNK_BYTES, peak
+
+
 def test_every_exported_name_resolves():
     for name in koopmodel.__all__:
         assert getattr(koopmodel, name) is not None, name
@@ -1309,6 +1333,28 @@ def test_importing_cli_does_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_spec_hash_does_not_load_openssl():
+    # hashlib loads OpenSSL through ``_hashlib``, about 3.7 MB of RSS;
+    # CPython's built-in SHA-256 module gives the same digest without it.
+    if not any(importlib.util.find_spec(name) for name in ("_sha2",
+                                                           "_sha256")):
+        pytest.skip("no built-in SHA-256 module")
+    code = textwrap.dedent("""
+        import sys
+        from koopmodel.dictionary import Dictionary
+        before = "_hashlib" in sys.modules
+        Dictionary.from_spec(
+            [{"id": "x", "kind": "coordinate", "params": {"index": 0}}],
+            1).spec_hash()
+        print(before, "_hashlib" in sys.modules)
+    """)
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stdout + result.stderr
+    before, after = result.stdout.split()
+    assert after == before
 
 
 def _entry_point_threads(**variables) -> int:

@@ -1,5 +1,6 @@
 """Observable dictionaries: grammar, evaluation, lifting, dependence."""
 
+import hashlib
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from koopmodel import (
     generator_features,
     lift_trajectories,
 )
+from koopmodel import edmd
 from koopmodel.dictionary import UNARY_FUNCTIONS
 from conftest import worked_dictionary
 
@@ -241,6 +243,8 @@ def test_spec_hash_of_every_kind_is_pinned():
         '"params":{"fn":"tanh","of":"dx"}}]}')
     assert dictionary.spec_hash().hex() == (
         "a2b8b84a43a4dee94e946af3842d2f5dddeddad8641b5d62566299d70ed5e567")
+    assert dictionary.spec_hash() == hashlib.sha256(
+        dictionary.canonical_json().encode()).digest()
 
 
 # -- evaluation --------------------------------------------------------------
@@ -452,6 +456,23 @@ def test_too_short_trajectory_is_named():
         dic, single_feature_set([1.0, 2.0, 3.0], id="shorty"))
     with pytest.raises(LiftError, match="shorty"):
         next(segments)
+
+
+def test_lift_error_names_the_window_of_a_long_trajectory(monkeypatch):
+    # Windows of 4 snapshots start at rows 0, 3, 6 and 9: log(x) first
+    # fails at row 9 in the window from row 6, at its position 3.
+    dic = Dictionary.from_spec([
+        {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+        {"id": "logx", "kind": "composition", "params": {"fn": "log", "of": "x"}},
+    ], 1)
+    monkeypatch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * len(dic) * 4)
+    series = np.ones(12)
+    series[9] = -1.0
+    with pytest.raises(EvaluationError) as caught:
+        list(lift_trajectories(dic, single_feature_set(series)))
+    assert str(caught.value) == (
+        "observable 'logx' produced a non-finite value at window position 3 "
+        "(the window starts at row 6 of trajectory 's')")
 
 
 def test_feature_count_is_checked_before_any_lift(worked_dict):

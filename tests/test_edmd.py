@@ -303,6 +303,88 @@ def test_fit_memory_does_not_grow_with_the_number_of_trajectories():
     assert large - small < 64 * 1024 < lifted_pair_bytes // 32
 
 
+def delay_dictionary(n_features: int, lags) -> Dictionary:
+    """Every feature's coordinate and its sine, then a delay of the first
+    coordinate or of a sine at each lag in ``lags``."""
+    entries = [{"id": f"x{i}", "kind": "coordinate", "params": {"index": i}}
+               for i in range(n_features)]
+    entries += [{"id": f"s{i}", "kind": "sin", "params": {"of": f"x{i}"}}
+                for i in range(n_features)]
+    entries += [{"id": f"d{j}", "kind": "delay",
+                 "params": {"of": ("x0", "s0")[j % 2], "lag": lag}}
+                for j, lag in enumerate(lags)]
+    return Dictionary.from_spec(entries, n_features)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_windowed_lift_fits_as_the_whole_lift(seed, data):
+    # FIT_BLOCK_BYTES is shrunk so a trajectory is lifted in windows of
+    # ``rows`` snapshots, or of lag + 2 when the delay depth needs more.
+    # Columns are copied into the same fold blocks whatever the windows,
+    # so the fit is bit-equal to one whole lift per trajectory, and each
+    # trajectory gives one initial lift.
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 2), label="n")
+    rows = data.draw(st.integers(2, 12), label="rows")
+    lags = data.draw(st.lists(st.integers(1, rows + 3), min_size=1,
+                              max_size=3), label="lags")
+    dictionary = delay_dictionary(n, lags)
+    lag = dictionary.max_lag
+    lengths = data.draw(st.lists(st.integers(lag + 2, lag + 6 * rows),
+                                 min_size=1, max_size=2), label="lengths")
+    trajectories = tuple(Trajectory(rng.normal(size=(m, n)), id=f"t{i}")
+                         for i, m in enumerate(lengths))
+    data_set = TrajectorySet(trajectories=trajectories,
+                             feature_names=tuple(f"f{i}" for i in range(n)))
+    whole = []
+    for traj in trajectories:
+        lifted = dictionary.evaluate(traj.values)[:, lag:]
+        whole.append((lifted[:, :-1], lifted[:, 1:], traj.values[lag:-1].T))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * len(dictionary) * rows)
+        segments = list(lift_trajectories(dictionary, data_set,
+                                          outputs=True))
+        windowed = fit_koopman_matrix(iter(segments))
+        expected = fit_koopman_matrix(whole)
+    span = max(1, rows - lag - 1)
+    assert [type(s) is edmd.Continued for s in segments] == [
+        k > 0 for m in lengths for k in range(-(-(m - 1 - lag) // span))]
+    for name in ("factor", "matrix", "decode", "row_residuals",
+                 "initial_lifts"):
+        assert np.array_equal(getattr(windowed, name),
+                              getattr(expected, name)), name
+    assert windowed.initial_lifts.shape == (len(dictionary), len(lengths))
+    assert windowed.n_pairs == expected.n_pairs == sum(lengths) \
+        - len(lengths) * (lag + 1)
+
+
+def test_fit_memory_does_not_grow_with_a_trajectory_length():
+    # One trajectory is lifted window by window, so 8 times its rows add
+    # no memory to the lift and the fit (d = 12, delays up to 4).
+    dictionary = delay_dictionary(3, [1, 2, 3, 4, 1, 2])
+    assert len(dictionary) == 12
+    rng = np.random.default_rng(6)
+
+    def peak_bytes(m):
+        data = TrajectorySet(
+            trajectories=(Trajectory(rng.normal(size=(m, 3)), id="long"),),
+            feature_names=("a", "b", "c"))
+        tracemalloc.start()
+        try:
+            fitted = fit_koopman_matrix(lift_trajectories(dictionary, data,
+                                                          outputs=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fitted.initial_lifts.shape == (12, 1)
+        return peak
+
+    small, large = peak_bytes(20_000), peak_bytes(160_000)
+    lift_bytes = 12 * 160_000 * 8  # 15 MB: the whole lift of the long one
+    assert abs(large - small) < 2**20 < lift_bytes // 8
+
+
 def test_zero_targets_give_zero_matrix():
     fitted = fit_koopman_matrix([(np.array([[1.0, 2.0, 3.0]]),
                                   np.zeros((1, 3)))])
