@@ -277,6 +277,28 @@ class Dictionary:
                 mask |= 1 << i
         return mask
 
+    def regenerated(self, mask: int, closure: int) -> int:
+        """The members i of ``mask`` in ``closure_mask(mask & ~(1 << i))``,
+        without a closure per member; ``closure`` is ``closure_mask(mask)``.
+
+        i is one exactly when other member coordinates read every feature
+        i needs and i's observable needs lie in ``closure``.  Then the
+        other members read every feature the members do (a coordinate
+        needs its own feature), so both closures agree on the observables
+        before i, which hold all of i's observable needs."""
+        members = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        once = twice = 0  # features read by one member, by two or more
+        for i in members:
+            twice |= once & self.reads[i]
+            once |= self.reads[i]
+        found = 0
+        for i in members:
+            obs, feat = self.needs[i]
+            if not obs & ~closure and not feat & ~(once & ~self.reads[i]
+                                                   | twice):
+                found |= 1 << i
+        return found
+
     @property
     def max_lag(self) -> int:
         return max(o.lag for o in self.observables)

@@ -93,15 +93,15 @@ def _bits(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _first_break(dictionary: Dictionary, rows: list, members: int):
+def _first_break(dictionary: Dictionary, rows: list, members: int,
+                 closure: int):
     """The first member with neither a closed row supported inside the
-    members' closure nor a place in the closure of the other members. A
-    non-empty set without one is closed; asking the *other* members to
-    generate it keeps the dependence non-circular."""
-    closure = dictionary.closure_mask(members)
-    for i in _bits(members):
-        if (rows[i] is None or rows[i] & ~closure) and not (
-                dictionary.closure_mask(members & ~(1 << i)) >> i & 1):
+    members' closure ``closure`` nor a place in the closure of the other
+    members. A non-empty set without one is closed; asking the *other*
+    members to generate it keeps the dependence non-circular."""
+    regenerated = dictionary.regenerated(members, closure)
+    for i in _bits(members & ~regenerated):
+        if rows[i] is None or rows[i] & ~closure:
             return i
     return None
 
@@ -122,15 +122,13 @@ def _repairs(dictionary: Dictionary, rows: list, state: int, i: int) -> list:
 def _smallest_generators(dictionary: Dictionary, rows: list, cls: int):
     """Minimal-cardinality closed sets with closure ``cls`` (the last try,
     ``cls`` itself, is one); each holds what the others cannot regenerate."""
-    members = _bits(cls)
-    needed = sum(1 << i for i in members
-                 if not dictionary.closure_mask(cls & ~(1 << i)) >> i & 1)
-    optional = [i for i in members if not needed >> i & 1]
+    needed = cls & ~dictionary.regenerated(cls, cls)
+    optional = _bits(cls & ~needed)
     for size in range(len(optional) + 1):
         found = [s for extra in itertools.combinations(optional, size)
                  if (s := needed | sum(1 << i for i in extra))
                  and dictionary.closure_mask(s) == cls
-                 and _first_break(dictionary, rows, s) is None]
+                 and _first_break(dictionary, rows, s, cls) is None]
         if found:
             return found
 
@@ -160,7 +158,7 @@ def closed_subsets(pattern: ZeroPattern,
         state = pending.pop()
         if state not in seen:
             seen.add(state)
-            i = _first_break(dictionary, rows, state)
+            i = _first_break(dictionary, rows, state, state)  # a closure
             if i is None:
                 classes.append(state)
             else:

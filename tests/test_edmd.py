@@ -359,6 +359,129 @@ def test_windowed_lift_fits_as_the_whole_lift(seed, data):
         - len(lengths) * (lag + 1)
 
 
+def test_no_value_far_below_the_largest_reaches_the_qr():
+    # Monomials of degree 1..6 of x+ = 0.5 x decay to subnormal numbers and
+    # to zero within the 1,500 steps.  Every new block the fold hands to
+    # the QR holds no nonzero entry below FLUSH_RATIO times the largest
+    # value folded so far, and the fit still matches the SVD path.
+    entries = [{"id": f"x{k}", "kind": "monomial", "params": {"exponents": [k]}}
+               for k in range(1, 7)]
+    dictionary = Dictionary.from_spec(entries, 1)
+    data = TrajectorySet(
+        trajectories=(Trajectory(0.9 * 0.5 ** np.arange(1500.0)[:, None],
+                                 id="decay"),),
+        feature_names=("x",))
+    (segment,) = lift_trajectories(dictionary, data, outputs=True)
+    lifted = np.concatenate(segment)
+    assert np.any((lifted != 0) & (np.abs(lifted) < np.finfo(float).tiny))
+    qr, received = np.linalg.qr, []
+
+    def spy(a, mode):
+        received.append(a.copy())
+        return qr(a, mode=mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "qr", spy)
+        assert_matches_svd_reference(*segment)
+    assert received
+    largest, top = 0.0, 0
+    for a in received:
+        block = np.abs(a[top:])  # the rows above are the factor so far
+        largest = max(largest, block.max())
+        assert not np.any((block != 0) & (block < largest * edmd.FLUSH_RATIO))
+        top = min(len(a), a.shape[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_blocks_below_the_flush_threshold_change_nothing(seed, data):
+    # FIT_BLOCK_BYTES is shrunk to blocks of ``rows`` pairs.  Whole blocks
+    # of pairs below the threshold, after at least one block of data in
+    # units ``scale``, are zeroed and fold as no pairs at all.
+    rng = np.random.default_rng(seed)
+    d, h = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    rows = 2 * d + h + int(rng.integers(0, 4))
+    head, tiny = (data.draw(st.integers(1, 3), label=label) * rows
+                  for label in ("head blocks", "tiny blocks"))
+    tail = data.draw(st.integers(1, 3 * rows), label="tail")
+    scale = 10.0 ** rng.uniform(-100, 100)
+    normal = scale * rng.normal(size=(2 * d + h, head + tail))
+    largest = np.abs(normal[:, :head]).max()
+    small = (largest * edmd.FLUSH_RATIO * rng.uniform(-1, 1, (2 * d + h, tiny))
+             * 10.0 ** -rng.uniform(0, 200, (2 * d + h, tiny)))
+    small[:, ::7] = 0.0
+
+    def segment(columns):
+        return tuple(columns[lo:hi] for lo, hi in
+                     ((0, d), (d, 2 * d), (2 * d, 2 * d + h)) if hi > lo)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * (2 * d + h) * rows)
+        plain = fit_koopman_matrix([segment(normal)])
+        flushed = fit_koopman_matrix([
+            segment(normal[:, :head]), segment(small),
+            segment(normal[:, head:])])
+    for name in ("factor", "matrix", "row_residuals") + ("decode",) * (h > 0):
+        assert np.array_equal(getattr(flushed, name), getattr(plain, name)), name
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [3, 700, 1520])
+def test_a_non_finite_value_still_fails_the_fit(value, column):
+    # Blocks of 100 pairs, so the value sits in the first, a middle or the
+    # last, partial, block; half the data lies below the threshold.
+    rng = np.random.default_rng(column)
+    current = rng.normal(size=(3, 1550))
+    current[:, ::2] *= 1e-200
+    current[1, column] = value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * 7 * 100)
+        with pytest.raises(ShapeMismatchError,
+                           match="pseudoinverse input must be finite"):
+            fit_koopman_matrix([(current, rng.normal(size=(3, 1550)),
+                                 rng.normal(size=(1, 1550)))])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_output_leaves_its_block_alone(value):
+    # The outputs come after current and shifted in the factor, so a
+    # non-finite one reaches only the decode map.  Its block is folded as
+    # it is: the largest magnitude stays finite and no pair is zeroed.
+    rng = np.random.default_rng(5)
+    current = rng.normal(size=(3, 1550))
+    shifted = 0.5 * current + 0.1 * rng.normal(size=(3, 1550))
+    outputs = rng.normal(size=(1, 1550))
+    outputs[0, 700] = value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * 7 * 100)
+        fitted = fit_koopman_matrix([(current, shifted, outputs)])
+        plain = fit_koopman_matrix([(current, shifted)])
+    assert not np.all(np.isfinite(fitted.decode))
+    assert np.max(np.abs(fitted.matrix - plain.matrix)) < 1e-12
+    assert np.max(np.abs(fitted.row_residuals - plain.row_residuals)) < 1e-12
+
+
+def test_the_flush_allocates_no_array():
+    # One boolean scratch per fit serves every block, a few rows at a time
+    # (here 96 rows of a 390-row block, the last time 6).
+    rng = np.random.default_rng(2)
+    block = (rng.normal(size=(390, 169))
+             * 10.0 ** rng.integers(-400, 1, size=(390, 169)))
+    largest = np.abs(block).max()
+    expected = np.where(np.abs(block) < largest * edmd.FLUSH_RATIO, 0.0, block)
+    assert 0 < np.count_nonzero(expected != block) < block.size // 2
+    tiny = np.empty((2, 96, 169), dtype=bool)
+    tracemalloc.start()
+    try:
+        scale = edmd._flush(block, 0.0, tiny)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 < tiny.size
+    assert scale == largest
+    assert np.array_equal(block, expected)
+
+
 def test_fit_memory_does_not_grow_with_a_trajectory_length():
     # One trajectory is lifted window by window, so 8 times its rows add
     # no memory to the lift and the fit (d = 12, delays up to 4).

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopmodel import (
@@ -292,6 +292,34 @@ def test_dependence_closure_is_the_fixpoint(case):
                 fixpoint_closure(dic, seed)
 
 
+# Two coordinates read feature 0, the second and the one reading feature 1
+# also declare dependencies, and the rest lean on both features.
+SHARED_READS = Dictionary.from_spec([
+    {"id": "a", "kind": "coordinate", "params": {"index": 0}},
+    {"id": "b", "kind": "coordinate", "params": {"index": 0},
+     "depends_on": ["a"]},
+    {"id": "c", "kind": "coordinate", "params": {"index": 1},
+     "depends_on": [0]},
+    {"id": "s", "kind": "sin", "params": {"of": "a"}, "depends_on": [1]},
+    {"id": "m", "kind": "monomial", "params": {"exponents": [1, 1]}},
+    {"id": "w", "kind": "composition", "params": {"weights": {"b": 1.0,
+                                                             "c": 1.0}}},
+], 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionaries_and_patterns())
+@example((SHARED_READS, None))
+def test_regenerated_members_are_those_the_others_close_over(case):
+    # The walk's membership rule against its definition: member i is
+    # regenerated when the closure of the other members holds it.
+    dic, _ = case
+    for mask in range(1 << len(dic)):
+        expected = sum(1 << i for i in range(len(dic)) if mask >> i & 1
+                       and dic.closure_mask(mask & ~(1 << i)) >> i & 1)
+        assert dic.regenerated(mask, dic.closure_mask(mask)) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(dictionaries_and_patterns())
 def test_closed_subsets_match_brute_force(case):
@@ -312,8 +340,8 @@ def test_the_walk_reaches_every_join_irreducible_class(case):
     first_break = representation._first_break
     smallest_generators = representation._smallest_generators
 
-    def spy(dictionary, rows, members):
-        i = first_break(dictionary, rows, members)
+    def spy(dictionary, rows, members, closure):
+        i = first_break(dictionary, rows, members, closure)
         if walking[0] and i is None:
             reached.add(members)
         return i
