@@ -164,9 +164,10 @@ def read_trajectories(path):
 
     numpy's C parser reads a well-formed file (`data_io.read_fast`).  A
     file it does not take, whether malformed or only outside what it
-    models, is read again by the exact reader (`data_io.read_exact`),
-    which returns the same set and alone reports faults, as ``file:line``
-    messages.
+    models, is read again, row by row, by the exact reader
+    (`data_io.read_exact`), which returns the same set and alone reports
+    faults, as ``file:line`` messages; its first fault in file order ends
+    the read.
     """
     from .data_io import read_exact, read_fast
 

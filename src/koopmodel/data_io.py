@@ -2,10 +2,12 @@
 
 A data file is UTF-8 text with a ``trajectory_id`` column, an integer ``t``
 column and one column per feature; rows of a trajectory are contiguous and
-consecutive in ``t``.  `read_fast` parses a well-formed file with numpy's C
-parser and raises on any other; `read_exact` parses every file cell by cell
-with Python's ``int`` and ``float``, returns the same set wherever
-`read_fast` does, and reports a malformed file as ``file:line: message``.
+consecutive in ``t``.  Both readers take the header by one rule
+(`_header`).  `read_fast` parses a well-formed file with numpy's C parser
+and raises on any other; `read_exact` parses every file row by row with
+Python's ``int`` and ``float``, returns the same set wherever `read_fast`
+does, and reports a malformed file as ``file:line: message`` at its first
+fault in file order (see `read_exact` for the order of faults).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import csv
 import functools
 import re
 import warnings
-from operator import itemgetter
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,28 @@ _UNMODELLED_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _CELL_END = re.compile(rb"[,\r\n]")
 # Bytes of the id field in the first try; a longer id widens it.
 _ID_WIDTH = 8
+
+
+def _header(reader, path):
+    """The stripped cells of the first row of ``reader`` that is not blank,
+    and the columns of ``trajectory_id``, of ``t`` and of the features;
+    InputError if the file has no such row, lacks either column or has no
+    feature column."""
+    for row in reader:
+        if any(map(str.strip, row)):
+            break
+    else:
+        raise InputError(f"data file {path} is empty")
+    header = [cell.strip() for cell in row]
+    for required in ("trajectory_id", "t"):
+        if required not in header:
+            raise InputError(f"data file {path} lacks required column "
+                             f"{required!r}")
+    id_col, t_col = header.index("trajectory_id"), header.index("t")
+    feature_cols = [i for i in range(len(header)) if i not in (id_col, t_col)]
+    if not feature_cols:
+        raise InputError(f"data file {path} has no feature columns")
+    return header, id_col, t_col, feature_cols
 
 
 def read_fast(path: Path):
@@ -47,17 +71,8 @@ def read_fast(path: Path):
     """
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            if any(map(str.strip, row)):
-                break
-        else:
-            raise ValueError("no header")
+        header, id_col, t_col, feature_cols = _header(reader, path)
         header_line = reader.line_num
-    header = [cell.strip() for cell in row]
-    id_col, t_col = header.index("trajectory_id"), header.index("t")
-    feature_cols = [i for i in range(len(header)) if i not in (id_col, t_col)]
-    if not feature_cols:
-        raise ValueError("no feature columns")
     # csv rejects a cell longer than its field size limit.  A cell of at
     # least half the limit spans a whole chunk of a quarter of it.
     size = max(1, csv.field_size_limit() // 4)
@@ -167,102 +182,80 @@ def _move_values_to_front(flat, n, m):
 
 
 def read_exact(path: Path):
-    """The TrajectorySet of any data file, parsed cell by cell with
-    Python's ``int`` and ``float``; InputError if it is malformed.
+    """The TrajectorySet of any data file, parsed row by row with Python's
+    ``int`` and ``float``; InputError if it is malformed.
 
-    Cells are parsed column by column straight into per-trajectory arrays.
-    A fault is reported as ``file:line`` with its physical line number. Of
-    several, the first row-level one in file order (column count, ``t``,
-    feature cells, contiguity) is reported, else the first time gap, else
-    the first trajectory one row long, starting at a negative ``t`` or
-    holding a NaN or an infinity.
+    The rows are read in one pass, and their feature values go into one
+    buffer that every trajectory shares.  A fault is reported as
+    ``file:line`` with its physical line number.  The first read, header
+    or row fault in file order ends the read.  A read fault is undecodable
+    text or a csv error, such as a cell over csv's field size limit; the
+    text is decoded 8 KiB at a time, so an undecodable byte is found
+    ahead of any row fault in its chunk.  A row is checked for its column
+    count, then ``t``, then the feature cells in header order, then
+    contiguity.  With no such fault, the first time gap is reported, else
+    the first trajectory that is one row long, starts at a negative ``t``
+    or holds a NaN or an infinity.
     """
-    rows, lines = [], []
+    values, lines = array("d"), array("q")  # per feature cell and per row
+    heads = {}  # each trajectory's id: its t0 and its first row
+    name = gap = None
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
+            header, id_col, t_col, feature_cols = _header(reader, path)
+
+            def fault(message):
+                return InputError(f"{path}:{reader.line_num}: {message}")
+
             for row in reader:
-                if any(map(str.strip, row)):
-                    rows.append(row)
-                    lines.append(reader.line_num)
+                if not any(map(str.strip, row)):
+                    continue
+                if len(row) != len(header):
+                    raise fault(f"expected {len(header)} columns, got "
+                                f"{len(row)}")
+                try:
+                    t = int(row[t_col])
+                    if not -2**63 <= t < 2**63:  # int64
+                        raise ValueError
+                except ValueError:
+                    raise fault(f"t must be an integer, got "
+                                f"{row[t_col]!r}") from None
+                for col in feature_cols:
+                    try:
+                        values.append(float(row[col]))
+                    except ValueError:
+                        raise fault(f"column {header[col]!r} is not a "
+                                    f"number: {row[col]!r}") from None
+                ident = row[id_col].strip()
+                if ident != name:
+                    if ident in heads:
+                        raise fault(f"rows of trajectory {ident!r} are not "
+                                    f"contiguous")
+                    heads[ident] = t, len(lines)
+                    name = ident
+                elif gap is None and t != last + 1:
+                    gap = fault(f"trajectory {name!r}: time indices must "
+                                f"increase by 1 (got {last} -> {t})")
+                last = t
+                lines.append(reader.line_num)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"data file {path} is empty")
-    header = [cell.strip() for cell in rows[0]]
-    for required in ("trajectory_id", "t"):
-        if required not in header:
-            raise InputError(f"data file {path} lacks required column "
-                             f"{required!r}")
-    id_col, t_col = header.index("trajectory_id"), header.index("t")
-    feature_cols = [i for i in range(len(header)) if i not in (id_col, t_col)]
-    if not feature_cols:
-        raise InputError(f"data file {path} has no feature columns")
-    body, lines = rows[1:], lines[1:]
-    if not body:
+    if not lines:
         raise InputError(f"data file {path} has a header but no data rows")
-
-    # Each check sees only the rows before the earliest failure found so
-    # far, so the failure reported is the first in file order.
-    error = None
-    bad = next((i for i, row in enumerate(body) if len(row) != len(header)),
-               None)
-    if bad is not None:
-        body, error = body[:bad], (bad, f"expected {len(header)} columns, "
-                                        f"got {len(body[bad])}")
-    t, bad = _parse_column(body, t_col, int, np.int64)
-    if bad is not None:
-        body, error = body[:bad], (bad, f"t must be an integer, got "
-                                        f"{body[bad][t_col]!r}")
-    # Filled column by column: one data-sized array, not one per column
-    # plus a stacked copy.
-    values = np.empty((len(body), len(feature_cols)))
-    for j, col in enumerate(feature_cols):
-        column, bad = _parse_column(body, col, float, float)
-        if bad is None:
-            values[:len(column), j] = column
-        else:
-            body, error = body[:bad], (bad, f"column {header[col]!r} is not "
-                                            f"a number: {body[bad][col]!r}")
-    ids = [row[id_col].strip() for row in body]
-    starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
-    first: dict[str, int] = {}
-    repeated = [s for s in starts if first.setdefault(ids[s], s) != s]
-    if repeated:
-        error = (repeated[0], f"rows of trajectory {ids[repeated[0]]!r} are "
-                              f"not contiguous")
-    if error is not None:
-        raise InputError(f"{path}:{lines[error[0]]}: {error[1]}")
-
-    gaps = np.setdiff1d(np.flatnonzero(np.diff(t) != 1) + 1, starts)
-    if gaps.size:
-        g = int(gaps[0])
-        raise InputError(f"{path}:{lines[g]}: trajectory {ids[g]!r}: time "
-                         f"indices must increase by 1 (got {t[g - 1]} -> "
-                         f"{t[g]})")
-    values.flags.writeable = False  # trajectories share it instead of copying
+    if gap is not None:
+        raise gap
+    table = np.frombuffer(values)  # the buffer itself, not a copy
+    table.flags.writeable = False  # trajectories share it instead of copying
+    table = table.reshape(len(lines), len(feature_cols))
     trajectories = []
-    for a, b in zip(starts, starts[1:] + [len(ids)]):
+    ends = [a for _, a in heads.values()][1:] + [len(lines)]
+    for (name, (start, a)), b in zip(heads.items(), ends):
         try:
-            trajectories.append(Trajectory(values[a:b], ids[a], t0=t[a]))
+            trajectories.append(Trajectory(table[a:b], name, t0=start))
         except InputError as exc:  # too short or t0 < 0: the first row
-            bad = int(np.isfinite(values[a:b]).all(axis=1).argmin())
-            row = a if b - a < 2 or t[a] < 0 else a + bad
+            bad = int(np.isfinite(table[a:b]).all(axis=1).argmin())
+            row = a if b - a < 2 or start < 0 else a + bad
             raise InputError(f"{path}:{lines[row]}: {exc}") from exc
     return TrajectorySet(trajectories=tuple(trajectories),
                          feature_names=tuple(header[c] for c in feature_cols))
-
-
-def _parse_column(rows, col, convert, dtype):
-    """``(array, None)`` of column ``col`` converted, or ``(None, i)`` where
-    row ``i`` holds the first cell that ``convert`` or ``dtype`` rejects."""
-    try:
-        return np.fromiter(map(convert, map(itemgetter(col), rows)), dtype,
-                           len(rows)), None
-    except (ValueError, OverflowError):
-        for i, row in enumerate(rows):
-            try:
-                np.array(convert(row[col]), dtype)
-            except (ValueError, OverflowError):
-                return None, i
-        raise

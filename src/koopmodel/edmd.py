@@ -146,11 +146,11 @@ def _flush(block, scale: float, tiny) -> float:
     """Zero the entries of ``block`` below ``FLUSH_RATIO`` times the largest
     magnitude of ``scale`` and the block, and return that largest
     magnitude.  ``tiny`` is boolean scratch of two planes, used on as many
-    rows of the block at a time as it has.  A block with a NaN or an
-    infinity is left as it is, so it fails as it would without the flush."""
+    rows of the block at a time as it has.  ShapeMismatchError if the
+    block holds a NaN or an infinity."""
     high, low = block.max(), block.min()
     if not (np.isfinite(high) and np.isfinite(low)):
-        return scale
+        raise ShapeMismatchError("fit data must be finite")
     scale = max(scale, high, -low)
     cut = scale * FLUSH_RATIO
     for start in range(0, len(block), tiny.shape[1]):
@@ -225,7 +225,7 @@ def fit_koopman_matrix(segments, tol: float = DEFAULT_SVD_TOL
     segments with (h, n_i) outputs give the decode map
     ``outputs @ pinv(current)`` from the same pseudoinverse.  Everything
     comes from the triangular factor of the stacked data (see the module
-    docstring)."""
+    docstring).  ShapeMismatchError if a value is a NaN or an infinity."""
     factor, heights, initial_lifts, n_pairs = _fold(segments)
     d = heights[0]
     rc, rs, ro = factor[:, :d], factor[:, d:2 * d], factor[:, 2 * d:]

@@ -1,6 +1,7 @@
 """The trajectory CSV reader: numpy's parser on well-formed files, and the
 exact reader on every other file, with the same results and messages."""
 
+import re
 import sys
 import tracemalloc
 
@@ -211,11 +212,15 @@ def test_fast_reader_reads_under_a_trace_or_profile_hook(tmp_path, hook):
     assert_same_sets(got, want)
 
 
-def test_reader_memory_is_a_small_multiple_of_the_values(tmp_path):
-    # 50,000 rows of 2 features: the values take 800 kB; the exact reader
-    # holds every row's cells as Python strings, about 25 times that.
+@pytest.mark.parametrize("tail", ["", "  \n"], ids=["fast", "exact"])
+def test_reader_memory_is_a_small_multiple_of_the_values(tmp_path, tail):
+    # 50,000 rows of 2 features: the values take 800 kB.  A line of spaces
+    # sends the file to the exact reader, which keeps one double per cell
+    # and one line number per row, in buffers that grow as it reads.
     path = tmp_path / "data.csv"
     benchmark_shaped_csv(path, 100, 500)
+    with open(path, "a") as handle:
+        handle.write(tail)
     tracemalloc.start()
     try:
         data = cli.read_trajectories(path)
@@ -227,6 +232,26 @@ def test_reader_memory_is_a_small_multiple_of_the_values(tmp_path):
     assert peak < 4 * nbytes, f"peak {peak} B for {nbytes} B of values"
 
 
+def test_the_first_row_fault_ends_the_read(tmp_path):
+    # A bad cell on line 2 of 20,000 rows: the read stops there, holding
+    # no more of the file than its first decoded chunk.
+    path = tmp_path / "data.csv"
+    benchmark_shaped_csv(path, 40, 500)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "T000,0,0.5,abc\n"
+    path.write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as caught:
+            data_io.read_exact(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == f"{path}:2: column 'x1' is not a number: 'abc'"
+    size = path.stat().st_size
+    assert peak < size // 10, f"peak {peak} B for a file of {size} B"
+
+
 @pytest.mark.parametrize("text, line, message", [
     # A bad cell outranks an earlier time gap.
     ("trajectory_id,t,x\na,0,1.0\na,2,2.0\na,3,abc\n", 4,
@@ -234,11 +259,25 @@ def test_reader_memory_is_a_small_multiple_of_the_values(tmp_path):
     # A time gap outranks an earlier NaN.
     ("trajectory_id,t,x\na,0,nan\na,1,2.0\na,3,1.0\n", 4,
      "trajectory 'a': time indices must increase by 1 (got 1 -> 3)"),
-], ids=["cell over gap", "gap over nan"])
+    # A bad cell outranks an undecodable byte (written as a lone surrogate)
+    # more than one 8 KiB decode chunk after it.
+    ("trajectory_id,t,x\na,0,abc\n" + "a,1,2.0\n" * 1100 + "\udcff\n", 2,
+     "column 'x' is not a number: 'abc'"),
+], ids=["cell over gap", "gap over nan", "cell over a later bad byte"])
 def test_fault_precedence_is_rows_then_gaps_then_trajectories(
         data_path, text, line, message):
-    data_path.write_text(text)
+    data_path.write_bytes(text.encode("utf-8", "surrogateescape"))
     for reader in (data_io.read_exact, cli.read_trajectories):
         with pytest.raises(InputError) as caught:
             reader(data_path)
         assert str(caught.value) == f"{data_path}:{line}: {message}"
+
+
+def test_a_bad_byte_in_the_decode_chunk_of_a_row_fault_outranks_it(
+        data_path):
+    data_path.write_bytes(b"trajectory_id,t,x\na,0,abc\na,1,\xff\n")
+    for reader in (data_io.read_exact, cli.read_trajectories):
+        with pytest.raises(InputError, match=f"^cannot read data file "
+                                             f"{re.escape(str(data_path))}: "
+                                             f"'utf-8' codec can't decode"):
+            reader(data_path)
