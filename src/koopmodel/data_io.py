@@ -105,7 +105,8 @@ def read_fast(path: Path):
     # Latin-1 is how numpy stored each id; a name repeated after stripping
     # fails in the TrajectorySet, and the exact reader then reports it.
     names = [ids[a].decode("latin-1").strip() for a in bounds[:-1]]
-    steps = np.diff(t) != 1
+    # In int64 a step from 2^63 - 1 wraps to -2^63 with a difference of 1.
+    steps = (np.diff(t) != 1) | (t[:-1] == np.iinfo(np.int64).max)
     steps[starts - 1] = False
     if steps.any():
         raise ValueError("time gap")

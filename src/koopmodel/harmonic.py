@@ -60,6 +60,23 @@ def _as_table(series) -> tuple[np.ndarray, int]:
     return table, n
 
 
+def _scale(table: np.ndarray) -> int:
+    """Scales ``table`` in place by the power of two ``2^-e`` that brings
+    its largest real or imaginary part into [1/2, 1), and returns e.  The
+    scaling is exact for every entry above 2^-1021 of the largest, and
+    keeps the squares and products of the harmonic sums from overflowing
+    or underflowing at any scale of the data."""
+    parts = table.reshape(-1).view(np.float64)
+    e = int(np.frexp(max(parts.max(), -parts.min()))[1])
+    np.ldexp(parts, -e, out=parts)
+    return e
+
+
+def _unscale(average: complex, e: int) -> complex:
+    """``average * 2^e``, exact in each part."""
+    return complex(np.ldexp(average.real, e), np.ldexp(average.imag, e))
+
+
 def _phases(k: np.ndarray, numerators: np.ndarray, size) -> np.ndarray:
     """``exp(-2 pi i k w)`` for each ``k`` (rows) and ``w = numerator /
     size`` (columns).  ``k w`` is reduced mod 1 first, exactly in int64 for
@@ -109,7 +126,46 @@ def harmonic_average(series, omega: float) -> complex:
     table, n = _as_table(series)
     if n < 1:
         raise InputError("harmonic average needs at least one sample")
-    return complex(_sums(table, float(omega))[0, 0]) / n
+    e = _scale(table)
+    return _unscale(complex(_sums(table, float(omega))[0, 0]) / n, e)
+
+
+def _largest_prime_factor(n: int) -> int:
+    """The largest prime factor of ``n >= 2``, by trial division."""
+    p, f = n, 2
+    while f * f <= p:
+        if p % f:
+            f += 1
+        else:
+            p //= f
+    return p
+
+
+def _amplitudes(values: np.ndarray) -> np.ndarray:
+    """``|DFT(values)[b]| / n`` at the bins b = 0 .. n // 2.
+
+    When the largest prime factor p of n has p^2 > n, numpy's FFT takes
+    Bluestein's algorithm on a plan of at least 2n points.  Unless n is
+    prime, one Cooley-Tukey step avoids it: with q = n / p, k = p k1 + k2
+    and b = b1 + q b2, the bin is the length-p DFT over k2 of
+    ``exp(-2 pi i b1 k2 / n)`` times the length-q DFT over k1 of the
+    series viewed as a (q, p) array.  Every bin stays at exactly b / n.
+    """
+    n = values.size
+    p = _largest_prime_factor(n)
+    if p * p <= n or p == n:
+        return np.abs(np.fft.fft(values)[:n // 2 + 1]) / n
+    q = n // p
+    grid = np.fft.fft(values.reshape(q, p), axis=0)
+    k2 = np.arange(p)
+    for b1 in range(1, q):  # b1 k2 < n, so _phases' reduction is exact
+        grid[b1] *= _phases(b1, k2, n)
+    np.fft.fft(grid, axis=1, out=grid)
+    # Bin b is entry (b mod q, b div q); the columns up to n // 2 div q
+    # hold bins 0 .. n // 2.
+    amplitudes = np.abs(grid[:, :n // 2 // q + 1].T, order="C").reshape(-1)
+    amplitudes /= n
+    return amplitudes[:n // 2 + 1]
 
 
 def _peak_bins(amplitudes: np.ndarray, threshold: float) -> np.ndarray:
@@ -161,7 +217,13 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
 
     The amplitude spectrum is ``|DFT(series)[b]| / n`` at the bins b = 0
     .. n // 2 (frequencies b / n), for any length n >= 4: an exact-bin unit
-    rotation shows amplitude 1, an exact-bin unit cosine 0.5.  Peaks are
+    rotation shows amplitude 1, an exact-bin unit cosine 0.5.  It is one
+    FFT of length n, which needs one complex n-array (16n bytes) beside
+    the phase table, except where the largest prime factor p of n has p^2
+    > n and p < n.  There numpy's FFT would take Bluestein's algorithm,
+    with buffers of at least 2n points, so the DFT is taken as FFTs of
+    length n / p and p with a twiddle between (`_amplitudes`): the same
+    16n bytes and one row of p phases.  Peaks are
     strict local maxima of it (boundary bins compare against their single
     neighbor) that reach ``peak_threshold`` times the maximum amplitude.
     With ``refine`` the frequency of each peak is polished within one bin:
@@ -170,7 +232,9 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     sum comes from one phase table (`_sums`): the series as a (rows x B)
     matrix with B a power of two near sqrt(n), so a frequency costs rows +
     B exponentials and a product with the matrix; the grid points of a
-    peak are one such product.
+    peak are one such product.  The table is scaled by an exact power of
+    two and the averages scaled back (`_scale`), so no sum overflows or
+    underflows at any scale of the data.
 
     Returns `EigenFrequency` records ordered by increasing frequency; no
     peaks above threshold yields an empty list.
@@ -182,7 +246,8 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     table, n = _as_table(series)
     if n < 4:
         raise InputError(f"need at least 4 samples for a spectrum, got {n}")
-    amplitudes = np.abs(np.fft.fft(table.reshape(-1)[:n])[:n // 2 + 1]) / n
+    e = _scale(table)
+    amplitudes = _amplitudes(table.reshape(-1)[:n])
     bins = _peak_bins(amplitudes, peak_threshold).tolist()
     if refine and bins:
         found = [_refine_omega(table, n, b) for b in bins]
@@ -192,7 +257,7 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
 
     merged = []
     for omega, average in sorted(found, key=lambda pair: pair[0]):
-        candidate = EigenFrequency(omega=omega, average=average)
+        candidate = EigenFrequency(omega=omega, average=_unscale(average, e))
         if merged and abs(merged[-1].omega - omega) < _MERGE_FRACTION / n:
             if candidate.amplitude > merged[-1].amplitude:
                 merged[-1] = candidate

@@ -10,12 +10,15 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import koopmodel
 from koopmodel import (
     Dictionary,
     ModelMetadata,
@@ -169,6 +172,27 @@ def write_data_csv(path, data: TrajectorySet) -> None:
             writer.writerow([trajectory.id, t]
                             + [repr(float(v)) for v in row])
     path.write_text(buffer.getvalue())
+
+
+def child_env():
+    """Environment whose ``PYTHONPATH`` starts with the package's absolute
+    parent directory, so a child finds this checkout from any cwd."""
+    env = dict(os.environ)
+    package_root = str(Path(koopmodel.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+# Started by a small interpreter, so that the child's peak RSS is its own:
+# a child forked from a test process would start from the test's peak.
+# argv: the child's command line; prints its exit code and ru_maxrss (KiB).
+PEAK_RSS = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def write_json(path, document) -> None:

@@ -25,7 +25,9 @@ from koopmodel.model_io import _encode as model_bytes
 from koopmodel.model_io import load_model, model_json, save_model
 from koopmodel.spectral import PREDICT_CHUNK_BYTES
 from conftest import (
+    PEAK_RSS,
     WORKED_DICT_ENTRIES,
+    child_env,
     random_triple,
     simulate_worked_example,
     with_metadata,
@@ -930,7 +932,7 @@ def test_data_file_is_utf8_under_an_ascii_locale(tmp_path, quote):
         encoding="utf-8")
     write_json(tmp_path / "spec.json", {"data": "wave.csv", "column": "s",
                                         "out": "spec.csv"})
-    env = {**_child_env(), "LC_ALL": "C", "PYTHONUTF8": "0",
+    env = {**child_env(), "LC_ALL": "C", "PYTHONUTF8": "0",
            "PYTHONCOERCECLOCALE": "0"}
     result = subprocess.run(
         [sys.executable, "-m", "koopmodel.cli", "spectrum", "--config",
@@ -1189,11 +1191,11 @@ def test_mutated_data_files_exit_cleanly(fuzz_inputs, command, data):
             assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
-@pytest.mark.parametrize("command", ["fit", "spectrum", "reduce"])
+@pytest.mark.parametrize("command", ["fit", "reduce"])
 def test_a_value_whose_square_overflows_exits_3(fuzz_inputs, tmp_path,
                                                  capsys, command):
-    # A finite double near the largest one overflows the fit's norms and
-    # the spectrum's refinement sums: a numerical failure, not a warning.
+    # A finite double near the largest one overflows the fit's norms: a
+    # numerical failure, not a warning.
     lines = fuzz_inputs["data.csv"].split(b"\n")
     assert lines[3].startswith(b"traj00,2,")
     lines[3] = b"traj00,2,1e308,1e308"
@@ -1206,17 +1208,29 @@ def test_a_value_whose_square_overflows_exits_3(fuzz_inputs, tmp_path,
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_a_value_whose_square_overflows_keeps_the_spectrum(fuzz_inputs,
+                                                           tmp_path):
+    # The spectrum scales the series by an exact power of two before any
+    # sum, so 1e308 gives the frequencies of the series scaled by 2^-600.
+    rows = [line.split(b",") for line in fuzz_inputs["data.csv"].split(b"\n")]
+    assert rows[3][:2] == [b"traj00", b"2"]
+    rows[3][2:] = [b"1e308", b"1e308"]
+    omegas = []
+    for scale in (1.0, 2.0 ** -600):
+        scaled = [row[:2] + [repr(float(cell) * scale).encode()
+                             for cell in row[2:]] if row[0] == b"traj00"
+                  else row for row in rows[1:]]
+        (tmp_path / "data.csv").write_bytes(
+            b"\n".join(b",".join(row) for row in [rows[0], *scaled]))
+        write_json(tmp_path / "cfg.json", FUZZ_CONFIG["spectrum"])
+        assert run(["spectrum", "--config", tmp_path / "cfg.json"]) == 0
+        header, *found = read_csv(tmp_path / "out.csv")
+        assert header[0] == "omega"
+        omegas.append([row[0] for row in found])
+    assert omegas[0] and omegas[0] == omegas[1]
+
+
 # -- entry point -------------------------------------------------------------
-
-def _child_env():
-    """Environment whose ``PYTHONPATH`` starts with the package's absolute
-    parent directory, so a child finds this checkout from any cwd."""
-    env = dict(os.environ)
-    package_root = str(Path(koopmodel.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
-    return env
-
 
 def _koop_command():
     """The installed ``koop`` script, or else the ``[project.scripts]``
@@ -1235,7 +1249,7 @@ def _koop_command():
 def test_console_script_runs(workspace):
     result = subprocess.run(
         _koop_command() + ["fit", "--config", str(workspace / "fit.json")],
-        capture_output=True, text=True, cwd=workspace, env=_child_env(),
+        capture_output=True, text=True, cwd=workspace, env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     assert (workspace / "model.bin").exists()
@@ -1248,7 +1262,7 @@ def test_closed_stdout_exits_2_with_one_line(workspace, command, buffered):
     assert run(["fit", "--config", workspace / "fit.json"]) == 0
     write_json(workspace / "predict.json", {"model": "model.bin",
                                             "horizon": 20000})
-    env = _child_env()
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -1262,16 +1276,6 @@ def test_closed_stdout_exits_2_with_one_line(workspace, command, buffered):
     child.stderr.close()
     assert child.wait() == 2
     assert err == "error: writing outputs: [Errno 32] Broken pipe\n"
-
-
-# Started by a small interpreter, so that the child's peak RSS is its own:
-# a child forked from this process would start from the test's peak.
-_PEAK_RSS = """\
-import os, subprocess, sys
-child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
 
 
 @pytest.mark.parametrize("out", ["pred.csv", None])
@@ -1288,10 +1292,10 @@ def test_predict_memory_is_flat_in_the_horizon(tmp_path, out):
             "model": "model.bin", "horizon": horizon,
             **({"out": out} if out else {})})
         result = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
+            [sys.executable, "-c", PEAK_RSS, sys.executable, "-m",
              "koopmodel.cli", "predict", "--config",
              str(tmp_path / "predict.json")],
-            cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
             check=True)
         code, peak_kib = map(int, result.stdout.split())
         assert code == 0
@@ -1331,7 +1335,7 @@ def test_importing_cli_does_not_load_numpy():
     code = ("import sys; import koopmodel.cli; "
             "sys.exit(1 if 'numpy' in sys.modules else 0)")
     result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True, env=_child_env())
+                            capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stdout + result.stderr
 
 
@@ -1351,7 +1355,7 @@ def test_spec_hash_does_not_load_openssl():
         print(before, "_hashlib" in sys.modules)
     """)
     result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True, env=_child_env())
+                            capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stdout + result.stderr
     before, after = result.stdout.split()
     assert after == before
@@ -1371,7 +1375,7 @@ def _entry_point_threads(**variables) -> int:
         cli.main = main
         cli.console_entry()
     """)
-    env = {k: v for k, v in _child_env().items()
+    env = {k: v for k, v in child_env().items()
            if not k.endswith("_NUM_THREADS")}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env={**env, **variables})
@@ -1430,5 +1434,5 @@ def test_package_runs_on_numpy_alone():
         sys.exit(0 if len(koopmodel.find_eigenfrequencies(series)) == 2 else 1)
     """)
     result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True, env=_child_env())
+                            capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stdout + result.stderr

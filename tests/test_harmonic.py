@@ -1,5 +1,8 @@
 """Harmonic averaging and FFT-based eigenfrequency detection."""
 
+import math
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 from koopmodel import InputError, find_eigenfrequencies, harmonic_average
 from koopmodel import harmonic
 from koopmodel.harmonic import _peak_bins
+
+from conftest import PEAK_RSS, child_env
 
 
 def rotation_series(omega, n, phase=0.0):
@@ -98,6 +103,50 @@ def test_spectrum_rejects_short_nan_and_2d():
             (np.zeros((4, 4)), r"expected a 1-D series, got shape \(4, 4\)")]:
         with pytest.raises(InputError, match=f"^{message}$"):
             find_eigenfrequencies(series)
+
+
+def is_prime(n):
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+PRIMES = [p for p in range(5, 5_000) if is_prime(p)]
+
+
+@st.composite
+def spectrum_lengths(draw):
+    """n = q p with p prime and p^2 > n (the split transform), a prime n,
+    a power of two, or any n >= 4."""
+    kind = draw(st.sampled_from(["split", "prime", "power of two", "any"]))
+    if kind == "split":
+        p = draw(st.sampled_from(PRIMES))
+        return p * draw(st.integers(2, min(p - 1, 50_000 // p)))
+    if kind == "prime":
+        return draw(st.sampled_from(PRIMES))
+    if kind == "power of two":
+        return 2 ** draw(st.integers(2, 15))
+    return draw(st.integers(4, 20_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectrum_lengths(), st.booleans(), st.integers(0, 2**32 - 1))
+@example(32_769, False, 8)      # 3^2 11 331, the benchmark's tones
+@example(2 * 16_411, True, 1)   # q = 2
+@example(4_999 * 10, False, 2)  # q = 10
+@example(100_003, True, 3)      # prime: numpy's transform
+@example(6, True, 4)            # 2 3: the smallest split length
+@example(4, False, 5)
+def test_amplitudes_match_numpys_transform(n, complex_series, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) + 0j
+    if complex_series:
+        values.imag = rng.normal(size=n)
+    got = harmonic._amplitudes(values)
+    want = np.abs(np.fft.fft(values))[:n // 2 + 1] / n
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+    for threshold in (0.1, 0.5):
+        assert np.array_equal(_peak_bins(got, threshold),
+                              _peak_bins(want, threshold))
 
 
 # -- eigenfrequency detection ------------------------------------------------
@@ -275,10 +324,48 @@ def test_geometric_decay_peaks_exactly_at_zero(n, rate, start):
     assert abs(found[0].average.real - mean) <= 1e-12 * abs(mean)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(16, 5_000), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(498, 4_000, False, 0)   # about 1e150: |S1|^2 overflowed
+@example(-997, 4_000, False, 0)  # about 1e-300: f'' underflowed to 0
+@example(1000, 16, True, 1)
+@example(-1000, 5_000, True, 2)
+def test_results_are_independent_of_a_power_of_two_scale(power, n,
+                                                         complex_series,
+                                                         seed):
+    # Three tones on the grid of 2^-20: every nonzero entry stays a normal
+    # double under each scale c, so c x is exact.
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.01, 0.49, 3)
+    k = np.arange(n)[:, None]
+    tones = rng.uniform(0.2, 1.0, 3) * np.exp(2j * np.pi * omega * k)
+    series = tones.sum(axis=1) if complex_series else tones.real.sum(axis=1)
+    series = np.round(series * 2.0**20) / 2.0**20
+    c = 2.0 ** power
+    found = find_eigenfrequencies(series)
+    scaled = find_eigenfrequencies(series * c)
+    assert len(found) > 0
+    assert [p.omega for p in scaled] == [p.omega for p in found]
+
+    def bits(averages):
+        return np.array(averages, complex).view(np.int64).tolist()
+
+    # c a rounds once, like the scaled run's ldexp, also where it is
+    # subnormal.
+    assert bits([p.average for p in scaled]) == bits(
+        [complex(p.average.real * c, p.average.imag * c) for p in found])
+    w = float(omega[0])
+    average = harmonic_average(series, w)
+    assert bits([harmonic_average(series * c, w)]) == bits(
+        [complex(average.real * c, average.imag * c)])
+
+
 def test_refinement_memory_is_linear_in_the_series_length():
     # The benchmark's six tones at n = 32,769.  A transform zero-padded to
-    # 16n peaks at about 25 * 16n bytes; the phase table at about 5.5 (most
-    # of it the length-n FFT).
+    # 16n peaks at about 25 * 16n bytes; the phase table at about 2.5 (2.26
+    # with one length-n FFT, whose pocketfft buffers tracemalloc does not
+    # see).
     n = 32_769
     rng = np.random.default_rng(8)
     omega = 0.04 + 0.07 * np.arange(6) + rng.uniform(0.0, 0.03, 6)
@@ -293,6 +380,41 @@ def test_refinement_memory_is_linear_in_the_series_length():
         tracemalloc.stop()
     assert len(found) == 6
     assert peak <= 8 * 16 * n
+
+
+_FIND_TONES = """\
+import sys
+import numpy as np
+from koopmodel import harmonic
+series = np.load(sys.argv[1])
+if sys.argv[2] == "find":
+    assert len(harmonic.find_eigenfrequencies(series)) == 6
+"""
+
+
+def test_peak_detection_takes_no_bluestein_plan(tmp_path):
+    # pocketfft's buffers are not traced by tracemalloc, so the peak RSS of
+    # a child is read instead: with and without one find_eigenfrequencies
+    # of the benchmark's six tones at n = 32,769 = 3^2 11 331.  numpy's
+    # length-n FFT took Bluestein's algorithm on a plan of at least 65,537
+    # points and added 5.6-5.9 MiB; the two short FFTs add 2.6-3.1 MiB.
+    n = 32_769
+    rng = np.random.default_rng(8)
+    omega = 0.04 + 0.07 * np.arange(6) + rng.uniform(0.0, 0.03, 6)
+    amp, phase = rng.uniform(0.5, 1.0, 6), rng.uniform(0.0, 2 * np.pi, 6)
+    np.save(tmp_path / "tones.npy", np.sum(
+        amp * np.cos(2 * np.pi * omega * np.arange(n)[:, None] + phase),
+        axis=1))
+    peaks = {}
+    for run in ("load", "find", "load", "find"):
+        result = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, sys.executable, "-c",
+             _FIND_TONES, str(tmp_path / "tones.npy"), run],
+            env=child_env(), capture_output=True, text=True, check=True)
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 0
+        peaks[run] = min(peaks.get(run, peak_kib), peak_kib)
+    assert peaks["find"] - peaks["load"] < 4 * 1024, peaks
 
 
 def test_exact_bin_rotation_detected():

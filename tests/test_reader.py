@@ -127,6 +127,8 @@ def data_path(tmp_path_factory):
               + "a" * 140_000 + ",1,2\n")  # beyond csv's field size limit
 @example(text="trajectory_id,t,x\na,0,1\na,1,0." + "1" * 140_000 + "\n")
 @example(text="trajectory_id,t\na,0\na,1\n")
+@example(text="trajectory_id,t,x\na,9223372036854775806,1\n"
+              "a,9223372036854775807,2\na,-9223372036854775808,3\n")
 def test_fast_reader_agrees_with_exact_reader(data_path, text):
     data_path.write_bytes(text.encode("utf-8"))
     got = _read(cli.read_trajectories, data_path)
