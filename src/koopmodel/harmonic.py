@@ -144,9 +144,10 @@ def _largest_prime_factor(n: int) -> int:
 def _amplitudes(values: np.ndarray) -> np.ndarray:
     """``|DFT(values)[b]| / n`` at the bins b = 0 .. n // 2.
 
-    When the largest prime factor p of n has p^2 > n, numpy's FFT takes
-    Bluestein's algorithm on a plan of at least 2n points.  Unless n is
-    prime, one Cooley-Tukey step avoids it: with q = n / p, k = p k1 + k2
+    When the largest prime factor p of n has p^2 > n, numpy's FFT may take
+    Bluestein's algorithm on a plan of at least 2n points (pocketfft does
+    for n >= 50 when its cost model prefers it).  Unless n is prime, one
+    Cooley-Tukey step avoids it: with q = n / p, k = p k1 + k2
     and b = b1 + q b2, the bin is the length-p DFT over k2 of
     ``exp(-2 pi i b1 k2 / n)`` times the length-q DFT over k1 of the
     series viewed as a (q, p) array.  Every bin stays at exactly b / n.
@@ -160,7 +161,7 @@ def _amplitudes(values: np.ndarray) -> np.ndarray:
     k2 = np.arange(p)
     for b1 in range(1, q):  # b1 k2 < n, so _phases' reduction is exact
         grid[b1] *= _phases(b1, k2, n)
-    np.fft.fft(grid, axis=1, out=grid)
+    grid = np.fft.fft(grid, axis=1)
     # Bin b is entry (b mod q, b div q); the columns up to n // 2 div q
     # hold bins 0 .. n // 2.
     amplitudes = np.abs(grid[:, :n // 2 // q + 1].T, order="C").reshape(-1)
@@ -220,10 +221,10 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     rotation shows amplitude 1, an exact-bin unit cosine 0.5.  It is one
     FFT of length n, which needs one complex n-array (16n bytes) beside
     the phase table, except where the largest prime factor p of n has p^2
-    > n and p < n.  There numpy's FFT would take Bluestein's algorithm,
+    > n and p < n.  There numpy's FFT may take Bluestein's algorithm,
     with buffers of at least 2n points, so the DFT is taken as FFTs of
-    length n / p and p with a twiddle between (`_amplitudes`): the same
-    16n bytes and one row of p phases.  Peaks are
+    length n / p and p with a twiddle between (`_amplitudes`): two complex
+    n-arrays (32n bytes) and one row of p phases.  Peaks are
     strict local maxima of it (boundary bins compare against their single
     neighbor) that reach ``peak_threshold`` times the maximum amplitude.
     With ``refine`` the frequency of each peak is polished within one bin:
