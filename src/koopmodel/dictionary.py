@@ -163,6 +163,53 @@ class Dictionary:
                            for o in self.observables)
         self.reads = tuple(1 << o.params["index"] if o.kind == "coordinate"
                            else 0 for o in self.observables)
+        # Coordinates (exponent 1 of their feature) and monomials are
+        # products of feature powers, which evaluate lifts as one block.
+        self._rows, self._others, exponents = [], [], []
+        for k, o in enumerate(self.observables):
+            if o.kind == "monomial":
+                self._rows.append(k)
+                exponents.append(o.params["exponents"])
+            elif o.kind == "coordinate":
+                self._rows.append(k)
+                exponents.append([int(f == o.params["index"])
+                                  for f in range(n_features)])
+            else:
+                self._others.append((k, o))
+        # The power table: row 0 is 1.0, then each distinct (feature,
+        # exponent > 0), then the running square of each feature raised,
+        # longest exponent first (_order).  _slots[i] holds, per product,
+        # the row of the i-th power it multiplies, in feature order, or
+        # row 0 once it has no more.
+        powers = sorted({(f, e) for es in exponents
+                         for f, e in enumerate(es) if e})
+        depth = {}
+        for f, e in powers:
+            depth[f] = max(depth.get(f, 0), e.bit_length())
+        self._order = sorted(depth, key=lambda f: -depth[f])
+        slot = {fe: r for r, fe in enumerate(powers, 1)}
+        square = {f: len(slot) + 1 + i for i, f in enumerate(self._order)}
+        self._table_rows = len(slot) + 1 + len(square)
+        factors = [[slot[f, e] for f, e in enumerate(es) if e]
+                   for es in exponents]
+        self._slots = np.zeros((max(map(len, factors), default=0) or 1,
+                                len(factors)), np.intp)
+        for k, rows in enumerate(factors):
+            self._slots[:len(rows), k] = rows
+        # Binary powering, per bit j: the rows that x^(2^j) starts and
+        # multiplies, each as (rows, square rows), and how many of the
+        # squares go on to x^(2^(j+1)).
+        self._plan = []
+        for j in range(max(depth.values(), default=0)):
+            start, more = ([], []), ([], [])
+            for (f, e), r in slot.items():
+                if e >> j & 1:
+                    rows, squares = more if e & (1 << j) - 1 else start
+                    rows.append(r)
+                    squares.append(square[f])
+            self._plan.append((sum(d > j + 1 for d in depth.values()),
+                               np.array(start, np.intp),
+                               np.array(more, np.intp)))
 
     # -- construction -----------------------------------------------------
 
@@ -337,7 +384,15 @@ class Dictionary:
 
         Returns a (d, m) array; column j is the lift of row j, and entries
         before an observable's lag are NaN placeholders. Non-finite values
-        inside the valid region raise :class:`EvaluationError`.
+        inside the valid region raise :class:`EvaluationError`, naming the
+        first such observable in dictionary order.
+
+        Coordinates and monomials are products of feature powers, taken in
+        one array pass with IEEE multiplications only: x^e squares x up to
+        x^(2^j) and multiplies the squares of e's set bits, lowest bit
+        first, on the exact integer e; a product multiplies its powers in
+        feature order.  So these rows are the same on every IEEE-754
+        machine, and exponents 1 and 2 give exactly numpy's ``x ** e``.
         """
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != self.n_features:
@@ -346,8 +401,11 @@ class Dictionary:
                 f"shape {values.shape}"
             )
         m = values.shape[0]
-        powers: dict[tuple[int, int], np.ndarray] = {}
-        out = np.full((len(self.observables), m), np.nan)
+        table = np.empty((self._table_rows, m))
+        table[0] = 1.0
+        squares = table[len(table) - len(self._order):]
+        squares[:] = values.T[self._order]
+        block = np.empty((len(self._rows), m))
 
         def operand(refv) -> np.ndarray:
             """An earlier observable's row, or a feature's column."""
@@ -355,23 +413,32 @@ class Dictionary:
                 return out[self._index[refv]]
             return values[:, refv]
 
-        # One errstate for the loop: entering it per observable costs more
+        # One errstate for the lift: entering it per observable costs more
         # than a short window's arithmetic.
         with np.errstate(all="ignore"):
-            for obs, s in zip(self.observables, out):
-                p = obs.params
-                if obs.kind == "coordinate":
-                    s[:] = values[:, p["index"]]
-                elif obs.kind in ("sin", "cos") or "fn" in p:
+            for live, start, more in self._plan:
+                table[start[0]] = table[start[1]]
+                table[more[0]] *= table[more[1]]
+                np.square(squares[:live], out=squares[:live])
+            # A product multiplies its powers in feature order, gathered as
+            # many rows at a time as the table holds, so that no temporary
+            # outgrows the table.
+            step = len(table)
+            for lo in range(0, len(block), step):
+                part = block[lo:lo + step]
+                part[:] = table[self._slots[0, lo:lo + step]]
+                for slots in self._slots[1:]:
+                    part *= table[slots[lo:lo + step]]
+            if not self._others:
+                out = block
+            else:
+                out = np.full((len(self.observables), m), np.nan)
+                out[self._rows] = block
+            for k, obs in self._others:
+                s, p = out[k], obs.params
+                if obs.kind in ("sin", "cos") or "fn" in p:
                     fn = UNARY_FUNCTIONS[p.get("fn", obs.kind)]
                     fn(operand(p["of"]), out=s)
-                elif obs.kind == "monomial":
-                    s[:] = 1.0
-                    for i, e in enumerate(p["exponents"]):
-                        if e:
-                            if (i, e) not in powers:
-                                powers[i, e] = values[:, i] ** e
-                            s *= powers[i, e]
                 elif obs.kind == "delay":
                     d = p["lag"]  # the first d entries stay NaN
                     s[d:] = operand(p["of"])[:max(m - d, 0)]
@@ -379,6 +446,8 @@ class Dictionary:
                     s[:] = float(p.get("bias", 0.0))
                     for key, w in p["weights"].items():
                         s += float(w) * operand(key)
+        if self._others or not np.isfinite(out).all():
+            for obs, s in zip(self.observables, out):
                 if obs.lag < m and not np.isfinite(s[obs.lag:]).all():
                     bad = obs.lag + int(np.argmax(~np.isfinite(s[obs.lag:])))
                     raise EvaluationError(

@@ -158,9 +158,13 @@ def _amplitudes(values: np.ndarray) -> np.ndarray:
         return np.abs(np.fft.fft(values)[:n // 2 + 1]) / n
     q = n // p
     grid = np.fft.fft(values.reshape(q, p), axis=0)
+    # b1 k2 < n, so _phases' reduction is exact.  It works entry by entry,
+    # so slices of 4,096 entries give the same bits and bound the
+    # twiddle's memory at any p.
     k2 = np.arange(p)
-    for b1 in range(1, q):  # b1 k2 < n, so _phases' reduction is exact
-        grid[b1] *= _phases(b1, k2, n)
+    for b1 in range(1, q):
+        for lo in range(0, p, 4096):
+            grid[b1, lo:lo + 4096] *= _phases(b1, k2[lo:lo + 4096], n)
     grid = np.fft.fft(grid, axis=1)
     # Bin b is entry (b mod q, b div q); the columns up to n // 2 div q
     # hold bins 0 .. n // 2.
@@ -224,7 +228,7 @@ def find_eigenfrequencies(series, peak_threshold: float = 0.1,
     > n and p < n.  There numpy's FFT may take Bluestein's algorithm,
     with buffers of at least 2n points, so the DFT is taken as FFTs of
     length n / p and p with a twiddle between (`_amplitudes`): two complex
-    n-arrays (32n bytes) and one row of p phases.  Peaks are
+    n-arrays (32n bytes) and at most 4,096 phases at a time.  Peaks are
     strict local maxima of it (boundary bins compare against their single
     neighbor) that reach ``peak_threshold`` times the maximum amplitude.
     With ``refine`` the frequency of each peak is polished within one bin:

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,10 +317,25 @@ def test_monomial_and_linear_combination_values():
     assert np.allclose(out, [3.0, 4.0, 36.0, 2 * 3.0 - 3 * 4.0 + 1.0])
 
 
+def binary_power(x, e):
+    """x^e by the lift's rule, in plain multiplications: the squares
+    x^(2^j) of e's set bits multiplied lowest bit first."""
+    result, square = np.ones_like(x), x
+    first = True
+    while e:
+        if e & 1:
+            result = square if first else result * square
+            first = False
+        e >>= 1
+        if e:
+            square = square * square
+    return result
+
+
 def test_monomials_share_powers_bit_for_bit():
     # Every monomial of degree <= 6 in 3 features (83 entries over 18
-    # distinct powers), against the product of uncached powers in the same
-    # order.
+    # distinct powers), against each monomial's own powers, taken by plain
+    # multiplications and multiplied in feature order.
     exponents = [e for e in itertools.product(range(7), repeat=3)
                  if 1 <= sum(e) <= 6]
     dic = Dictionary.from_spec(
@@ -330,10 +347,109 @@ def test_monomials_share_powers_bit_for_bit():
         s = np.ones(len(values))
         for i, power in enumerate(e):
             if power:
-                s = s * values[:, i] ** power
+                s = s * binary_power(values[:, i], power)
         expected[row] = s
     assert len(exponents) == 83
-    assert np.array_equal(dic.evaluate(values), expected)
+    assert dic.evaluate(values).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.lists(st.integers(0, 8), min_size=2, max_size=2),
+       x=st.lists(st.tuples(st.floats(2.0**-10, 2.0**10), st.booleans()),
+                  min_size=2, max_size=2))
+def test_small_powers_match_numpy_pow(e, x):
+    # Binary powering rounds at most a few times per power, so it stays
+    # within a few ulps of numpy's ``**`` for small exponents.
+    values = np.array([[v if positive else -v for v, positive in x]])
+    dic = Dictionary.from_spec(
+        [{"id": "m", "kind": "monomial", "params": {"exponents": e}}], 2)
+    expected = values[0, 0] ** e[0] * values[0, 1] ** e[1]
+    assert dic.evaluate(values)[0, 0] == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("e", [2**53 + 1, 2**60 + 1])
+def test_odd_exponents_beyond_doubles_keep_their_sign(e):
+    # ``x ** e`` rounds e to an even double here and lifts -1 to +1.
+    dic = Dictionary.from_spec(
+        [{"id": "m", "kind": "monomial", "params": {"exponents": [e]}}], 1)
+    out = dic.evaluate(np.array([[-1.0], [0.5]]))[0]
+    assert out.tolist() == [-1.0, 0.0]
+    assert math.copysign(1.0, out[1]) == 1.0
+
+
+def test_a_huge_exponent_needs_no_row_per_exponent():
+    # A table of x^1 .. x^e would take 2^40 rows; binary powering keeps
+    # the distinct exponents and one running square.
+    dic = Dictionary.from_spec(
+        [{"id": "m", "kind": "monomial", "params": {"exponents": [2**40]}}], 1)
+    values = np.full((4000, 1), -1.0)
+    values[1::2] = 1.0 + 2.0**-52
+    tracemalloc.start()
+    try:
+        begin = time.perf_counter()
+        out = dic.evaluate(values)
+        seconds = time.perf_counter() - begin
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.5
+    assert peak < 8 * 8 * 4000
+    assert out[0, 0] == 1.0
+    assert out[0, 1] == binary_power(1.0 + 2.0**-52, 2**40)
+
+
+def test_a_monomial_of_zero_exponents_is_one():
+    dic = Dictionary.from_spec([
+        {"id": "one", "kind": "monomial", "params": {"exponents": [0, 0]}},
+        {"id": "y", "kind": "coordinate", "params": {"index": 1}},
+    ], 2)
+    out = dic.evaluate(np.array([[np.nan, 2.0], [-3.0, 0.5]]))
+    assert out.tolist() == [[1.0, 1.0], [2.0, 0.5]]
+    only = Dictionary.from_spec(
+        [{"id": "one", "kind": "monomial", "params": {"exponents": [0]}}], 1)
+    assert only.evaluate(np.zeros((3, 1))).tolist() == [[1.0, 1.0, 1.0]]
+
+
+# Products mixed with the other kinds, so that each of them can meet the
+# first non-finite value: ``big`` overflows where x is large, ``logx`` is
+# -inf or NaN where x <= 0, ``sq`` overflows where y is large, ``w`` where
+# the delayed y is, and ``e`` where y reaches 1000.
+MIXED_KINDS = [
+    {"id": "x", "kind": "coordinate", "params": {"index": 0}},
+    {"id": "logx", "kind": "composition", "params": {"fn": "log", "of": "x"}},
+    {"id": "y", "kind": "coordinate", "params": {"index": 1}},
+    {"id": "big", "kind": "monomial", "params": {"exponents": [40, 1]}},
+    {"id": "s", "kind": "sin", "params": {"of": "y"}},
+    {"id": "dy", "kind": "delay", "params": {"of": "y", "lag": 1}},
+    {"id": "sq", "kind": "monomial", "params": {"exponents": [0, 2]}},
+    {"id": "w", "kind": "composition", "params": {"weights": {"dy": 1e307}}},
+    {"id": "e", "kind": "composition", "params": {"fn": "exp", "of": "y"}},
+]
+
+
+@pytest.mark.parametrize("x, y, first", [
+    ([1, 2, 1e10, 1], [1, 1, 1, 1], "'big' produced a non-finite value "
+                                    "at window position 2"),
+    ([1, 2, 1e10, -1], [1, 1, 1, 1], "'logx' produced a non-finite value "
+                                     "at window position 3"),
+    ([1, 2, 1e10, 1], [1, np.inf, 1, 1], "'y' produced a non-finite value "
+                                         "at window position 1"),
+    ([np.inf, 2, 3, 1], [1, 1, 1, np.nan], "'x' produced a non-finite "
+                                           "value at window position 0"),
+    ([1, 2, 3, 1], [1, 1, 1e200, 1], "'sq' produced a non-finite value "
+                                     "at window position 2"),
+    ([1, 2, 3, 4], [1, 100, 1, 1], "'w' produced a non-finite value at "
+                                   "window position 2"),
+    ([1, 2, 3, 4], [1, 1, 1, 1000], "'e' produced a non-finite value at "
+                                    "window position 3"),
+])
+def test_the_first_non_finite_observable_is_named(x, y, first):
+    # Dictionary order decides, not the kind or the window position.
+    dic = Dictionary.from_spec(MIXED_KINDS, 2)
+    with pytest.raises(EvaluationError) as caught:
+        dic.evaluate(np.array([x, y], dtype=float).T)
+    assert str(caught.value) == f"observable {first}"
+    assert np.isfinite(dic.evaluate(np.ones((4, 2)))[:, 1:]).all()
 
 
 # One observable of each kind and of each unary function, with delays of

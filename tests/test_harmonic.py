@@ -392,6 +392,26 @@ def test_refinement_memory_is_linear_in_the_series_length():
     assert peak <= 8 * 16 * n
 
 
+def test_the_twiddle_of_two_long_rows_is_taken_in_slices():
+    # n = 2 * 16,411: the twiddle row is half the series.  Built whole, as
+    # int64 turns, their float product and complex phases, it took the
+    # peak to 3.51 * 16n; in slices of 4,096 entries the peak is 3.26.
+    n = 2 * 16_411
+    rng = np.random.default_rng(8)
+    omega = 0.04 + 0.07 * np.arange(6) + rng.uniform(0.0, 0.03, 6)
+    amp, phase = rng.uniform(0.5, 1.0, 6), rng.uniform(0.0, 2 * np.pi, 6)
+    series = np.sum(amp * np.cos(2 * np.pi * omega * np.arange(n)[:, None]
+                                 + phase), axis=1)
+    tracemalloc.start()
+    try:
+        found = find_eigenfrequencies(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 6
+    assert peak <= 3.3 * 16 * n
+
+
 _FIND_TONES = """\
 import sys
 import numpy as np
