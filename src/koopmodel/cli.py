@@ -70,7 +70,7 @@ def fmt(value) -> str:
 def _read_json(path: Path, what: str):
     """The JSON value in a UTF-8 file; any failure to read it exits 2."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # also an integer too long to convert

@@ -36,14 +36,20 @@ _ID_WIDTH = 8
 def _header(reader, path):
     """The stripped cells of the first row of ``reader`` that is not blank,
     and the columns of ``trajectory_id``, of ``t`` and of the features;
-    InputError if the file has no such row, lacks either column or has no
-    feature column."""
+    InputError if the file has no such row, names a column twice, lacks
+    either column or has no feature column."""
     for row in reader:
         if any(map(str.strip, row)):
             break
     else:
         raise InputError(f"data file {path} is empty")
     header = [cell.strip() for cell in row]
+    names = set()
+    for name in header:
+        if name in names:
+            raise InputError(f"data file {path} names column {name!r} more "
+                             f"than once")
+        names.add(name)
     for required in ("trajectory_id", "t"):
         if required not in header:
             raise InputError(f"data file {path} lacks required column "
@@ -69,7 +75,7 @@ def read_fast(path: Path):
     and the trajectories share the records' feature values, compacted in
     place.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header, id_col, t_col, feature_cols = _header(reader, path)
         header_line = reader.line_num
@@ -202,7 +208,7 @@ def read_exact(path: Path):
     heads = {}  # each trajectory's id: its t0 and its first row
     name = gap = None
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             header, id_col, t_col, feature_cols = _header(reader, path)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edmd import KoopmanMatrix
+from .edmd import KoopmanMatrix, _svd_pseudoinverse
 from .errors import (
     DefectiveMatrixError,
     EigenfunctionRankError,
@@ -24,8 +24,8 @@ from .errors import (
     SpectralOverflowError,
 )
 
-# Right-eigenvector matrices with condition numbers beyond this are treated
-# as numerically defective (Jordan structure is out of scope).
+# A right-eigenvector matrix short of full rank at relative cutoff 1 / this
+# counts as numerically defective (Jordan structure is out of scope).
 DEFECTIVE_CONDITION_LIMIT = 1e12
 
 REAL_REPORT_TOL = 1e-8
@@ -150,10 +150,10 @@ def _spectral_order(eigenvalues: np.ndarray) -> np.ndarray:
 def eigendecompose(fitted: KoopmanMatrix | np.ndarray) -> EigenSystem:
     """Full eigensystem of the fitted matrix, biorthogonally normalized.
 
-    Left vectors are rows of the inverse right-eigenvector matrix, so
-    ``w_i* v_j = delta_ij`` holds by construction. Matrices that are
-    defective within tolerance are rejected; generalized eigenvectors are
-    out of scope.
+    Left vectors are the rows of V^-1, V the right-eigenvector matrix, so
+    ``w_i* v_j = delta_ij`` holds by construction. One SVD of V gives V^-1
+    and V's numerical rank; a V of rank < N is defective within tolerance
+    and is rejected (generalized eigenvectors are out of scope).
     """
     matrix = fitted.matrix if isinstance(fitted, KoopmanMatrix) else np.asarray(fitted)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
@@ -164,17 +164,17 @@ def eigendecompose(fitted: KoopmanMatrix | np.ndarray) -> EigenSystem:
     order = _spectral_order(eigenvalues)
     eigenvalues = eigenvalues[order]
     right = right[:, order]
-    cond = np.linalg.cond(right)
-    if not np.isfinite(cond) or cond > DEFECTIVE_CONDITION_LIMIT:
+    inverse, rank, _ = _svd_pseudoinverse(right, 1 / DEFECTIVE_CONDITION_LIMIT)
+    if rank < len(eigenvalues):
         gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
         np.fill_diagonal(gaps, np.inf)
         i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         raise DefectiveMatrixError(
             f"matrix is not diagonalizable within tolerance (eigenvector "
-            f"condition {cond:.3g}); clustered eigenvalue near "
-            f"{eigenvalues[i]:.6g}"
-        )
-    left = np.linalg.inv(right).conj().T
+            f"matrix has numerical rank {rank} < {len(right)} at relative "
+            f"cutoff {1 / DEFECTIVE_CONDITION_LIMIT:.3g}); clustered "
+            f"eigenvalue near {eigenvalues[i]:.6g}")
+    left = inverse.conj().T
     bio_err = float(np.max(np.abs(left.conj().T @ right - np.eye(len(eigenvalues)))))
     return EigenSystem(
         eigenvalues=eigenvalues,

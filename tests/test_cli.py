@@ -1,5 +1,6 @@
 """End-to-end command-line workflows, exit codes, and output hygiene."""
 
+import codecs
 import csv
 import importlib.util
 import json
@@ -302,6 +303,18 @@ def test_unusable_config_file_exits_2_without_output(tmp_path, capsys,
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_fit_ignores_a_leading_byte_order_mark(workspace):
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    outputs = [(workspace / name).read_bytes()
+               for name in ("model.bin", "fit_report.json")]
+    for name in ("data.csv", "dict.json", "fit.json"):
+        path = workspace / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert run(["fit", "--config", workspace / "fit.json"]) == 0
+    assert [(workspace / name).read_bytes()
+            for name in ("model.bin", "fit_report.json")] == outputs
+
+
 def test_non_utf8_config_exits_2(workspace, capsys):
     (workspace / "fit.json").write_bytes(b"\xff\xfe[")
     assert run(["fit", "--config", workspace / "fit.json"]) == 2
@@ -400,6 +413,8 @@ MALFORMED_CSV = {
                     "{path}:6: column 'x' is not a number: 'oops'"),
     "no_t_column": ("trajectory_id,x\na,1.0\na,2.0\n",
                     "data file {path} lacks required column 't'"),
+    "repeated_column": ("trajectory_id,t,x,x\na,0,1.0,2.0\na,1,2.0,3.0\n",
+                        "data file {path} names column 'x' more than once"),
 }
 
 
@@ -1327,6 +1342,7 @@ def test_predict_formats_a_block_in_bounded_slices(tmp_path, capsys):
 
 
 def test_every_exported_name_resolves():
+    assert set(koopmodel.__all__) <= set(dir(koopmodel))
     for name in koopmodel.__all__:
         assert getattr(koopmodel, name) is not None, name
 

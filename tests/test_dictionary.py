@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
@@ -246,6 +247,16 @@ def test_spec_hash_of_every_kind_is_pinned():
     assert dictionary.spec_hash().hex() == (
         "a2b8b84a43a4dee94e946af3842d2f5dddeddad8641b5d62566299d70ed5e567")
     assert dictionary.spec_hash() == hashlib.sha256(
+        dictionary.canonical_json().encode()).digest()
+
+
+def test_spec_hash_falls_back_to_hashlib(monkeypatch):
+    dictionary = worked_dictionary()
+    builtin = dictionary.spec_hash()
+    # None in sys.modules makes the import of a built-in module fail.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert dictionary.spec_hash() == builtin == hashlib.sha256(
         dictionary.canonical_json().encode()).digest()
 
 

@@ -283,3 +283,31 @@ def test_a_bad_byte_in_the_decode_chunk_of_a_row_fault_outranks_it(
                                              f"{re.escape(str(data_path))}: "
                                              f"'utf-8' codec can't decode"):
             reader(data_path)
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    # Excel's "CSV UTF-8" export and PowerShell's writer start a file with
+    # one; numpy skips the header line, so only the header reads differ.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    benchmark_shaped_csv(plain, 3, 4)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for reader in (data_io.read_fast, data_io.read_exact):
+        assert_same_sets(reader(marked), reader(plain))
+    # A mark anywhere else stays cell content.
+    plain.write_text("trajectory_id,t,x\na,0,1\na,1,2\n\ufeffb,0,3\n"
+                     "\ufeffb,1,4\n", encoding="utf-8")
+    assert cli.read_trajectories(plain).trajectory_ids == ("a", "\ufeffb")
+
+
+@pytest.mark.parametrize("header, name", [
+    ("trajectory_id,t,x,t", "t"),
+    ("trajectory_id,t,x, x", "x"),
+])
+def test_a_header_naming_a_column_twice_is_refused(data_path, header, name):
+    data_path.write_text(f"{header}\na,0,1,2\na,1,2,3\n")
+    for reader in (data_io.read_fast, data_io.read_exact,
+                   cli.read_trajectories):
+        with pytest.raises(InputError) as caught:
+            reader(data_path)
+        assert str(caught.value) == (f"data file {data_path} names column "
+                                     f"{name!r} more than once")

@@ -91,9 +91,47 @@ def test_real_matrix_spectrum_closed_under_conjugation():
     assert np.allclose(np.sort_complex(eigenvalues), conjugated, atol=1e-12)
 
 
+def conditioned_matrix(kappa, pairs, seed, n=6):
+    """P D P^-1 with cond(P) = kappa: D holds distinct real eigenvalues,
+    or three rotation-scale blocks whose eigenvalues are conjugate pairs."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    p = (u * np.geomspace(1.0, kappa, n)) @ w.T
+    if pairs:
+        d = np.zeros((n, n))
+        for b, (r, theta) in enumerate(((0.95, 0.3), (0.7, 1.1), (0.4, 2.0))):
+            c, s = r * np.cos(theta), r * np.sin(theta)
+            d[2 * b:2 * b + 2, 2 * b:2 * b + 2] = [[c, -s], [s, c]]
+    else:
+        d = np.diag(np.linspace(-0.9, 0.95, n))
+    return p @ d @ np.linalg.inv(p)
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+@pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6])
+def test_left_vectors_are_the_inverse_of_the_right_vectors(kappa, pairs):
+    eps = np.finfo(float).eps
+    for seed in range(10):
+        system = eigendecompose(conditioned_matrix(kappa, pairs, seed))
+        right = system.right_vectors
+        cond = np.linalg.cond(right)
+        assert kappa / 10 <= cond <= kappa * 10  # far from the 1e12 limit
+        reference = np.linalg.inv(right).conj().T
+        error = np.linalg.norm(system.left_vectors - reference, 2)
+        assert error <= 64 * cond * eps * np.linalg.norm(reference, 2)
+        gram = system.left_vectors.conj().T @ right
+        assert np.max(np.abs(gram - np.eye(len(gram)))) <= 64 * cond * eps
+
+
 def test_defective_matrix_rejected():
-    with pytest.raises(DefectiveMatrixError, match="not diagonalizable"):
-        eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # A Jordan block, and a pair of eigenvector condition about 2e15: both
+    # far from the 1e12 limit.
+    for matrix in ([[1.0, 1.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 1 + 1e-15]]):
+        assert np.linalg.cond(np.linalg.eig(matrix)[1]) > 1e14
+        with pytest.raises(DefectiveMatrixError, match="not diagonalizable"
+                           ".*numerical rank 1 < 2 at relative cutoff 1e-12"):
+            eigendecompose(np.array(matrix))
 
 
 def test_eigendecompose_input_validation():
