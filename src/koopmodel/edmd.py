@@ -14,15 +14,32 @@ singular values (hence the rank and the condition number),
 misfit's row norms are the column norms of ``Rs - Rc @ B^T``.  The
 pseudoinverse is SVD-based with a relative singular-value cutoff.
 
-Before a block is factored, every entry below ``FLUSH_RATIO`` (2^-500)
-times the largest magnitude folded so far, that block included, is set to
-zero.  High-degree monomials of a decaying trajectory fall that far, many
-to subnormal numbers, and LAPACK's products of such numbers take a slow
-path on x86.  Householder QR already makes a backward error of about
-2^-52 times the data's norm, so the flushed entries, below 2^-500 of it,
-are about 10^-135 of that error and move no output.  The threshold is
-relative, so data in any units are treated alike, and it is applied per
-block, so the fit does not depend on where segments split.
+Before a row is factored, every entry below ``FLUSH_RATIO`` (2^-500)
+times the largest magnitude examined so far, the row's own block included,
+is set to zero.  High-degree monomials of a decaying trajectory fall that
+far, many to subnormal numbers, and LAPACK's products of such numbers take
+a slow path on x86.  Householder QR already makes a backward error of
+about 2^-52 times the data's norm, so the flushed entries, below 2^-500 of
+it, are about 10^-135 of that error and move no output.  The threshold is
+relative, so data in any units are treated alike.
+
+After the first QR, a pair that is negligible in every column is not
+folded at all.  Householder QR is columnwise backward stable (Higham 2002,
+*Accuracy and Stability of Numerical Algorithms*, Thm 19.4): the factor
+is exact for data whose column j is off by up to about ``m n 2^-53`` times
+its norm.  The pairs left out keep, in every column j, a sum of squares of
+at most ``SKIP_RATIO^2 ||R[:, j]||^2`` with ``SKIP_RATIO`` = 2^-53, so they
+stay within that error and weaken no bound of the fit.  Once a stable
+map's trajectory settles, its later pairs are that small.  Each time the
+block fills, the rows not yet examined share the room left in each column,
+``max(0, SKIP_RATIO^2 ||R[:, j]||^2 - skipped_j)`` with ``skipped_j`` the
+squares left out so far, equally; a row whose every entry lies within its
+share is dropped, and the rows kept wait in the block.  The QR runs once
+the block is full of examined rows, and the last, partial, block is folded
+whole.  So the flush and the sift act only when the block fills or the
+data end: what reaches the QR depends on the sequence of pairs and the
+block size, never on where segments split, and every row is still checked
+for NaN and infinity.
 """
 
 from __future__ import annotations
@@ -37,13 +54,20 @@ DEFAULT_SVD_TOL = 1e-10
 # A row whose ``row_residuals`` entry is below this is linearly closed.
 DEFAULT_CLOSURE_TOL = 1e-6
 
-# Bytes of lifted data folded into the triangular factor at a time: 390
-# snapshot pairs at d=83, h=2, and never fewer than 2d + h.
+# Bytes of lifted data folded into the triangular factor at a time: 387
+# snapshot pairs at d=83 with the benchmark's h=3, and never fewer than
+# 2d + h.
 FIT_BLOCK_BYTES = 512 * 1024
 
-# Entries below this times the largest magnitude folded so far are zeroed
-# before their block is factored (see the module docstring).
+# Entries below this times the largest magnitude examined so far are zeroed
+# before they are factored (see the module docstring).
 FLUSH_RATIO = 2.0 ** -500
+
+# After the first QR, a snapshot pair is left out of the fold while, in
+# every column, the pairs left out stay within this times the column's norm
+# in the factor: below the QR's own backward error (see the module
+# docstring).
+SKIP_RATIO = 2.0 ** -53
 
 
 class Continued(tuple):
@@ -58,8 +82,9 @@ class KoopmanMatrix:
 
     ``initial_lifts`` holds each trajectory's first ``current`` column,
     (d, M), taken from every segment that is not :class:`Continued`, and
-    ``n_pairs`` the K snapshot pairs fitted (None and 0 for a matrix
-    that was not fitted from data).
+    ``n_pairs`` the K snapshot pairs fitted, those the fold left out below
+    round-off included (None and 0 for a matrix that was not fitted from
+    data).
 
     ``row_residuals`` holds the per-row relative misfit
     ``||misfit_row|| / max(1, ||shifted_row||)``: rows with an exact linear
@@ -143,25 +168,51 @@ def _segment_arrays(index: int, segment, heights) -> list[np.ndarray]:
 
 
 def _flush(block, scale: float, tiny) -> float:
-    """Zero the entries of ``block`` below ``FLUSH_RATIO`` times the largest
-    magnitude of ``scale`` and the block, and return that largest
-    magnitude.  ``tiny`` is boolean scratch of two planes, used on as many
-    rows of the block at a time as it has.  ShapeMismatchError if the
-    block holds a NaN or an infinity."""
+    """:func:`_sift` without a limit: flush every row of ``block`` and
+    return the largest magnitude."""
+    return _sift(block, scale, tiny)[0]
+
+
+def _sift(block, scale: float, tiny, limit=None, skipped=None):
+    """Zero the entries of the rows of ``block`` below ``FLUSH_RATIO``
+    times the largest magnitude of ``scale`` and the block.  With
+    ``limit``, first drop each row whose entries all lie within
+    ``±limit``, adding its squares to ``skipped``, and move the rows kept
+    up, in order, to the top of the block.  Return the largest magnitude
+    and the number of rows kept.  ``tiny`` is boolean scratch of two
+    planes, used on as many rows of the block at a time as it has.
+    ShapeMismatchError if the block holds a NaN or an infinity."""
     high, low = block.max(), block.min()
     if not (np.isfinite(high) and np.isfinite(low)):
         raise ShapeMismatchError("fit data must be finite")
     scale = max(scale, high, -low)
     cut = scale * FLUSH_RATIO
+    kept = 0
     for start in range(0, len(block), tiny.shape[1]):
         rows = block[start:start + tiny.shape[1]]
         below, above = tiny[:, :len(rows)]
+        if limit is not None:
+            # Only a row whose first entry lies within the limit can go.
+            if np.abs(rows[:, 0]).min() <= limit[0]:
+                np.less_equal(rows, limit, out=below)
+                np.greater_equal(rows, -limit, out=above)
+                np.logical_and(below, above, out=below)
+                drop = below.all(axis=1)
+                if drop.any():
+                    gone = rows[drop]
+                    skipped += np.einsum("ij,ij->j", gone, gone)
+                    rows = rows[~drop]
+            if kept < start or len(rows) < len(below):
+                block[kept:kept + len(rows)] = rows
+                rows = block[kept:kept + len(rows)]
+                below, above = tiny[:, :len(rows)]
         np.less(rows, cut, out=below)
         np.greater(rows, -cut, out=above)
         np.logical_and(below, above, out=below)
         if below.any():
             np.putmask(rows, below, 0.0)
-    return scale
+        kept += len(rows)
+    return scale, kept
 
 
 def _fold(segments):
@@ -173,10 +224,14 @@ def _fold(segments):
 
     One buffer holds the factor so far in its top ``top`` rows and the
     next block below them; each segment's arrays are written straight
-    into their column ranges of the block, and the block is flushed
-    (:func:`_flush`) before it is factored."""
-    heights = r = buffer = tiny = None
-    top = fill = n_pairs = 0
+    into their column ranges of the block.  The first block is flushed
+    (:func:`_flush`) and factored whole.  After it, each time the block
+    fills, its rows from ``examined`` on are sifted (:func:`_sift`) with
+    an equal share of each column's room ``budget - skipped``, and the
+    block is factored once no row was dropped; the last, partial, block
+    is flushed and factored whole."""
+    heights = r = buffer = tiny = skipped = budget = None
+    top = fill = examined = n_pairs = 0
     scale = 0.0
     initial = []
     for index, segment in enumerate(segments):
@@ -191,6 +246,7 @@ def _fold(segments):
             # `analysis` workload by 0.4-0.8 MB.
             tiny = np.empty((2, max(1, 16384 // width), width), dtype=bool)
             columns = np.cumsum([0] + heights)
+            skipped = np.zeros(width)
         if not isinstance(segment, Continued):
             initial.append(arrays[0][:, 0].copy())  # a view would pin the lift
         n = arrays[0].shape[1]
@@ -203,15 +259,25 @@ def _fold(segments):
                 rows[:, lo:hi] = a[:, done:done + take].T
             fill += take
             done += take
+            if fill < step:
+                continue
+            block = buffer[top + examined:top + fill]
+            if r is None:
+                scale = _flush(block, scale, tiny)
+            else:
+                limit = np.sqrt(np.maximum(budget - skipped, 0.0) / len(block))
+                scale, kept = _sift(block, scale, tiny, limit, skipped)
+                fill = examined = examined + kept
             if fill == step:
-                scale = _flush(buffer[top:top + fill], scale, tiny)
                 r = np.linalg.qr(buffer[:top + fill], mode="r")
-                top, fill = len(r), 0
+                top, fill, examined = len(r), 0, 0
                 buffer[:top] = r
+                budget = SKIP_RATIO ** 2 * np.einsum("ij,ij->j", r, r)
     if heights is None:
         raise ShapeMismatchError("the fit needs at least one segment")
+    if fill > examined:
+        _flush(buffer[top + examined:top + fill], scale, tiny)
     if fill:
-        _flush(buffer[top:top + fill], scale, tiny)
         r = np.linalg.qr(buffer[:top + fill], mode="r")
     return r, heights, np.stack(initial, axis=1), n_pairs
 

@@ -1,5 +1,6 @@
 """Least-squares operator fitting and pseudoinverse diagnostics."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -426,16 +427,19 @@ def test_blocks_below_the_flush_threshold_change_nothing(seed, data):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("column", [3, 700, 1520])
+@pytest.mark.parametrize("column", [3, 700, 1000, 1399, 1520])
 def test_a_non_finite_value_still_fails_the_fit(value, column):
     # Blocks of 100 pairs, so the value sits in the first, a middle or the
     # last, partial, block of current or shifted; half the data lies below
-    # the threshold.
+    # the flush threshold.  Pairs 900 to 1399 lie far below SKIP_RATIO of
+    # every column, so the fold would leave out the pairs 1000 and 1399.
     rng = np.random.default_rng(column)
     for array in range(2):
         data = [rng.normal(size=(3, 1550)), rng.normal(size=(3, 1550)),
                 rng.normal(size=(1, 1550))]
         data[0][:, ::2] *= 1e-200
+        for part in data:
+            part[:, 900:1400] *= 1e-30
         data[array][-1, column] = value
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * 7 * 100)
@@ -482,6 +486,181 @@ def test_the_flush_allocates_no_array():
     assert peak < 4096 < tiny.size
     assert scale == largest
     assert np.array_equal(block, expected)
+
+
+def decaying(rng, width, lengths, floor=0.0):
+    """``width`` rows by ``sum(lengths)`` columns, trajectories side by
+    side: in each, row i starts at a normal draw and shrinks by its own
+    rate from (0.3, 0.95) per step, down to ``floor`` times the start, and
+    each entry is scaled by a factor from (0.5, 1.5)."""
+    rates = rng.uniform(0.3, 0.95, (width, 1))
+    return np.concatenate([
+        rng.normal(size=(width, 1))
+        * np.maximum(rates ** np.arange(n), floor)
+        * rng.uniform(0.5, 1.5, (width, n)) for n in lengths], axis=1)
+
+
+def decay_lengths(data, rows):
+    """One to three trajectory lengths, each long enough that every rate of
+    :func:`decaying` falls below e^-60 and two blocks of ``rows`` pairs lie
+    past that point, so the fold leaves out some pairs."""
+    steps = int(np.ceil(60 / -np.log(0.95))) + 2 * rows
+    return data.draw(st.lists(st.integers(steps, 2 * steps), min_size=1,
+                              max_size=3), label="lengths")
+
+
+def as_segment(columns, d, h):
+    """``(current, shifted[, outputs])`` from the rows of ``columns``."""
+    return tuple(columns[lo:hi] for lo, hi in
+                 ((0, d), (d, 2 * d), (2 * d, 2 * d + h)) if hi > lo)
+
+
+@contextlib.contextmanager
+def folded_rows():
+    """Collect, for one fit, the rows each ``np.linalg.qr`` call receives
+    below the factor so far: the pairs the fold factors, in order."""
+    qr, blocks, top = np.linalg.qr, [], [0]
+
+    def spy(a, mode):
+        blocks.append(a[top[0]:].copy())
+        top[0] = min(a.shape)
+        return qr(a, mode=mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "qr", spy)
+        yield blocks
+
+
+def left_out(rows, folded):
+    """Mask of the rows of ``rows`` that ``folded``, a subsequence of
+    them, does not hold."""
+    kept, j = np.zeros(len(rows), dtype=bool), 0
+    for i, row in enumerate(rows):
+        if j < len(folded) and np.array_equal(row, folded[j]):
+            kept[i], j = True, j + 1
+    assert j == len(folded)
+    return ~kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_decaying_fit_does_not_depend_on_where_segments_split(seed, data):
+    # Decayed pairs are left out of the fold, and which ones depends only on
+    # the sequence of pairs, not on the segments' split: every fit quantity
+    # is bit-equal to the one-segment fit.  FIT_BLOCK_BYTES is shrunk to
+    # blocks of ``rows`` pairs; the decays reach the flush threshold too.
+    rng = np.random.default_rng(seed)
+    d, h = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    width = 2 * d + h
+    rows = width + data.draw(st.integers(0, 3 * width), label="extra rows")
+    columns = decaying(rng, width, decay_lengths(data, rows))
+    k = columns.shape[1]
+    density = data.draw(st.sampled_from([0.01, 0.1, 0.5]), label="cuts")
+    bounds = [0, *(np.flatnonzero(rng.random(k - 1) < density) + 1), k]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * width * rows)
+        with folded_rows() as blocks:
+            whole = fit_koopman_matrix([as_segment(columns, d, h)])
+        parts = fit_koopman_matrix(iter(
+            [as_segment(columns[:, start:stop], d, h)
+             for start, stop in zip(bounds, bounds[1:])]))
+    assert sum(map(len, blocks)) < k
+    for name in ("factor", "matrix", "row_residuals") + ("decode",) * (h > 0):
+        assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
+    assert parts.n_pairs == whole.n_pairs == k
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pairs_left_out_stay_below_the_skip_ratio(seed, data):
+    # Per column, the squares of the pairs the fold leaves out sum to at
+    # most SKIP_RATIO^2 times the squares of the pairs it folds, in plain
+    # numpy.  The fold takes its room from the factor's column norms, which
+    # agree with the folded pairs' to rounding, and passes of one row can
+    # use up the room: hence the slack of 1e-9 of the bound.  The decays
+    # stop at 1e-100 of their start, above the flush threshold, so each
+    # folded pair reaches the QR as it was given.
+    rng = np.random.default_rng(seed)
+    d, h = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    width = 2 * d + h
+    rows = width + data.draw(st.integers(0, 3 * width), label="extra rows")
+    columns = decaying(rng, width, decay_lengths(data, rows), floor=1e-100)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * width * rows)
+        with folded_rows() as blocks:
+            fit_koopman_matrix([as_segment(columns, d, h)])
+    folded = np.concatenate(blocks)
+    out = left_out(columns.T, folded)
+    assert out.any()
+    assert np.all(np.sum(columns.T[out] ** 2, axis=0) <= (1 + 1e-9)
+                  * edmd.SKIP_RATIO ** 2 * np.sum(folded ** 2, axis=0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_decaying_fit_matches_the_svd_path(seed, data):
+    # The pairs left out lie below the QR's own backward error, so the fit
+    # keeps the SVD path's error bound.
+    rng = np.random.default_rng(seed)
+    d, h = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    width = 2 * d + h
+    rows = width + data.draw(st.integers(0, 3 * width), label="extra rows")
+    columns = decaying(rng, width, decay_lengths(data, rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * width * rows)
+        with folded_rows() as blocks:
+            assert_matches_svd_reference(*as_segment(columns, d, h))
+    assert sum(map(len, blocks)) < columns.shape[1]
+
+
+def test_a_column_of_zero_mass_leaves_out_only_pairs_zero_in_it():
+    # The output is 0 in the first block, so its column in the factor has
+    # norm 0.  After it, current and shifted lie far below their columns'
+    # norms: a pair is left out where its output is exactly 0 and folded
+    # where it is not, however small.  Normal pairs at the end make the
+    # fold examine every small one.
+    rng = np.random.default_rng(12)
+    d, rows = 2, 10
+    first = rng.normal(size=(2 * d + 1, rows))
+    first[-1] = 0.0
+    small = 1e-30 * rng.normal(size=(2 * d + 1, 6 * rows))
+    small[-1] = 0.0
+    small[-1, [0, 17, 18, 59]] = 1e-40 * np.array([1.0, -2.0, 3.0, -4.0])
+    last = rng.normal(size=(2 * d + 1, rows))
+    columns = np.concatenate([first, small, last], axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edmd, "FIT_BLOCK_BYTES", 8 * (2 * d + 1) * rows)
+        with folded_rows() as blocks:
+            fit_koopman_matrix([as_segment(columns, d, 1)])
+    kept = np.r_[:rows, rows + np.array([0, 17, 18, 59]), 7 * rows:8 * rows]
+    assert np.array_equal(np.concatenate(blocks), columns.T[kept])
+
+
+def test_the_sift_allocates_no_block_sized_array():
+    # The sift moves the rows it keeps up the block one scratch plane of
+    # rows at a time (here 96 of 3,000), so what it allocates stays within
+    # two planes of doubles.  It keeps, in order, the rows with an entry
+    # beyond ``limit``, and adds the squares of the others to ``skipped``.
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(3000, 169))
+    small = rng.random(3000) < 0.5
+    block[small] *= 1e-20
+    expected = block[~small]
+    squares = np.sum(block[small] ** 2, axis=0)
+    tiny = np.empty((2, 96, 169), dtype=bool)
+    skipped = np.zeros(169)
+    tracemalloc.start()
+    try:
+        scale, kept = edmd._sift(block, 0.0, tiny, np.full(169, 1e-10),
+                                 skipped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 96 * 169 * 8 + 4096 < block.nbytes // 8
+    assert scale == np.abs(expected).max()
+    assert kept == len(expected)
+    assert np.array_equal(block[:kept], expected)
+    assert np.allclose(skipped, squares, rtol=1e-12, atol=0.0)
 
 
 def test_fit_memory_does_not_grow_with_a_trajectory_length():
