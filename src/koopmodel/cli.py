@@ -9,9 +9,8 @@ column, and one column per feature; rows of a trajectory are contiguous
 and sorted by ``t``.  Data files are UTF-8; numpy's parser reads a
 well-formed one, and an exact reader the rest.  The observable dictionary
 is a JSON list of ``{id, kind, params, depends_on}`` entries; its
-canonical hash is stored in model files and checked by
-``predict``/``reduce`` so a model is never combined with a different
-dictionary.
+canonical hash is stored in model files, and ``reduce`` given a ``model``
+checks it so the model is never combined with a different dictionary.
 
 Each command reads a closed set of options (``_OPTIONS``) from its
 ``--config`` JSON object.  A key the command does not read, a value of the

@@ -177,39 +177,22 @@ class Dictionary:
             else:
                 self._others.append((k, o))
         # The power table: row 0 is 1.0, then each distinct (feature,
-        # exponent > 0), then the running square of each feature raised,
-        # longest exponent first (_order).  _slots[i] holds, per product,
-        # the row of the i-th power it multiplies, in feature order, or
-        # row 0 once it has no more.
+        # exponent > 0).  _powers holds, per feature raised, the (row,
+        # exponent) of its powers by rising exponent.  _slots[i] holds, per
+        # product, the row of the i-th power it multiplies, in feature
+        # order, or row 0 once it has no more.
         powers = sorted({(f, e) for es in exponents
                          for f, e in enumerate(es) if e})
-        depth = {}
-        for f, e in powers:
-            depth[f] = max(depth.get(f, 0), e.bit_length())
-        self._order = sorted(depth, key=lambda f: -depth[f])
         slot = {fe: r for r, fe in enumerate(powers, 1)}
-        square = {f: len(slot) + 1 + i for i, f in enumerate(self._order)}
-        self._table_rows = len(slot) + 1 + len(square)
+        self._powers = {}
+        for (f, e), r in slot.items():
+            self._powers.setdefault(f, []).append((r, e))
         factors = [[slot[f, e] for f, e in enumerate(es) if e]
                    for es in exponents]
         self._slots = np.zeros((max(map(len, factors), default=0) or 1,
                                 len(factors)), np.intp)
         for k, rows in enumerate(factors):
             self._slots[:len(rows), k] = rows
-        # Binary powering, per bit j: the rows that x^(2^j) starts and
-        # multiplies, each as (rows, square rows), and how many of the
-        # squares go on to x^(2^(j+1)).
-        self._plan = []
-        for j in range(max(depth.values(), default=0)):
-            start, more = ([], []), ([], [])
-            for (f, e), r in slot.items():
-                if e >> j & 1:
-                    rows, squares = more if e & (1 << j) - 1 else start
-                    rows.append(r)
-                    squares.append(square[f])
-            self._plan.append((sum(d > j + 1 for d in depth.values()),
-                               np.array(start, np.intp),
-                               np.array(more, np.intp)))
 
     # -- construction -----------------------------------------------------
 
@@ -378,6 +361,25 @@ class Dictionary:
 
     # -- evaluation -------------------------------------------------------
 
+    def _power_table(self, values: np.ndarray) -> np.ndarray:
+        """The power table of an (m, n) block: row 0 is 1.0, then each
+        distinct (feature, exponent > 0) by binary powering.  Per feature,
+        one scratch row is squared in place up to x^(2^j), and at each bit
+        j multiplies in place every power whose exponent has that bit.
+        The scratch row is freed before :meth:`evaluate` gathers products."""
+        table = np.ones((1 + sum(map(len, self._powers.values())),
+                         len(values)))
+        square = np.empty(len(values))
+        for f, powers in self._powers.items():
+            square[:] = values[:, f]
+            for j in range(powers[-1][1].bit_length()):
+                if j:
+                    np.square(square, out=square)
+                for r, e in powers:
+                    if e >> j & 1:
+                        table[r] *= square
+        return table
+
     def evaluate(self, values) -> np.ndarray:
         """Evaluate every observable along an (m, n) block of consecutive
         snapshots, one per row.
@@ -401,10 +403,6 @@ class Dictionary:
                 f"shape {values.shape}"
             )
         m = values.shape[0]
-        table = np.empty((self._table_rows, m))
-        table[0] = 1.0
-        squares = table[len(table) - len(self._order):]
-        squares[:] = values.T[self._order]
         block = np.empty((len(self._rows), m))
 
         def operand(refv) -> np.ndarray:
@@ -416,14 +414,12 @@ class Dictionary:
         # One errstate for the lift: entering it per observable costs more
         # than a short window's arithmetic.
         with np.errstate(all="ignore"):
-            for live, start, more in self._plan:
-                table[start[0]] = table[start[1]]
-                table[more[0]] *= table[more[1]]
-                np.square(squares[:live], out=squares[:live])
+            table = self._power_table(values)
             # A product multiplies its powers in feature order, gathered as
-            # many rows at a time as the table holds, so that no temporary
-            # outgrows the table.
-            step = len(table)
+            # many rows at a time as the table and a square per feature
+            # raised would fill, so that no temporary outgrows them and the
+            # gathers stay few.
+            step = len(table) + len(self._powers)
             for lo in range(0, len(block), step):
                 part = block[lo:lo + step]
                 part[:] = table[self._slots[0, lo:lo + step]]

@@ -126,8 +126,6 @@ def _svd_pseudoinverse(matrix: np.ndarray, tol: float):
     if tol < 0:
         raise ShapeMismatchError("singular-value cutoff must be >= 0")
     u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
-    if sigma[0] == 0.0:
-        return np.zeros((matrix.shape[1], matrix.shape[0]), dtype=matrix.dtype), 0, 0.0
     keep = sigma > tol * sigma[0]
     rank = int(np.count_nonzero(keep))
     inv_sigma = np.zeros_like(sigma)
@@ -165,12 +163,6 @@ def _segment_arrays(index: int, segment, heights) -> list[np.ndarray]:
             f"of one non-zero height, all as in segment 0, got shapes "
             f"{[np.shape(a) for a in arrays]}")
     return arrays
-
-
-def _flush(block, scale: float, tiny) -> float:
-    """:func:`_sift` without a limit: flush every row of ``block`` and
-    return the largest magnitude."""
-    return _sift(block, scale, tiny)[0]
 
 
 def _sift(block, scale: float, tiny, limit=None, skipped=None):
@@ -225,8 +217,8 @@ def _fold(segments):
     One buffer holds the factor so far in its top ``top`` rows and the
     next block below them; each segment's arrays are written straight
     into their column ranges of the block.  The first block is flushed
-    (:func:`_flush`) and factored whole.  After it, each time the block
-    fills, its rows from ``examined`` on are sifted (:func:`_sift`) with
+    (:func:`_sift` without a limit) and factored whole.  After it, each
+    time the block fills, its rows from ``examined`` on are sifted with
     an equal share of each column's room ``budget - skipped``, and the
     block is factored once no row was dropped; the last, partial, block
     is flushed and factored whole."""
@@ -263,7 +255,7 @@ def _fold(segments):
                 continue
             block = buffer[top + examined:top + fill]
             if r is None:
-                scale = _flush(block, scale, tiny)
+                scale = _sift(block, scale, tiny)[0]
             else:
                 limit = np.sqrt(np.maximum(budget - skipped, 0.0) / len(block))
                 scale, kept = _sift(block, scale, tiny, limit, skipped)
@@ -276,7 +268,7 @@ def _fold(segments):
     if heights is None:
         raise ShapeMismatchError("the fit needs at least one segment")
     if fill > examined:
-        _flush(buffer[top + examined:top + fill], scale, tiny)
+        _sift(buffer[top + examined:top + fill], scale, tiny)
     if fill:
         r = np.linalg.qr(buffer[:top + fill], mode="r")
     return r, heights, np.stack(initial, axis=1), n_pairs

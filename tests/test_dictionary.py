@@ -364,6 +364,40 @@ def test_monomials_share_powers_bit_for_bit():
     assert dic.evaluate(values).tobytes() == expected.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shared_powers_match_binary_powering_bit_for_bit(data):
+    # Monomials over 1-4 features, each taking none or one of a few
+    # exponents per feature (up to 2^12), so that they share powers and
+    # skip features, against each monomial's own binary powers multiplied
+    # in feature order.  Values lie within 2^-12 of +-1, where even
+    # x^(2^12) stays finite, or are +-0.
+    n = data.draw(st.integers(1, 4))
+    exponent = st.one_of(st.integers(1, 16), st.integers(1, 2**12))
+    choices = [[0] + data.draw(st.lists(exponent, min_size=1, max_size=3))
+               for _ in range(n)]
+    exponents = data.draw(st.lists(
+        st.tuples(*(st.sampled_from(c) for c in choices)),
+        min_size=1, max_size=8))
+    magnitude = st.one_of(st.just(0.0), st.floats(-2.0**-12, 2.0**-12).map(
+        lambda v: 1.0 + v))
+    value = st.tuples(magnitude, st.booleans()).map(
+        lambda v: v[0] if v[1] else -v[0])
+    values = np.array(data.draw(st.lists(
+        st.lists(value, min_size=n, max_size=n), min_size=1, max_size=5)))
+    dic = Dictionary.from_spec(
+        [{"id": f"m{i}", "kind": "monomial", "params": {"exponents": list(e)}}
+         for i, e in enumerate(exponents)], n)
+    expected = np.empty((len(exponents), len(values)))
+    for row, e in enumerate(exponents):
+        s = np.ones(len(values))
+        for i, power in enumerate(e):
+            if power:
+                s = s * binary_power(values[:, i], power)
+        expected[row] = s
+    assert dic.evaluate(values).tobytes() == expected.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(e=st.lists(st.integers(0, 8), min_size=2, max_size=2),
        x=st.lists(st.tuples(st.floats(2.0**-10, 2.0**10), st.booleans()),
@@ -407,6 +441,30 @@ def test_a_huge_exponent_needs_no_row_per_exponent():
     assert peak < 8 * 8 * 4000
     assert out[0, 0] == 1.0
     assert out[0, 1] == binary_power(1.0 + 2.0**-52, 2**40)
+
+
+def test_the_power_pass_takes_one_scratch_row():
+    # Squares and products are taken in place: beyond the power table and
+    # the product block, the lift holds one more row at a time, the
+    # scratch square or then a gathered factor.  A loop that allocated
+    # x * x or power * square would hold two.
+    dic = Dictionary.from_spec(
+        [{"id": "m", "kind": "monomial",
+          "params": {"exponents": [2**12 - 1, 2**11 + 1]}}], 2)
+    m = 4000
+    values = np.random.default_rng(4).uniform(1 - 2.0**-14, 1 + 2.0**-14,
+                                              size=(m, 2))
+    row = 8 * m
+    tracemalloc.start()
+    try:
+        out = dic.evaluate(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table, block = 3 * row, out.nbytes
+    assert table + block + row <= peak < table + block + 1.5 * row
+    assert out.tobytes() == (binary_power(values[:, 0], 2**12 - 1)
+                             * binary_power(values[:, 1], 2**11 + 1)).tobytes()
 
 
 def test_a_monomial_of_zero_exponents_is_one():

@@ -479,7 +479,7 @@ def test_the_flush_allocates_no_array():
     tiny = np.empty((2, 96, 169), dtype=bool)
     tracemalloc.start()
     try:
-        scale = edmd._flush(block, 0.0, tiny)
+        scale = edmd._sift(block, 0.0, tiny)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
